@@ -97,6 +97,16 @@ def _load_config(path: str) -> SubnetConfig:
     return SubnetConfig.from_json_dict(_load_json(path))
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _reference_from_args(args) -> ReferenceConfig:
     return ReferenceConfig(
         depth=args.depth,
@@ -202,9 +212,14 @@ def cmd_train(args) -> int:
         raise ValidationError(f"dataset {args.dataset} is empty")
     import random as _random
 
+    if not 0 <= args.holdout < 1:
+        raise ValidationError(f"--holdout must lie in [0, 1), got {args.holdout}")
     order = list(range(len(dataset.rows)))
     _random.Random(args.seed).shuffle(order)
-    n_holdout = max(1, int(len(order) * args.holdout)) if len(order) > 1 else 0
+    # any positive fraction holds out at least one row when there are two
+    n_holdout = (
+        max(1, int(len(order) * args.holdout)) if args.holdout > 0 and len(order) > 1 else 0
+    )
     held = [dataset.rows[i] for i in order[:n_holdout]]
     kept = [dataset.rows[i] for i in order[n_holdout:]]
     model = train(
@@ -276,10 +291,9 @@ def cmd_sweep(args) -> int:
     started = time.time()
     space = _load_space(args.space)
     scorer = _make_scorer(args, space)
-    levels = [int(x) for x in args.constraints.split(",") if x.strip()]
     points = sweep(
         space,
-        levels,
+        args.constraints,
         scorer,
         _params_from_args(args),
         exclude_classifier=not args.include_classifier,
@@ -404,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common, search_common], help="search a constraint ladder"
     )
     p.add_argument(
-        "--constraints", required=True, help="comma-separated ascending item caps"
+        "--constraints",
+        type=_int_list,
+        required=True,
+        help="comma-separated ascending item caps",
     )
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -18,6 +18,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ChainError, ResolutionError, ValidationError
@@ -225,7 +226,6 @@ class MemoryProfile:
     peak_items: int
     peak_index: int
     avg_items: float
-    std_items: float
     classifier_excluded: bool
 
     @classmethod
@@ -239,9 +239,15 @@ class MemoryProfile:
             peak_items=peak,
             peak_index=totals.index(peak),
             avg_items=statistics.fmean(totals),
-            std_items=statistics.pstdev(totals),
             classifier_excluded=classifier_excluded,
         )
+
+    @cached_property
+    def std_items(self) -> float:
+        """Population standard deviation of the layer totals, computed on
+        first use: the exact-fraction ``pstdev`` is about a fifth of the cost
+        of ``profile_network``, and scoring never reads it."""
+        return statistics.pstdev([r.total_items for r in self.records])
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,13 +303,13 @@ def _head_memory(skeleton: NetworkSkeleton) -> LayerMemory:
     )
 
 
-def _classifier_memory(skeleton: NetworkSkeleton) -> LayerMemory:
-    # input is the globally pooled head feature vector
+def classifier_memory(head_width: int, num_classes: int) -> LayerMemory:
+    """Linear classifier on the globally pooled head feature vector."""
     return LayerMemory(
         label="classifier",
-        input_items=skeleton.head_width,
-        weight_items=skeleton.head_width * skeleton.num_classes,
-        output_items=skeleton.num_classes,
+        input_items=head_width,
+        weight_items=head_width * num_classes,
+        output_items=num_classes,
     )
 
 
@@ -323,7 +329,7 @@ def profile_network(skeleton: NetworkSkeleton) -> MemoryProfile:
         records.extend(block_memory(shape, prefix=label))
     records.append(_head_memory(skeleton))
     if skeleton.include_classifier:
-        records.append(_classifier_memory(skeleton))
+        records.append(classifier_memory(skeleton.head_width, skeleton.num_classes))
     return MemoryProfile.from_records(
         records, classifier_excluded=not skeleton.include_classifier
     )

@@ -28,6 +28,7 @@ from .space import (
     SupernetSpace,
     _sample_with,
     config_peak_items,
+    json_field,
     require_valid,
     resolve,
 )
@@ -105,10 +106,15 @@ class DatasetRow:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DatasetRow":
+        config = json_field(d, "config", dict)
+        try:
+            config = SubnetConfig.from_json_dict(config)
+        except ValidationError as exc:
+            raise ValidationError(f"config.{exc}") from None
         return cls(
-            config=SubnetConfig.from_json_dict(d["config"]),
-            peak_items=d["peak_items"],
-            score=d["score"],
+            config=config,
+            peak_items=json_field(d, "peak_items"),
+            score=json_field(d, "score"),
         )
 
 
@@ -123,12 +129,14 @@ class Dataset:
 
     @classmethod
     def read_jsonl(cls, fh, bucket_edges=()) -> "Dataset":
-        rows = tuple(
-            DatasetRow.from_json_dict(json.loads(line))
-            for line in fh
-            if line.strip()
-        )
-        return cls(rows=rows, bucket_edges=tuple(bucket_edges))
+        rows = []
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(DatasetRow.from_json_dict(json.loads(line)))
+                except ValidationError as exc:
+                    raise ValidationError(f"line {number}: {exc}") from None
+        return cls(rows=tuple(rows), bucket_edges=tuple(bucket_edges))
 
 
 def bucket_index(peak: float, edges: tuple[float, ...]) -> int:

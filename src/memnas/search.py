@@ -153,6 +153,17 @@ def _fresh_feasible(space, ev, rng, attempts=INIT_ATTEMPTS_PER_SLOT) -> SubnetCo
     )
 
 
+def _score_all(configs, scorer: Scorer, known: dict) -> list[float]:
+    """Score each config, calling ``scorer`` once per distinct config;
+    ``known`` maps configs already scored to their scores and gains the new
+    ones.  Keys are whole configs, inert genes included, since a scorer may
+    read them (the noisy oracle hashes them)."""
+    for c in configs:
+        if c not in known:
+            known[c] = scorer(c)
+    return [known[c] for c in configs]
+
+
 def search(
     space: SupernetSpace,
     constraint: SearchConstraint,
@@ -166,12 +177,16 @@ def search(
     the rest with mutation (``mutation_fraction`` of the children) and
     gene-wise crossover; children failing the constraint are retried up to
     a fixed budget and then replaced by fresh feasible uniform samples.
+
+    ``scorer`` must be pure, a function of the config alone: a child equal
+    to one of its generation's parents or to an earlier child of the same
+    generation reuses that score instead of being scored again.
     """
     rng = random.Random(params.seed)
     ev = _Evaluator(space, constraint)
 
     population = [_fresh_feasible(space, ev, rng) for _ in range(params.population)]
-    scores = [scorer(c) for c in population]
+    scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
     n_children = params.population - n_parents
@@ -220,7 +235,9 @@ def search(
             children.append(child)
 
         population = parents + children
-        scores = parent_scores + [scorer(c) for c in children]
+        # rebuilt each generation, so it holds at most one population
+        known = dict(zip(parents, parent_scores))
+        scores = parent_scores + _score_all(children, scorer, known)
 
     order = sorted(range(len(population)), key=lambda i: (-scores[i], i))
     if scores[order[0]] > best_score:

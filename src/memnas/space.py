@@ -15,12 +15,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from itertools import product
 
 from .errors import ResolutionError, ValidationError
-from .memory import MBBlockShape, NetworkSkeleton, expanded_channels
+from .memory import (
+    MBBlockShape,
+    NetworkSkeleton,
+    block_memory,
+    classifier_memory,
+    profile_network,
+)
 from .planner import NUM_STAGES, ChannelSchedule, ReferenceConfig, plan_schedule
 
 DEPTH_OPTIONS = (2, 3, 4)
@@ -57,6 +63,11 @@ class SupernetSpace:
     def max_depth(self) -> int:
         return max(self.depth_options)
 
+    @cached_property
+    def peak_table(self) -> dict:
+        """Per-block peak terms, built on first use; see ``config_peak_items``."""
+        return _build_peak_table(self)
+
     def to_json_dict(self) -> dict:
         return {
             "num_stages": self.num_stages,
@@ -85,6 +96,21 @@ def default_space() -> SupernetSpace:
     return SupernetSpace(schedule=plan_schedule(ReferenceConfig()))
 
 
+def json_field(d, key: str, kind: type | None = None, path: str = ""):
+    """``d[key]`` from parsed JSON, checked to be a ``kind`` if given; a
+    missing or mistyped field raises ValidationError naming its path, with
+    ``path`` the path of ``d`` itself."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(d, dict):
+        raise ValidationError(f"{path or 'top level'}: expected an object, got {d!r}")
+    if key not in d:
+        raise ValidationError(f"{where}: missing")
+    value = d[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValidationError(f"{where}: expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SubnetConfig:
     """One point of the space.  ``kernels`` and ``expands`` hold one inner
@@ -110,12 +136,19 @@ class SubnetConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubnetConfig":
-        stages = d["stages"]
+        stages = [
+            (
+                json_field(s, "depth", path=f"stages[{i}]"),
+                tuple(json_field(s, "kernels", list, f"stages[{i}]")),
+                tuple(json_field(s, "expands", list, f"stages[{i}]")),
+            )
+            for i, s in enumerate(json_field(d, "stages", list))
+        ]
         return cls(
-            resolution=d["resolution"],
-            stage_depths=tuple(s["depth"] for s in stages),
-            kernels=tuple(tuple(s["kernels"]) for s in stages),
-            expands=tuple(tuple(s["expands"]) for s in stages),
+            resolution=json_field(d, "resolution"),
+            stage_depths=tuple(depth for depth, _, _ in stages),
+            kernels=tuple(ks for _, ks, _ in stages),
+            expands=tuple(es for _, _, es in stages),
         )
 
     def canonical_json(self) -> str:
@@ -231,19 +264,14 @@ def _sample_with(space: SupernetSpace, rng: random.Random) -> SubnetConfig:
     rnd = rng.random
     d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
     n_d, n_k, n_e = len(d_opts), len(k_opts), len(e_opts)
-    md = space.max_depth
+    slots = range(space.max_depth)
     resolution = space.resolution_options[int(rnd() * len(space.resolution_options))]
     depths, kernels, expands = [], [], []
     for _ in range(space.num_stages):
         depths.append(d_opts[int(rnd() * n_d)])
-        kernels.append(tuple(k_opts[int(rnd() * n_k)] for _ in range(md)))
-        expands.append(tuple(e_opts[int(rnd() * n_e)] for _ in range(md)))
-    return SubnetConfig(
-        resolution=resolution,
-        stage_depths=tuple(depths),
-        kernels=tuple(kernels),
-        expands=tuple(expands),
-    )
+        kernels.append(tuple([k_opts[int(rnd() * n_k)] for _ in slots]))
+        expands.append(tuple([e_opts[int(rnd() * n_e)] for _ in slots]))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
 
 
 def sample_uniform(space: SupernetSpace, seed: int) -> SubnetConfig:
@@ -380,63 +408,90 @@ def resolve(
     )
 
 
+def _build_peak_table(space: SupernetSpace) -> dict:
+    """Map each resolution that ``resolve`` accepts to ``(base, tails,
+    stages)``.
+
+    ``base`` is the larger of the stem and head totals, which depend only on
+    the resolution; ``tails[depth]`` is the range of slots after the first
+    that a depth makes active; ``stages`` holds per stage ``(first, inner)``,
+    where ``first[k][e]`` and ``inner[k][e]`` are the largest layer total of
+    the transition block and of a later block with kernel ``k`` and expand
+    ``e``.  Every term comes from ``block_memory`` on the block shapes of a
+    resolved maximal configuration, so rational expands round as they do in
+    ``profile_network``.
+    """
+
+    def terms(shape: MBBlockShape) -> dict:
+        return {
+            k: {
+                e: max(
+                    m.total_items for m in block_memory(replace(shape, kernel=k, expand=e))
+                )
+                for e in space.expand_options
+            }
+            for k in space.kernel_options
+        }
+
+    md = space.max_depth
+    tails = {d: range(1, d) for d in space.depth_options}
+    widest = maximal_config(space)
+    table = {}
+    for r in space.resolution_options:
+        try:
+            skeleton = resolve(replace(widest, resolution=r), space)
+        except ResolutionError:
+            continue
+        records = profile_network(skeleton).records
+        stages = tuple(
+            (
+                terms(skeleton.blocks[s * md]),
+                terms(skeleton.blocks[s * md + 1]) if md > 1 else {},
+            )
+            for s in range(space.num_stages)
+        )
+        table[r] = (max(records[0].total_items, records[-1].total_items), tails, stages)
+    return table
+
+
 def config_peak_items(
     config: SubnetConfig,
     space: SupernetSpace,
     include_classifier: bool = False,
     num_classes: int = 1000,
 ) -> int:
-    """Peak items of a configuration, computed with plain integer arithmetic
-    and no intermediate objects.  Agrees with profiling the resolved skeleton
-    (tested); used on hot paths such as feasibility rejection sampling."""
-    sched = space.schedule
-    r = config.resolution
-    half = r // 2
-    peak = 3 * r * r + 27 * sched.stem_width + sched.stem_width * half * half
-    prev = sched.stem_width
-    entry = half
-    num_stages = space.num_stages
-    for s in range(num_stages):
-        width = sched.stage_widths[s]
-        downsample = s < num_stages - 1
-        inner = entry // 2 if downsample else entry
-        e2 = entry * entry
-        n2 = inner * inner
-        depth = config.stage_depths[s]
-        ks = config.kernels[s]
-        es = config.expands[s]
-        # transition block: prev -> width at the entry size
-        e_ch = expanded_channels(prev, es[0])
-        k2 = ks[0] * ks[0]
-        t = prev * e2 + prev * e_ch + e_ch * e2  # expansion
-        if t > peak:
-            peak = t
-        t = e_ch * e2 + e_ch * k2 + e_ch * n2  # depthwise
-        if t > peak:
-            peak = t
-        t = e_ch * n2 + e_ch * width + width * n2  # projection
-        if t > peak:
-            peak = t
-        # within blocks at the inner size
-        for j in range(1, depth):
-            e_ch = expanded_channels(width, es[j])
-            k2 = ks[j] * ks[j]
-            t = width * n2 + width * e_ch + e_ch * n2
+    """Peak items of a configuration, read from the space's table of
+    per-block terms (``SupernetSpace.peak_table``), which is built once from
+    ``block_memory`` and the stem and head records.
+
+    The network peak is the maximum of the stem, the head and one term per
+    active block, and a block term depends only on the resolution, the
+    stage, whether the block is the stage's first, and its own (kernel,
+    expand); so this agrees with profiling the resolved skeleton (tested).
+    Used on hot paths such as feasibility rejection sampling, it checks only
+    the genes it reads: an out-of-space resolution, depth or active gene
+    raises the ``ValidationError`` or ``ResolutionError`` that ``resolve``
+    raises; inert genes are not checked.
+    """
+    try:
+        peak, tails, stages = space.peak_table[config.resolution]
+        for (first, inner), depth, ks, es in zip(
+            stages, config.stage_depths, config.kernels, config.expands, strict=True
+        ):
+            t = first[ks[0]][es[0]]
             if t > peak:
                 peak = t
-            t = e_ch * (2 * n2 + k2)
-            if t > peak:
-                peak = t
-            t = e_ch * n2 + e_ch * width + width * n2
-            if t > peak:
-                peak = t
-        prev = width
-        entry = inner
-    head = prev * entry * entry + prev * sched.head_width + sched.head_width * entry * entry
-    if head > peak:
-        peak = head
+            for j in tails[depth]:
+                t = inner[ks[j]][es[j]]
+                if t > peak:
+                    peak = t
+    except (KeyError, IndexError, TypeError, ValueError):
+        # a table miss means the config is outside the space; resolve names
+        # the offending field
+        resolve(config, space)
+        raise
     if include_classifier:
-        cls = sched.head_width + sched.head_width * num_classes + num_classes
-        if cls > peak:
-            peak = cls
+        t = classifier_memory(space.schedule.head_width, num_classes).total_items
+        if t > peak:
+            peak = t
     return peak

@@ -3,9 +3,13 @@ manifests, and reproducibility."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import memnas
 from memnas.cli import main
 from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
@@ -28,6 +32,17 @@ def config_file(tmp_path, space):
     path = tmp_path / "max.json"
     path.write_text(json.dumps(maximal_config(space).to_json_dict()))
     return str(path)
+
+
+def run_cli(*argv):
+    """Run the command in a fresh interpreter, so that stderr shows whatever
+    an uncaught exception would print."""
+    src = Path(memnas.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "memnas.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def doubling_space():
@@ -236,3 +251,66 @@ class TestSeedDefaults:
                  "--out", str(out)]
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with a message naming the field, never with
+    a traceback."""
+
+    def test_non_integer_sweep_level(self, tmp_path):
+        done = run_cli("sweep", "--constraints", "300000,abc", "--out", tmp_path / "c.csv")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "comma-separated integers" in done.stderr
+
+    def test_config_without_stages(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 224}))
+        done = run_cli("profile", "--config", cfg)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "stages: missing" in done.stderr
+
+    def test_dataset_row_without_config(self, tmp_path, space):
+        good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        no_config = {"peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(good) + "\n" + json.dumps(no_config) + "\n")
+        done = run_cli("train-predictor", "--dataset", data, "--out", tmp_path / "m.json")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "line 2: config: missing" in done.stderr
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestTrainHoldout:
+    @pytest.fixture()
+    def dataset_file(self, tmp_path, space):
+        rows = [
+            {"config": sample_uniform(space, seed).to_json_dict(), "peak_items": 0,
+             "score": float(seed % 7)}
+            for seed in range(30)
+        ]
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return str(path)
+
+    @pytest.mark.parametrize("holdout, trained", [("0", 30), ("0.2", 24), ("0.01", 29)])
+    def test_rows_held_out(self, tmp_path, dataset_file, capsys, holdout, trained):
+        model = tmp_path / "model.json"
+        code = main(["train-predictor", "--dataset", dataset_file,
+                     "--holdout", holdout, "--out", str(model)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"trained on {trained} rows" in out
+        assert ("rank correlation" in out) == (trained < 30)
+        assert json.loads(model.read_text())["rows"] == trained
+
+    @pytest.mark.parametrize("holdout", ["-0.1", "1"])
+    def test_fraction_outside_unit_interval_exits_2(
+        self, tmp_path, dataset_file, capsys, holdout
+    ):
+        code = main(["train-predictor", "--dataset", dataset_file,
+                     "--holdout", holdout, "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        assert "--holdout must lie in [0, 1)" in capsys.readouterr().err

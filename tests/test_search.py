@@ -1,7 +1,10 @@
 """Constrained evolutionary search."""
 
+import hashlib
 import io
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +15,7 @@ from memnas.search import (
     SearchConstraint,
     SearchParams,
     SearchResult,
+    _score_all,
     feasible,
     search,
     sweep,
@@ -132,6 +136,61 @@ class TestSearch:
             SearchParams(parent_fraction=0.0)
         with pytest.raises(ValidationError):
             SearchParams(mutation_fraction=1.5)
+
+
+def result_digest(result: SearchResult) -> str:
+    return hashlib.sha256(
+        json.dumps(result.to_json_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestScoreReuse:
+    """Identical children reuse a score; results are pinned to the values
+    of the search that scored every child."""
+
+    def test_default_search_at_350k_is_pinned_and_scores_fewer_children(self, space):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return synthetic_score(cfg, space)
+
+        result = search(space, SearchConstraint(350_000), counting, SearchParams(seed=0))
+        assert result.best_score == 20.61610055126735
+        assert result.evaluations == 87380
+        assert result_digest(result) == (
+            "4f08e4d49804d08f6c37dab95c9080cc40bec47377de518d4d6688eec4db2ea0"
+        )
+        # 100 initial individuals plus 75 children in each of 50 generations
+        assert len(calls) < 100 + 50 * 75
+
+    def test_noisy_oracle_search_reruns_identically(self, space):
+        params = SearchParams(seed=1, generations=10)
+        scorer = lambda cfg: synthetic_score(cfg, space, noise_seed=3)
+        a = search(space, SearchConstraint(400_000), scorer, params)
+        b = search(space, SearchConstraint(400_000), scorer, params)
+        assert a == b
+        assert result_digest(a) == (
+            "bd641aa46b1375b80074ee6c045d71ef04ab24ed0deeec3ee807185e482b2601"
+        )
+
+    def test_reuse_keys_on_the_whole_config_inert_genes_included(self, space):
+        base = sample_uniform(space, 3)
+        depth = base.stage_depths[0]
+        assert depth < space.max_depth
+        kernels = list(base.kernels[0])
+        kernels[depth] = next(k for k in space.kernel_options if k != kernels[depth])
+        inert_variant = replace(base, kernels=(tuple(kernels),) + base.kernels[1:])
+        calls = []
+        known = {base: 1.0}
+        scores = _score_all(
+            [base, inert_variant, inert_variant],
+            lambda c: calls.append(c) or 2.0,
+            known,
+        )
+        assert scores == [1.0, 2.0, 2.0]
+        assert calls == [inert_variant]
+        assert known == {base: 1.0, inert_variant: 2.0}
 
 
 class TestSweep:

@@ -1,17 +1,23 @@
 """Configuration space: validation, counting, sampling, genome operators,
 and resolution into skeletons."""
 
+import hashlib
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memnas.errors import ResolutionError, ValidationError
 from memnas.memory import profile_network
-from memnas.planner import ChannelSchedule
+from memnas.planner import ChannelSchedule, ReferenceConfig, plan_schedule
 from memnas.space import (
     SubnetConfig,
     SupernetSpace,
+    _sample_with,
     config_peak_items,
     count_subnets,
     crossover,
@@ -142,6 +148,19 @@ class TestSampleUniform:
                 assert abs(count - n * p) <= 3 * sigma, (option, count)
 
 
+    def test_draw_order_is_pinned(self, space):
+        # digests of 500 draws and of the generator state after them: a
+        # faster sampler must keep the draw order and the number of draws
+        rng = random.Random(0)
+        configs = "\n".join(_sample_with(space, rng).canonical_json() for _ in range(500))
+        assert hashlib.sha256(configs.encode()).hexdigest() == (
+            "3ee93c87a74a69b74f56e262aea154cacb65ee1a93b4009790d97bd5178ecea5"
+        )
+        assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+            "94954d3d8d68271bac53a282fbfd520d92f25bfbbc0e2ba1df7a814780da5be4"
+        )
+
+
 class TestMutate:
     def test_prob_zero_is_identity(self, space):
         c = sample_uniform(space, 5)
@@ -252,8 +271,11 @@ class TestResolve:
         # 20 -> 10 -> 5 -> cannot halve again for the third stage entry
         sp = tiny_space(resolutions=(20,), stages=3, depths=(1,))
         c = sample_uniform(sp, 0)
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError) as by_resolve:
             resolve(c, sp)
+        with pytest.raises(ResolutionError) as by_peak:
+            config_peak_items(c, sp)
+        assert str(by_peak.value) == str(by_resolve.value)
 
     def test_fast_peak_matches_profile(self, space):
         rng = random.Random(14)
@@ -263,6 +285,107 @@ class TestResolve:
             assert config_peak_items(c, space, include_classifier=True) == profile_network(
                 resolve(c, space, include_classifier=True)
             ).peak_items
+
+
+PLANNED_SCHEDULES = (
+    plan_schedule(ReferenceConfig()),
+    plan_schedule(ReferenceConfig(), divisor=1),
+    plan_schedule(ReferenceConfig(), stem_width=64, mode="closed-form"),
+    plan_schedule(ReferenceConfig(depth=3, kernel=5, expand=2.5, resolution=160)),
+)
+
+
+def option_sets(values, max_size=3):
+    return st.lists(
+        st.sampled_from(values), min_size=1, max_size=max_size, unique=True
+    ).map(lambda v: tuple(sorted(v)))
+
+
+@st.composite
+def custom_schedules(draw):
+    divisor = draw(st.sampled_from((1, 8)))
+    width = st.integers(1, 12).map(lambda m: m * divisor)
+    return ChannelSchedule(
+        stem_width=draw(width),
+        stage_widths=tuple(draw(width) for _ in range(draw(st.integers(1, 5)))),
+        head_width=draw(width),
+        divisor=divisor,
+    )
+
+
+@st.composite
+def spaces(draw):
+    """Planned and hand-made schedules under varied option sets, with
+    rational expands whose channel counts round (ties up)."""
+    schedule = draw(st.one_of(st.sampled_from(PLANNED_SCHEDULES), custom_schedules()))
+    num_stages = len(schedule.stage_widths)
+    return SupernetSpace(
+        schedule=schedule,
+        num_stages=num_stages,
+        depth_options=draw(option_sets((1, 2, 3, 4))),
+        kernel_options=draw(option_sets((1, 3, 5, 7))),
+        expand_options=draw(option_sets((1, 1.5, 2, 2.5, 3, 4, 6))),
+        resolution_options=draw(option_sets(tuple(2 ** num_stages * m for m in range(1, 8)))),
+    )
+
+
+SEEDS = st.integers(0, 2 ** 63 - 1)
+
+
+class TestPeakTable:
+    """``config_peak_items`` reads a table; ``profile_network`` is the
+    reference it must agree with."""
+
+    @settings(max_examples=300)
+    @given(
+        space=spaces(),
+        seed=SEEDS,
+        include_classifier=st.booleans(),
+        num_classes=st.integers(1, 5000),
+    )
+    def test_matches_profile(self, space, seed, include_classifier, num_classes):
+        c = sample_uniform(space, seed)
+        skeleton = resolve(
+            c, space, num_classes=num_classes, include_classifier=include_classifier
+        )
+        assert config_peak_items(
+            c, space, include_classifier=include_classifier, num_classes=num_classes
+        ) == profile_network(skeleton).peak_items
+
+    @given(
+        space=spaces(),
+        seed=SEEDS,
+        gene=st.sampled_from(["resolution", "depth", "kernel", "expand"]),
+        data=st.data(),
+    )
+    def test_out_of_space_gene_raises_what_resolve_raises(self, space, seed, gene, data):
+        c = sample_uniform(space, seed)
+        s = data.draw(st.integers(0, space.num_stages - 1), label="stage")
+        depth = c.stage_depths[s]
+        j = data.draw(st.integers(0, depth - 1), label="active slot")
+
+        def put(genes, value):
+            stage = genes[s][:j] + (value,) + genes[s][j + 1 :]
+            return genes[:s] + (stage,) + genes[s + 1 :]
+
+        if gene == "resolution":
+            bad = replace(c, resolution=2 ** space.num_stages * 9)
+        elif gene == "depth":
+            bad_depth = data.draw(
+                st.sampled_from([d for d in range(6) if d not in space.depth_options])
+            )
+            bad = replace(
+                c, stage_depths=c.stage_depths[:s] + (bad_depth,) + c.stage_depths[s + 1 :]
+            )
+        elif gene == "kernel":
+            bad = replace(c, kernels=put(c.kernels, 9))
+        else:
+            bad = replace(c, expands=put(c.expands, 5))
+        with pytest.raises(ValidationError) as by_resolve:
+            resolve(bad, space)
+        with pytest.raises(ValidationError) as by_peak:
+            config_peak_items(bad, space)
+        assert str(by_peak.value) == str(by_resolve.value)
 
 
 class TestJsonRoundTrip:
@@ -278,3 +401,18 @@ class TestJsonRoundTrip:
         d = space.to_json_dict()
         assert SupernetSpace.from_json_dict(d) == space
         assert d["schedule"]["stage_widths"] == [24, 88, 272, 344, 344]
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda d: d.pop("stages"), "stages: missing"),
+            (lambda d: d.update(stages={}), "stages: expected a list"),
+            (lambda d: d["stages"][1].pop("kernels"), "stages[1].kernels: missing"),
+            (lambda d: d["stages"].append(7), "stages[5]: expected an object"),
+        ],
+    )
+    def test_malformed_config_names_the_field(self, space, mangle, message):
+        d = sample_uniform(space, 42).to_json_dict()
+        mangle(d)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SubnetConfig.from_json_dict(d)
