@@ -16,6 +16,7 @@ import argparse
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import time
@@ -71,15 +72,22 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_manifest(out_path: str, command: str, inputs: dict, seed, started: float) -> None:
+#: flags naming input files; a manifest lists those given
+_INPUT_FLAGS = ("config", "config_a", "config_b", "dataset", "model", "space", "space_a", "space_b")
+
+
+def _write_artifact(args, path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, then its manifest."""
+    _atomic_write(path, text)
+    given = {flag: getattr(args, flag, None) for flag in _INPUT_FLAGS}
     manifest = {
-        "command": command,
-        "inputs": {k: v for k, v in inputs.items() if v is not None},
-        "seed": seed,
+        "command": args.command,
+        "inputs": {flag: value for flag, value in given.items() if value is not None},
+        "seed": args.seed,
         "tool_version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.time() - args.started, 3),
     }
-    _atomic_write(out_path + ".manifest.json", _canonical_json(manifest))
+    _atomic_write(path + ".manifest.json", _canonical_json(manifest))
 
 
 def _load_json(path: str) -> dict:
@@ -107,17 +115,7 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _reference_from_args(args) -> ReferenceConfig:
-    return ReferenceConfig(
-        depth=args.depth,
-        kernel=args.kernel,
-        expand=args.expand,
-        resolution=args.resolution,
-    )
-
-
 def cmd_profile(args) -> int:
-    started = time.time()
     space = _load_space(args.space)
     config = _load_config(args.config)
     skeleton = resolve(config, space, include_classifier=args.include_classifier)
@@ -140,20 +138,14 @@ def cmd_profile(args) -> int:
     if args.csv:
         buf = io.StringIO()
         profile.write_csv(buf)
-        _atomic_write(args.csv, buf.getvalue())
-        _write_manifest(
-            args.csv,
-            "profile",
-            {"config": args.config, "space": args.space},
-            args.seed,
-            started,
-        )
+        _write_artifact(args, args.csv, buf.getvalue())
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
-    started = time.time()
-    ref = _reference_from_args(args)
+    ref = ReferenceConfig(
+        depth=args.depth, kernel=args.kernel, expand=args.expand, resolution=args.resolution
+    )
     if args.mode == "closed-form":
         print(
             "warning: the printed depthwise-dominated transition ratio is < 1 for "
@@ -175,23 +167,19 @@ def cmd_plan(args) -> int:
             f"  {planned:>7}  {dev:>9}"
         )
     if args.out:
-        _atomic_write(args.out, _canonical_json(schedule.to_json_dict()))
-        _write_manifest(args.out, "plan", {}, args.seed, started)
+        _write_artifact(args, args.out, _canonical_json(schedule.to_json_dict()))
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    started = time.time()
     space = _load_space(args.space)
-    noise_seed = None if args.no_noise else args.seed
-    scorer = lambda cfg: synthetic_score(cfg, space, noise_seed=noise_seed)
+    scorer = _oracle(args, space)
     dataset = balanced_sample(
         space, n=args.n, num_buckets=args.buckets, rng_seed=args.seed, scorer=scorer
     )
     buf = io.StringIO()
     dataset.write_jsonl(buf)
-    _atomic_write(args.out, buf.getvalue())
-    _write_manifest(args.out, "sample", {"space": args.space}, args.seed, started)
+    _write_artifact(args, args.out, buf.getvalue())
     print(f"wrote {len(dataset.rows)} rows to {args.out}")
     print(f"bucket edges: {[round(e, 1) for e in dataset.bucket_edges]}")
     return EXIT_OK
@@ -204,18 +192,15 @@ def _spearman(a, b) -> float:
 
 
 def cmd_train(args) -> int:
-    started = time.time()
     space = _load_space(args.space)
     with open(args.dataset) as fh:
         dataset = Dataset.read_jsonl(fh)
     if not dataset.rows:
         raise ValidationError(f"dataset {args.dataset} is empty")
-    import random as _random
-
     if not 0 <= args.holdout < 1:
         raise ValidationError(f"--holdout must lie in [0, 1), got {args.holdout}")
     order = list(range(len(dataset.rows)))
-    _random.Random(args.seed).shuffle(order)
+    random.Random(args.seed).shuffle(order)
     # any positive fraction holds out at least one row when there are two
     n_holdout = (
         max(1, int(len(order) * args.holdout)) if args.holdout > 0 and len(order) > 1 else 0
@@ -228,14 +213,7 @@ def cmd_train(args) -> int:
         l2=args.l2,
         seed=args.seed,
     )
-    _atomic_write(args.out, _canonical_json(model.to_json_dict()))
-    _write_manifest(
-        args.out,
-        "train-predictor",
-        {"dataset": args.dataset, "space": args.space},
-        args.seed,
-        started,
-    )
+    _write_artifact(args, args.out, _canonical_json(model.to_json_dict()))
     print(f"trained on {len(kept)} rows (l2={args.l2}), wrote {args.out}")
     if held:
         preds = [predict(model, row.config, space) for row in held]
@@ -244,12 +222,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _oracle(args, space):
+    noise_seed = None if args.no_noise else args.seed
+    return lambda cfg: synthetic_score(cfg, space, noise_seed=noise_seed)
+
+
 def _make_scorer(args, space):
     if args.model:
         model = PredictorModel.from_json_dict(_load_json(args.model))
         return lambda cfg: predict(model, cfg, space)
-    noise_seed = None if args.no_noise else args.seed
-    return lambda cfg: synthetic_score(cfg, space, noise_seed=noise_seed)
+    return _oracle(args, space)
 
 
 def _params_from_args(args) -> SearchParams:
@@ -264,7 +246,6 @@ def _params_from_args(args) -> SearchParams:
 
 
 def cmd_search(args) -> int:
-    started = time.time()
     space = _load_space(args.space)
     scorer = _make_scorer(args, space)
     constraint = SearchConstraint(
@@ -272,14 +253,7 @@ def cmd_search(args) -> int:
         exclude_classifier=not args.include_classifier,
     )
     result = search(space, constraint, scorer, _params_from_args(args))
-    _atomic_write(args.out, _canonical_json(result.to_json_dict()))
-    _write_manifest(
-        args.out,
-        "search",
-        {"space": args.space, "model": args.model},
-        args.seed,
-        started,
-    )
+    _write_artifact(args, args.out, _canonical_json(result.to_json_dict()))
     print(
         f"best score {result.best_score:.6f} at peak {result.best_peak_items} items "
         f"(constraint {args.constraint}, {result.evaluations} evaluations)"
@@ -288,7 +262,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
     space = _load_space(args.space)
     scorer = _make_scorer(args, space)
     points = sweep(
@@ -300,8 +273,7 @@ def cmd_sweep(args) -> int:
     )
     buf = io.StringIO()
     write_sweep_csv(points, buf)
-    _atomic_write(args.out, buf.getvalue())
-    _write_manifest(args.out, "sweep", {"space": args.space, "model": args.model}, args.seed, started)
+    _write_artifact(args, args.out, buf.getvalue())
     for p in points:
         if p.result is None:
             print(f"{p.constraint_items}: infeasible ({p.error})")
@@ -314,7 +286,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    started = time.time()
+    if args.space_a:
+        args.space = None  # only the default of --space-a, so not an input
     space_a = _load_space(args.space_a or args.space)
     space_b = _load_space(args.space_b or args.space_a or args.space)
     profile_a = profile_network(
@@ -332,19 +305,7 @@ def cmd_compare(args) -> int:
             f"{i},{ra.label if ra else ''},{ra.total_items if ra else ''},"
             f"{rb.label if rb else ''},{rb.total_items if rb else ''}\n"
         )
-    _atomic_write(args.out, buf.getvalue())
-    _write_manifest(
-        args.out,
-        "compare",
-        {
-            "config_a": args.config_a,
-            "config_b": args.config_b,
-            "space_a": args.space_a,
-            "space_b": args.space_b,
-        },
-        args.seed,
-        started,
-    )
+    _write_artifact(args, args.out, buf.getvalue())
     print(
         f"A: peak {profile_a.peak_items}, B: peak {profile_b.peak_items}; "
         f"wrote {args.out}"
@@ -359,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         "constrained subnet search",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--space", help="space JSON (default: built-in planned space)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the per-layer trace CSV here")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("plan", parents=[common], help="plan a channel schedule")
+    p = sub.add_parser("plan", parents=[seeded], help="plan a channel schedule")
     p.add_argument("--mode", choices=["numeric", "closed-form"], default="numeric")
     p.add_argument("--divisor", type=int, default=8)
     p.add_argument("--stem", type=int, default=8)
@@ -443,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

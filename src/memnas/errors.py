@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of JSON fields
+that raises them."""
 
 
 class ValidationError(ValueError):
@@ -13,12 +14,16 @@ class ResolutionError(ValidationError):
     """A spatial size cannot be divided through the stride stages."""
 
 
+class FieldError(ValidationError):
+    """A JSON field is missing or mistyped; the message starts with its path."""
+
+
 class InfeasibleError(RuntimeError):
     """No admissible value exists under the given constraint.
 
     Attributes carry context for diagnostics: ``stage`` (planner stage
-    index, if any) and ``tightest_peak`` (smallest peak seen while
-    rejection-sampling, if any).
+    index, if any) and ``tightest_peak`` (for a search, the exact smallest
+    peak that any configuration of the space reaches).
     """
 
     def __init__(self, message, stage=None, tightest_peak=None):
@@ -40,3 +45,18 @@ class PartialDatasetError(RuntimeError):
 
 class TrainingError(RuntimeError):
     """The regression problem is degenerate (e.g. singular with l2=0)."""
+
+
+def json_field(d, key: str, kind: type | None = None, path: str = ""):
+    """``d[key]`` from parsed JSON, checked to be a ``kind`` if given; a
+    missing or mistyped field raises FieldError naming its path, with
+    ``path`` the path of ``d`` itself."""
+    where = f"{path}.{key}" if path else key
+    if not isinstance(d, dict):
+        raise FieldError(f"{path or 'top level'}: expected an object, got {d!r}")
+    if key not in d:
+        raise FieldError(f"{where}: missing")
+    value = d[key]
+    if kind is not None and not isinstance(value, kind):
+        raise FieldError(f"{where}: expected a {kind.__name__}, got {value!r}")
+    return value

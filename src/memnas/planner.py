@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, json_field
 from .memory import MBBlockShape, block_memory
 
 #: channel widths of the original memory-constant supernet configuration,
@@ -88,10 +88,10 @@ class ChannelSchedule:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ChannelSchedule":
         return cls(
-            stem_width=d["stem_width"],
-            stage_widths=tuple(d["stage_widths"]),
-            head_width=d["head_width"],
-            divisor=d["divisor"],
+            stem_width=json_field(d, "stem_width"),
+            stage_widths=tuple(json_field(d, "stage_widths", list)),
+            head_width=json_field(d, "head_width"),
+            divisor=json_field(d, "divisor"),
             mode=d.get("mode", "numeric"),
         )
 
@@ -322,8 +322,9 @@ def plan_schedule(
     current = _seed_stage(ref, stem_width)
     widths: list[int] = []
     prev_width = stem_width
-    for stage in range(1, NUM_STAGES + 1):
-        template = _stage_template(ref, stage)
+    # stage NUM_STAGES + 1 is the head, balanced like the last stage
+    for stage in range(1, NUM_STAGES + 2):
+        template = _stage_template(ref, min(stage, NUM_STAGES))
         try:
             if mode == "numeric":
                 raw: float = numeric_balance(current, template)
@@ -334,36 +335,16 @@ def plan_schedule(
                 )
             width = quantize(raw, divisor)
         except InfeasibleError as exc:
-            raise InfeasibleError(
-                f"stage {stage}: {exc}", stage=stage
-            ) from None
+            where = "head" if stage > NUM_STAGES else f"stage {stage}"
+            raise InfeasibleError(f"{where}: {exc}", stage=stage) from None
         widths.append(width)
         current = stage_blocks(prev_width, width, template)
         prev_width = width
 
-    head_template = StageTemplate(
-        input_size=ref.resolution // 2 ** NUM_STAGES,
-        kernel=ref.kernel,
-        expand=ref.expand,
-        depth=ref.depth,
-        downsample=False,
-    )
-    try:
-        if mode == "numeric":
-            raw = numeric_balance(current, head_template)
-        else:
-            dom = dominant_layer(_peak_block(current))
-            raw = select_cout(
-                prev_width, head_template.input_size, ref.kernel, ref.expand, dom
-            )
-        head_width = quantize(raw, divisor)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"head: {exc}", stage=NUM_STAGES + 1) from None
-
     return ChannelSchedule(
         stem_width=stem_width,
-        stage_widths=tuple(widths),
-        head_width=head_width,
+        stage_widths=tuple(widths[:-1]),
+        head_width=widths[-1],
         divisor=divisor,
         mode=mode,
     )

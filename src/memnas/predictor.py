@@ -241,11 +241,11 @@ class PredictorModel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictorModel":
         return cls(
-            weights=tuple(d["weights"]),
-            intercept=d["intercept"],
-            l2=d["l2"],
-            seed=d["seed"],
-            rows=d["rows"],
+            weights=tuple(json_field(d, "weights", list)),
+            intercept=json_field(d, "intercept"),
+            l2=json_field(d, "l2"),
+            seed=json_field(d, "seed"),
+            rows=json_field(d, "rows"),
         )
 
 

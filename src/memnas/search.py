@@ -20,6 +20,7 @@ from .space import (
     _sample_with,
     config_peak_items,
     crossover,
+    min_peak_items,
     mutate,
     require_valid,
 )
@@ -117,39 +118,18 @@ def feasible(
     return peak <= constraint.max_peak_items
 
 
-class _Evaluator:
-    """Counts every peak evaluation so searches can report their cost."""
-
-    def __init__(self, space, constraint):
-        self.space = space
-        self.constraint = constraint
-        self.evaluations = 0
-        self.tightest = None
-
-    def peak(self, config) -> int:
-        self.evaluations += 1
-        p = config_peak_items(
-            config,
-            self.space,
-            include_classifier=not self.constraint.exclude_classifier,
-        )
-        if self.tightest is None or p < self.tightest:
-            self.tightest = p
-        return p
-
-    def ok(self, config) -> bool:
-        return self.peak(config) <= self.constraint.max_peak_items
-
-
-def _fresh_feasible(space, ev, rng, attempts=INIT_ATTEMPTS_PER_SLOT) -> SubnetConfig:
-    for _ in range(attempts):
+def _fresh_feasible(space, ok, rng, cap: int, floor: int) -> SubnetConfig:
+    """The first uniform draw that ``ok`` admits; raises InfeasibleError
+    naming ``floor``, the smallest achievable peak, when none of
+    ``INIT_ATTEMPTS_PER_SLOT`` draws fits under ``cap``."""
+    for _ in range(INIT_ATTEMPTS_PER_SLOT):
         cfg = _sample_with(space, rng)
-        if ev.ok(cfg):
+        if ok(cfg):
             return cfg
     raise InfeasibleError(
-        f"no feasible configuration found in {attempts} uniform draws under "
-        f"{ev.constraint.max_peak_items} items (tightest peak seen: {ev.tightest})",
-        tightest_peak=ev.tightest,
+        f"no feasible configuration found in {INIT_ATTEMPTS_PER_SLOT} uniform draws "
+        f"under {cap} items (smallest achievable peak: {floor})",
+        tightest_peak=floor,
     )
 
 
@@ -178,14 +158,35 @@ def search(
     gene-wise crossover; children failing the constraint are retried up to
     a fixed budget and then replaced by fresh feasible uniform samples.
 
+    A cap below the space's smallest achievable peak (``min_peak_items``)
+    raises InfeasibleError before anything is drawn or scored, with that
+    exact minimum as ``tightest_peak``.  A cap above it that no draw of a
+    fixed budget meets raises the same error.
+
     ``scorer`` must be pure, a function of the config alone: a child equal
     to one of its generation's parents or to an earlier child of the same
     generation reuses that score instead of being scored again.
     """
-    rng = random.Random(params.seed)
-    ev = _Evaluator(space, constraint)
+    cap = constraint.max_peak_items
+    include_classifier = not constraint.exclude_classifier
+    floor = min_peak_items(space, include_classifier)
+    if cap < floor:
+        raise InfeasibleError(
+            f"no configuration fits under {cap} items: the smallest achievable "
+            f"peak is {floor}",
+            tightest_peak=floor,
+        )
+    evaluations = 0
 
-    population = [_fresh_feasible(space, ev, rng) for _ in range(params.population)]
+    def ok(config) -> bool:
+        nonlocal evaluations
+        evaluations += 1
+        return config_peak_items(config, space, include_classifier=include_classifier) <= cap
+
+    rng = random.Random(params.seed)
+    population = [
+        _fresh_feasible(space, ok, rng, cap, floor) for _ in range(params.population)
+    ]
     scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
@@ -197,9 +198,7 @@ def search(
     history: list[GenerationStats] = []
 
     for gen in range(params.generations):
-        order = sorted(
-            range(len(population)), key=lambda i: (-scores[i], i)
-        )
+        order = sorted(range(len(population)), key=lambda i: (-scores[i], i))
         if scores[order[0]] > best_score:
             best_score = scores[order[0]]
             best_config = population[order[0]]
@@ -227,11 +226,11 @@ def search(
                     a = parents[rng.randrange(n_parents)]
                     b = parents[rng.randrange(n_parents)]
                     cand = crossover(a, b, rng.randrange(_SEED_RANGE))
-                if ev.ok(cand):
+                if ok(cand):
                     child = cand
                     break
             if child is None:
-                child = _fresh_feasible(space, ev, rng)
+                child = _fresh_feasible(space, ok, rng, cap, floor)
             children.append(child)
 
         population = parents + children
@@ -244,16 +243,14 @@ def search(
         best_score = scores[order[0]]
         best_config = population[order[0]]
 
-    best_peak = config_peak_items(
-        best_config, space, include_classifier=not constraint.exclude_classifier
-    )
-    assert best_peak <= constraint.max_peak_items
+    best_peak = config_peak_items(best_config, space, include_classifier=include_classifier)
+    assert best_peak <= cap
     return SearchResult(
         best_config=best_config,
         best_score=best_score,
         best_peak_items=best_peak,
         history=tuple(history),
-        evaluations=ev.evaluations,
+        evaluations=evaluations,
     )
 
 

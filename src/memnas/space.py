@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import product
 
-from .errors import ResolutionError, ValidationError
+from .errors import FieldError, ResolutionError, ValidationError, json_field
 from .memory import (
     MBBlockShape,
     NetworkSkeleton,
@@ -80,13 +80,20 @@ class SupernetSpace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SupernetSpace":
+        schedule = json_field(d, "schedule", dict)
+        try:
+            schedule = ChannelSchedule.from_json_dict(schedule)
+        except FieldError as exc:
+            raise FieldError(f"schedule.{exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"schedule: {exc}") from None
         return cls(
-            schedule=ChannelSchedule.from_json_dict(d["schedule"]),
+            schedule=schedule,
             num_stages=d.get("num_stages", NUM_STAGES),
-            depth_options=tuple(d["depth_options"]),
-            kernel_options=tuple(d["kernel_options"]),
-            expand_options=tuple(d["expand_options"]),
-            resolution_options=tuple(d["resolution_options"]),
+            depth_options=tuple(json_field(d, "depth_options", list)),
+            kernel_options=tuple(json_field(d, "kernel_options", list)),
+            expand_options=tuple(json_field(d, "expand_options", list)),
+            resolution_options=tuple(json_field(d, "resolution_options", list)),
         )
 
 
@@ -94,21 +101,6 @@ def default_space() -> SupernetSpace:
     """The standard space: published option sets over the numerically
     balanced schedule at the reference configuration."""
     return SupernetSpace(schedule=plan_schedule(ReferenceConfig()))
-
-
-def json_field(d, key: str, kind: type | None = None, path: str = ""):
-    """``d[key]`` from parsed JSON, checked to be a ``kind`` if given; a
-    missing or mistyped field raises ValidationError naming its path, with
-    ``path`` the path of ``d`` itself."""
-    where = f"{path}.{key}" if path else key
-    if not isinstance(d, dict):
-        raise ValidationError(f"{path or 'top level'}: expected an object, got {d!r}")
-    if key not in d:
-        raise ValidationError(f"{where}: missing")
-    value = d[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ValidationError(f"{where}: expected a {kind.__name__}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -378,10 +370,6 @@ def resolve(
         depth = config.stage_depths[s]
         downsample = s < space.num_stages - 1
         entry = entry_sizes[s]
-        if downsample and entry % 2 != 0:
-            raise ResolutionError(
-                f"stage {s + 1} entry size {entry} is odd but the stage downsamples"
-            )
         inner = entry // 2 if downsample else entry
         for j in range(depth):
             first = j == 0
@@ -494,4 +482,37 @@ def config_peak_items(
         t = classifier_memory(space.schedule.head_width, num_classes).total_items
         if t > peak:
             peak = t
+    return peak
+
+
+def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> int:
+    """The smallest peak of any configuration of the space, exactly.
+
+    The peak is the maximum of block terms that a configuration chooses
+    independently (see ``config_peak_items``), so at one resolution it is
+    least when every block takes its cheapest (kernel, expand): the larger
+    of the stem and head term, each stage's cheapest transition term and,
+    when the smallest depth keeps a later block active, each stage's
+    cheapest inner term.  The result is the least of these over the
+    resolutions, raised to the classifier term (at ``config_peak_items``'s
+    default 1000 classes) if that counts.
+    """
+
+    def cheapest(terms: dict) -> int:
+        return min(min(by_expand.values()) for by_expand in terms.values())
+
+    table = space.peak_table
+    if not table:
+        # no resolution divides through the stages; resolve names one
+        resolve(maximal_config(space), space)
+    peaks = []
+    for peak, _, stages in table.values():
+        for first, inner in stages:
+            peak = max(peak, cheapest(first))
+            if space.depth_options[0] > 1:
+                peak = max(peak, cheapest(inner))
+        peaks.append(peak)
+    peak = min(peaks)
+    if include_classifier:
+        peak = max(peak, classifier_memory(space.schedule.head_width, 1000).total_items)
     return peak

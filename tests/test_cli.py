@@ -283,6 +283,29 @@ class TestMalformedInput:
         assert not (tmp_path / "m.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, content, message",
+        [
+            ("--model", {"weights": [1.0]}, "intercept: missing"),
+            ("--model", [1.0], "top level: expected an object"),
+            ("--space", {"num_stages": 5}, "schedule: missing"),
+            ("--space", "no stage_widths", "schedule.stage_widths: missing"),
+        ],
+    )
+    def test_model_and_space_fields(self, tmp_path, space, flag, content, message):
+        if content == "no stage_widths":
+            content = space.to_json_dict()
+            del content["schedule"]["stage_widths"]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        out = tmp_path / "result.json"
+        done = run_cli("search", "--constraint", "800000", flag, path, "--out", out)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+        assert not out.exists()
+
+
 class TestTrainHoldout:
     @pytest.fixture()
     def dataset_file(self, tmp_path, space):
@@ -314,3 +337,87 @@ class TestTrainHoldout:
                      "--holdout", holdout, "--out", str(tmp_path / "model.json")])
         assert code == 2
         assert "--holdout must lie in [0, 1)" in capsys.readouterr().err
+
+
+MANIFEST_CASES = {
+    "profile": (["profile", "--config", "{config}", "--csv", "{out}"], {"config"}),
+    "profile-space": (
+        ["profile", "--config", "{config}", "--space", "{space}", "--csv", "{out}"],
+        {"config", "space"},
+    ),
+    "plan": (["plan", "--out", "{out}"], set()),
+    "sample": (
+        ["sample", "--n", "20", "--buckets", "2", "--space", "{space}", "--out", "{out}"],
+        {"space"},
+    ),
+    "train-predictor": (
+        ["train-predictor", "--dataset", "{dataset}", "--out", "{out}"], {"dataset"}
+    ),
+    "search": (
+        ["search", "--constraint", "800000", "--model", "{model}", "--space", "{space}",
+         "--population", "4", "--generations", "1", "--out", "{out}"],
+        {"model", "space"},
+    ),
+    "sweep": (
+        ["sweep", "--constraints", "800000", "--population", "4", "--generations", "1",
+         "--out", "{out}"],
+        set(),
+    ),
+    "compare": (
+        ["compare", "--config-a", "{config}", "--config-b", "{config}",
+         "--space-b", "{space}", "--out", "{out}"],
+        {"config_a", "config_b", "space_b"},
+    ),
+    "compare-space": (
+        ["compare", "--config-a", "{config}", "--config-b", "{config}",
+         "--space", "{space}", "--out", "{out}"],
+        {"config_a", "config_b", "space"},
+    ),
+    "compare-space-b": (
+        ["compare", "--config-a", "{config}", "--config-b", "{config}",
+         "--space", "{space}", "--space-b", "{space}", "--out", "{out}"],
+        {"config_a", "config_b", "space", "space_b"},
+    ),
+    # --space is only the default of --space-a, so it is not read here
+    "compare-space-a": (
+        ["compare", "--config-a", "{config}", "--config-b", "{config}",
+         "--space", "{space}", "--space-a", "{space}", "--out", "{out}"],
+        {"config_a", "config_b", "space_a"},
+    ),
+}
+
+
+class TestManifests:
+    """Each artifact's manifest names the command, the seed and the input
+    files given on the command line."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, space_file, config_file):
+        dataset = tmp_path / "data.jsonl"
+        model = tmp_path / "model.json"
+        assert main(["sample", "--n", "20", "--buckets", "2", "--out", str(dataset)]) == 0
+        assert main(["train-predictor", "--dataset", str(dataset), "--out", str(model)]) == 0
+        return {"space": space_file, "config": config_file, "dataset": str(dataset),
+                "model": str(model), "out": str(tmp_path / "artifact")}
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_command_seed_and_inputs(self, paths, capsys, case):
+        argv, input_keys = MANIFEST_CASES[case]
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv + ["--seed", "5"]) == 0
+        with open(paths["out"] + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        assert set(manifest) == {"command", "inputs", "seed", "tool_version", "wall_time_s"}
+        assert manifest["command"] == argv[0]
+        assert manifest["seed"] == 5
+        assert set(manifest["inputs"]) == input_keys
+        for flag, path in manifest["inputs"].items():
+            assert argv[argv.index("--" + flag.replace("_", "-")) + 1] == path
+
+    def test_plan_reads_no_space(self, tmp_path, space_file, capsys):
+        # plan sizes a schedule from the reference settings alone
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--space", space_file, "--out", str(tmp_path / "p.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --space" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()

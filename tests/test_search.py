@@ -26,6 +26,7 @@ from memnas.space import (
     config_peak_items,
     default_space,
     maximal_config,
+    min_peak_items,
     resolve,
     sample_uniform,
 )
@@ -123,6 +124,33 @@ class TestSearch:
             search(space, SearchConstraint(1000), noiseless(space), params)
         assert exc.value.tightest_peak is not None
         assert exc.value.tightest_peak > 1000
+
+    def test_cap_below_the_minimum_peak_raises_before_scoring(self, space):
+        floor = min_peak_items(space)
+        calls = []
+        with pytest.raises(InfeasibleError) as exc:
+            search(space, SearchConstraint(floor - 1), calls.append, SearchParams())
+        assert exc.value.tightest_peak == floor == 253_184
+        assert f"smallest achievable peak is {floor}" in str(exc.value)
+        assert calls == []
+
+    def test_minimum_peak_counts_the_classifier_when_asked(self, space):
+        floor = min_peak_items(space, include_classifier=True)
+        constraint = SearchConstraint(floor - 1, exclude_classifier=False)
+        with pytest.raises(InfeasibleError) as exc:
+            search(space, constraint, noiseless(space), SearchParams())
+        assert exc.value.tightest_peak == floor > min_peak_items(space)
+
+    def test_feasible_but_sparse_cap_names_the_minimum_peak(self, space):
+        # only configurations at the cheapest option everywhere fit, and
+        # uniform draws almost never hit one
+        floor = min_peak_items(space)
+        params = SearchParams(population=2, generations=1)
+        with pytest.raises(InfeasibleError) as exc:
+            search(space, SearchConstraint(floor), noiseless(space), params)
+        assert "10000 uniform draws" in str(exc.value)
+        assert f"smallest achievable peak: {floor}" in str(exc.value)
+        assert exc.value.tightest_peak == floor
 
     def test_json_roundtrip(self, space):
         params = SearchParams(population=12, generations=4, seed=9)

@@ -24,6 +24,7 @@ from memnas.space import (
     default_space,
     enumerate_subnets,
     maximal_config,
+    min_peak_items,
     mutate,
     resolve,
     sample_uniform,
@@ -388,6 +389,63 @@ class TestPeakTable:
         assert str(by_peak.value) == str(by_resolve.value)
 
 
+def brute_force_min_peak(space, **kwargs):
+    """The least ``config_peak_items`` over every configuration of the space
+    at every resolution that resolves."""
+    peaks = []
+    for config in enumerate_subnets(space):
+        for r in space.resolution_options:
+            try:
+                peaks.append(config_peak_items(replace(config, resolution=r), space, **kwargs))
+            except ResolutionError:
+                pass
+    return min(peaks)
+
+
+TWO_STAGES = ChannelSchedule(stem_width=8, stage_widths=(16, 48), head_width=64, divisor=8)
+MIN_PEAK_SPACES = {
+    "kernels": dict(depth_options=(1,), kernel_options=(3, 5, 7), expand_options=(2,)),
+    "expands": dict(depth_options=(1,), kernel_options=(7,), expand_options=(2, 3, 4)),
+    "depths-1-2": dict(depth_options=(1, 2), kernel_options=(3,), expand_options=(2,)),
+    "inner-options": dict(depth_options=(2,), kernel_options=(3, 5), expand_options=(2,)),
+    # the classifier term of an 8-wide head lies below every network peak
+    "small-head": dict(
+        schedule=replace(default_space().schedule, head_width=8),
+        depth_options=(1, 2), kernel_options=(3,), expand_options=(2,),
+    ),
+    "two-stages-depths-1-3": dict(
+        schedule=TWO_STAGES, num_stages=2, depth_options=(1, 2, 3),
+        kernel_options=(3, 5), expand_options=(2, 3), resolution_options=(10, 16, 40, 64),
+    ),
+    "two-stages-depths-2-3": dict(
+        schedule=TWO_STAGES, num_stages=2, depth_options=(2, 3),
+        kernel_options=(3, 7), expand_options=(2, 4), resolution_options=(10, 16, 40, 64),
+    ),
+}
+
+
+class TestMinPeak:
+    """``min_peak_items`` is exact: brute force over small spaces agrees."""
+
+    @pytest.mark.parametrize("name", sorted(MIN_PEAK_SPACES))
+    @pytest.mark.parametrize("include_classifier", [False, True])
+    def test_matches_brute_force(self, space, name, include_classifier):
+        small = replace(space, **MIN_PEAK_SPACES[name])
+        assert min_peak_items(small, include_classifier) == brute_force_min_peak(
+            small, include_classifier=include_classifier
+        )
+
+    def test_reference_values(self, space):
+        assert min_peak_items(space) == 253_184
+        narrow = replace(space, kernel_options=(5, 7), expand_options=(3, 4))
+        assert min_peak_items(narrow) == 377_024
+        assert min_peak_items(space, include_classifier=True) == 345_344
+
+    def test_no_resolution_resolves(self):
+        with pytest.raises(ResolutionError):
+            min_peak_items(tiny_space(resolutions=(6, 10)))
+
+
 class TestJsonRoundTrip:
     def test_config_schema(self, space):
         c = sample_uniform(space, 42)
@@ -416,3 +474,23 @@ class TestJsonRoundTrip:
         mangle(d)
         with pytest.raises(ValidationError, match=re.escape(message)):
             SubnetConfig.from_json_dict(d)
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda d: d.pop("schedule"), "schedule: missing"),
+            (lambda d: d.update(schedule=[8]), "schedule: expected a dict"),
+            (lambda d: d["schedule"].pop("stage_widths"), "schedule.stage_widths: missing"),
+            (lambda d: d["schedule"].pop("divisor"), "schedule.divisor: missing"),
+            (
+                lambda d: d["schedule"].update(stem_width=12),
+                "schedule: width 12 is not a positive multiple of divisor 8",
+            ),
+            (lambda d: d.pop("kernel_options"), "kernel_options: missing"),
+        ],
+    )
+    def test_malformed_space_names_the_field(self, space, mangle, message):
+        d = space.to_json_dict()
+        mangle(d)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SupernetSpace.from_json_dict(d)
