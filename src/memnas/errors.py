@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the reader of JSON fields
-that raises them."""
+"""Exception types shared across the package, and the readers of JSON fields
+and values that raise them."""
+
+import math
 
 
 class ValidationError(ValueError):
@@ -60,3 +62,12 @@ def json_field(d, key: str, kind: type | None = None, path: str = ""):
     if kind is not None and not isinstance(value, kind):
         raise FieldError(f"{where}: expected a {kind.__name__}, got {value!r}")
     return value
+
+
+def require_positive(path: str, value, kind: type | tuple[type, ...] = int) -> None:
+    """Raise FieldError naming ``path`` unless ``value`` is a finite positive
+    ``kind``; a bool, which JSON gives for true and false, is no number
+    here."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
+        what = "integer" if kind is int else "number"
+        raise FieldError(f"{path}: expected a positive {what}, got {value!r}")

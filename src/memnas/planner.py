@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import InfeasibleError, ValidationError, json_field
+from .errors import InfeasibleError, ValidationError, json_field, require_positive
 from .memory import MBBlockShape, block_memory
 
 #: channel widths of the original memory-constant supernet configuration,
@@ -65,10 +65,17 @@ class ChannelSchedule:
     mode: str = "numeric"
 
     def __post_init__(self):
+        require_positive("divisor", self.divisor)
         if not self.stage_widths:
             raise ValidationError("stage_widths is empty")
-        for w in (self.stem_width, *self.stage_widths, self.head_width):
-            if w <= 0 or w % self.divisor != 0:
+        widths = (
+            ("stem_width", self.stem_width),
+            *((f"stage_widths[{i}]", w) for i, w in enumerate(self.stage_widths)),
+            ("head_width", self.head_width),
+        )
+        for path, w in widths:
+            require_positive(path, w)
+            if w % self.divisor != 0:
                 raise ValidationError(
                     f"width {w} is not a positive multiple of divisor {self.divisor}"
                 )

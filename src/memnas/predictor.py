@@ -24,9 +24,12 @@ import numpy as np
 from .errors import PartialDatasetError, TrainingError, ValidationError
 from .memory import flops_estimate, profile_network
 from .space import (
+    SCAN_CHUNK,
     SubnetConfig,
     SupernetSpace,
+    _peek_peaks,
     _sample_with,
+    _skip_draws,
     config_peak_items,
     json_field,
     require_valid,
@@ -204,12 +207,35 @@ def balanced_sample(
 
     for cfg, peak in pilot_draws:
         offer(cfg, peak)
+    # Past the pilot, the peaks of the next draws are read in chunks; a draw
+    # into a full bucket is skipped, and the others are drawn with
+    # ``_sample_with`` and offered, so rows, draws and generator state are
+    # those of drawing one at a time.  A full bucket stays full, so only the
+    # draws open at the start of a chunk can be offered.  A peak of -1 is
+    # never skipped: drawing it raises what ``config_peak_items`` raises.
     budget = retry_factor * n
     drawn = 0
     while len(rows) < n and drawn < budget:
-        cfg = _sample_with(space, rng)
-        offer(cfg, config_peak_items(cfg, space))
-        drawn += 1
+        chunk = min(budget - drawn, SCAN_CHUNK)
+        peaks = _peek_peaks(space, rng, chunk)
+        # bucket_index of each peak
+        buckets = np.clip(np.searchsorted(edges, peaks, "right") - 1, 0, num_buckets - 1)
+        is_open = (peaks < 0) | (np.array(counts) < quota)[buckets]
+        at = 0
+        for i in np.flatnonzero(is_open).tolist():
+            b = buckets[i]
+            if peaks[i] >= 0 and counts[b] == quota[b]:
+                continue
+            _skip_draws(space, rng, i - at)
+            cfg = _sample_with(space, rng)
+            offer(cfg, config_peak_items(cfg, space))
+            at = i + 1
+            if len(rows) == n:
+                break
+        if len(rows) < n:
+            _skip_draws(space, rng, chunk - at)
+            at = chunk
+        drawn += at
     if len(rows) < n:
         raise PartialDatasetError(
             f"filled {len(rows)}/{n} rows within {budget} draws; "

@@ -13,11 +13,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InfeasibleError, ValidationError
+import numpy as np
+
+from .errors import InfeasibleError, ValidationError, json_field
 from .space import (
+    SCAN_CHUNK,
     SubnetConfig,
     SupernetSpace,
+    _peek_peaks,
     _sample_with,
+    _skip_draws,
     config_peak_items,
     crossover,
     min_peak_items,
@@ -30,6 +35,7 @@ Scorer = Callable[[SubnetConfig], float]
 _SEED_RANGE = 2 ** 63
 CHILD_RETRIES = 50
 INIT_ATTEMPTS_PER_SLOT = 10_000
+FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -96,15 +102,24 @@ class SearchResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchResult":
+        config = json_field(d, "best_config", dict)
+        try:
+            config = SubnetConfig.from_json_dict(config)
+        except ValidationError as exc:
+            raise ValidationError(f"best_config.{exc}") from None
         return cls(
-            best_config=SubnetConfig.from_json_dict(d["best_config"]),
-            best_score=d["best_score"],
-            best_peak_items=d["best_peak_items"],
+            best_config=config,
+            best_score=json_field(d, "best_score"),
+            best_peak_items=json_field(d, "best_peak_items"),
             history=tuple(
-                GenerationStats(h["generation"], h["best_score"], h["mean_score"])
-                for h in d["history"]
+                GenerationStats(
+                    json_field(h, "generation", path=f"history[{i}]"),
+                    json_field(h, "best_score", path=f"history[{i}]"),
+                    json_field(h, "mean_score", path=f"history[{i}]"),
+                )
+                for i, h in enumerate(json_field(d, "history", list))
             ),
-            evaluations=d["evaluations"],
+            evaluations=json_field(d, "evaluations"),
         )
 
 
@@ -118,14 +133,40 @@ def feasible(
     return peak <= constraint.max_peak_items
 
 
-def _fresh_feasible(space, ok, rng, cap: int, floor: int) -> SubnetConfig:
-    """The first uniform draw that ``ok`` admits; raises InfeasibleError
-    naming ``floor``, the smallest achievable peak, when none of
-    ``INIT_ATTEMPTS_PER_SLOT`` draws fits under ``cap``."""
-    for _ in range(INIT_ATTEMPTS_PER_SLOT):
-        cfg = _sample_with(space, rng)
-        if ok(cfg):
-            return cfg
+def _fresh_feasible(
+    space, ok, rng, constraint: SearchConstraint, floor: int
+) -> tuple[SubnetConfig, int]:
+    """The first uniform draw that ``ok`` admits, and the number of draws
+    before it that were skipped without calling ``ok``; raises
+    InfeasibleError naming ``floor``, the smallest achievable peak, when none
+    of ``INIT_ATTEMPTS_PER_SLOT`` draws fits under the cap.
+
+    After one draw that ``ok`` rejects, the peaks of the next draws are read
+    with ``_peek_peaks`` in chunks that double from ``FIRST_CHUNK`` to
+    ``SCAN_CHUNK`` draws, so a cap that many draws meet reads few peaks in
+    vain; the draws over the cap are skipped, and the first one under it is
+    drawn with ``_sample_with`` and put to ``ok``.  So the draws, the result
+    and the generator state are those of drawing one at a time.
+    """
+    cap = constraint.max_peak_items
+    config = _sample_with(space, rng)
+    if ok(config):
+        return config, 0
+    skipped, left, size = 0, INIT_ATTEMPTS_PER_SLOT - 1, FIRST_CHUNK
+    while left:
+        chunk = min(left, size)
+        size = min(2 * size, SCAN_CHUNK)
+        peaks = _peek_peaks(space, rng, chunk, not constraint.exclude_classifier)
+        fits = np.flatnonzero(peaks <= cap)
+        misses = int(fits[0]) if len(fits) else chunk
+        _skip_draws(space, rng, misses)
+        skipped += misses
+        left -= misses
+        if misses < chunk:
+            left -= 1
+            config = _sample_with(space, rng)
+            if ok(config):
+                return config, skipped
     raise InfeasibleError(
         f"no feasible configuration found in {INIT_ATTEMPTS_PER_SLOT} uniform draws "
         f"under {cap} items (smallest achievable peak: {floor})",
@@ -183,10 +224,14 @@ def search(
         evaluations += 1
         return config_peak_items(config, space, include_classifier=include_classifier) <= cap
 
+    def fresh() -> SubnetConfig:
+        nonlocal evaluations
+        config, skipped = _fresh_feasible(space, ok, rng, constraint, floor)
+        evaluations += skipped
+        return config
+
     rng = random.Random(params.seed)
-    population = [
-        _fresh_feasible(space, ok, rng, cap, floor) for _ in range(params.population)
-    ]
+    population = [fresh() for _ in range(params.population)]
     scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
@@ -230,7 +275,7 @@ def search(
                     child = cand
                     break
             if child is None:
-                child = _fresh_feasible(space, ok, rng, cap, floor)
+                child = fresh()
             children.append(child)
 
         population = parents + children

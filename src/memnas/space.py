@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import product
 
-from .errors import FieldError, ResolutionError, ValidationError, json_field
+import numpy as np
+
+from .errors import FieldError, ResolutionError, ValidationError, json_field, require_positive
 from .memory import (
     MBBlockShape,
     NetworkSkeleton,
@@ -47,12 +49,15 @@ class SupernetSpace:
     resolution_options: tuple[int, ...] = RESOLUTION_OPTIONS
 
     def __post_init__(self):
+        require_positive("num_stages", self.num_stages)
         for name in ("depth_options", "kernel_options", "expand_options", "resolution_options"):
             opts = getattr(self, name)
+            # expands may be rational (1.5, 2.5); the other options are integers
+            kind = (int, float) if name == "expand_options" else int
+            for i, v in enumerate(opts):
+                require_positive(f"{name}[{i}]", v, kind)
             if not opts or list(opts) != sorted(opts):
                 raise ValidationError(f"{name} must be non-empty and sorted ascending")
-        if self.num_stages < 1:
-            raise ValidationError("num_stages must be >= 1")
         if len(self.schedule.stage_widths) != self.num_stages:
             raise ValidationError(
                 f"schedule has {len(self.schedule.stage_widths)} stage widths for "
@@ -67,6 +72,12 @@ class SupernetSpace:
     def peak_table(self) -> dict:
         """Per-block peak terms, built on first use; see ``config_peak_items``."""
         return _build_peak_table(self)
+
+    @cached_property
+    def peak_arrays(self) -> tuple:
+        """``peak_table`` as numpy arrays, built on first use; see
+        ``_peek_peaks``."""
+        return _build_peak_arrays(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,6 +277,62 @@ def _sample_with(space: SupernetSpace, rng: random.Random) -> SubnetConfig:
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
 
 
+# the most draws one ``_peek_peaks`` call reads: its arrays take a few kB
+# per draw, and larger chunks measured no faster per draw
+SCAN_CHUNK = 256
+
+
+def _peek_peaks(
+    space: SupernetSpace, rng: random.Random, n: int, include_classifier: bool = False
+) -> np.ndarray:
+    """The ``config_peak_items`` of the next ``n`` draws of ``_sample_with``
+    on ``rng``, as an int64 array computed in one numpy pass; ``rng`` is
+    left where it was, and ``_skip_draws`` moves it past the draws a caller
+    has no use for.
+
+    The generator's 32-bit words are read in the order ``random()`` consumes
+    them, and each ``random()`` value is rebuilt as CPython builds it, so the
+    genes, and so the peaks, are exactly those of ``_sample_with`` (tested).
+    A draw whose resolution is not in ``peak_table`` reads -1: drawn again
+    with ``_sample_with``, it makes ``config_peak_items`` raise.
+    """
+    base, terms, depths, lens = space.peak_arrays
+    calls, md = len(lens), space.max_depth
+    state = rng.getstate()
+    words = rng.getrandbits(64 * calls * n).to_bytes(8 * calls * n, "little")
+    rng.setstate(state)
+    w = np.frombuffer(words, "<u4")
+    # random(): the top 27 bits of one word and the top 26 of the next, / 2**53
+    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    picks = (u.reshape(n, calls) * lens).astype(np.intp)
+    r = picks[:, 0]
+    stages = picks[:, 1:].reshape(n, space.num_stages, 1 + 2 * md)
+    slots = np.arange(md)
+    # per draw, stage and slot: the transition term in slot 0, inner terms after
+    term = terms[
+        r[:, None, None],
+        np.arange(space.num_stages)[:, None],
+        np.minimum(slots, 1),
+        stages[:, :, 1 : 1 + md],
+        stages[:, :, 1 + md :],
+    ]
+    active = slots < depths[stages[:, :, :1]]
+    peaks = np.maximum(base[r], np.where(active, term, 0).max(axis=(1, 2)))
+    if include_classifier:
+        t = classifier_memory(space.schedule.head_width, 1000).total_items
+        np.maximum(peaks, t, out=peaks)
+    peaks[base[r] < 0] = -1
+    return peaks
+
+
+def _skip_draws(space: SupernetSpace, rng: random.Random, n: int) -> None:
+    """Advance ``rng`` past ``n`` draws of ``_sample_with`` without making
+    them: one draw reads two 32-bit words per ``random()`` call."""
+    _, _, _, lens = space.peak_arrays
+    if n:
+        rng.getrandbits(64 * len(lens) * n)
+
+
 def sample_uniform(space: SupernetSpace, seed: int) -> SubnetConfig:
     """Draw each gene uniformly from its option set; deterministic in the
     seed.  Inert slots are drawn too so later depth growth can use them."""
@@ -440,6 +507,34 @@ def _build_peak_table(space: SupernetSpace) -> dict:
         )
         table[r] = (max(records[0].total_items, records[-1].total_items), tails, stages)
     return table
+
+
+def _build_peak_arrays(space: SupernetSpace) -> tuple:
+    """``peak_table`` as ``(base, terms, depths, lens)`` for ``_peek_peaks``.
+
+    ``base[r]`` is the base term of the ``r``-th resolution option, -1 if
+    that resolution is not in the table; ``terms[r, s, kind, k, e]`` is the
+    transition (``kind`` 0) or inner (``kind`` 1) term of stage ``s`` with
+    the ``k``-th kernel and ``e``-th expand option; ``depths`` holds the
+    depth options; ``lens`` holds, per ``random()`` call of one
+    ``_sample_with`` draw, the number of options that call picks from.
+    """
+    ks, es = space.kernel_options, space.expand_options
+    n_res = len(space.resolution_options)
+    base = np.full(n_res, -1, np.int64)
+    terms = np.zeros((n_res, space.num_stages, 2, len(ks), len(es)), np.int64)
+    for i, r in enumerate(space.resolution_options):
+        if r in space.peak_table:
+            peak, _, stages = space.peak_table[r]
+            base[i] = peak
+            for s, kinds in enumerate(stages):
+                for kind, by_kernel in enumerate(kinds):
+                    if by_kernel:  # no inner terms when the largest depth is 1
+                        terms[i, s, kind] = [[by_kernel[k][e] for e in es] for k in ks]
+    md = space.max_depth
+    stage = [len(space.depth_options)] + [len(ks)] * md + [len(es)] * md
+    lens = np.array([n_res] + stage * space.num_stages, np.float64)
+    return base, terms, np.array(space.depth_options), lens
 
 
 def config_peak_items(

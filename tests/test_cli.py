@@ -253,6 +253,13 @@ class TestSeedDefaults:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def mangled_space(mangle):
+    """The default space's JSON, changed in place by ``mangle``."""
+    d = default_space().to_json_dict()
+    mangle(d)
+    return d
+
+
 class TestMalformedInput:
     """Malformed input exits 2 with a message naming the field, never with
     a traceback."""
@@ -290,6 +297,26 @@ class TestMalformedInput:
             ("--model", [1.0], "top level: expected an object"),
             ("--space", {"num_stages": 5}, "schedule: missing"),
             ("--space", "no stage_widths", "schedule.stage_widths: missing"),
+            (
+                "--space",
+                mangled_space(lambda d: d["schedule"].update(divisor=0)),
+                "schedule.divisor: expected a positive integer, got 0",
+            ),
+            (
+                "--space",
+                mangled_space(lambda d: d.update(kernel_options=[3, "5"])),
+                "kernel_options[1]: expected a positive integer, got '5'",
+            ),
+            (
+                "--space",
+                mangled_space(lambda d: d.update(num_stages="5")),
+                "num_stages: expected a positive integer, got '5'",
+            ),
+            (
+                "--space",
+                mangled_space(lambda d: d.update(depth_options=[0, 2])),
+                "depth_options[0]: expected a positive integer, got 0",
+            ),
         ],
     )
     def test_model_and_space_fields(self, tmp_path, space, flag, content, message):

@@ -2,11 +2,14 @@
 synthetic scoring oracle."""
 
 import io
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from memnas.errors import PartialDatasetError, TrainingError, ValidationError
@@ -15,6 +18,7 @@ from memnas.predictor import (
     BETA,
     Dataset,
     DatasetRow,
+    PredictorModel,
     balanced_sample,
     bucket_index,
     encode,
@@ -341,3 +345,17 @@ class TestSyntheticScore:
             for _ in range(2000)
         ]
         assert again == scores
+
+
+class TestModelJson:
+    @given(
+        weights=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+        intercept=st.floats(allow_nan=False, allow_infinity=False),
+        l2=st.floats(0, 1e6),
+        seed=st.integers(0, 2 ** 63 - 1),
+        rows=st.integers(1, 10 ** 6),
+    )
+    def test_round_trip(self, weights, intercept, l2, seed, rows):
+        model = PredictorModel(tuple(weights), intercept, l2, seed, rows)
+        text = json.dumps(model.to_json_dict())
+        assert PredictorModel.from_json_dict(json.loads(text)) == model

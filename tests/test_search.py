@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memnas.errors import InfeasibleError, ValidationError
 from memnas.memory import profile_network
@@ -156,6 +159,37 @@ class TestSearch:
         params = SearchParams(population=12, generations=4, seed=9)
         result = search(space, SearchConstraint(600_000), noiseless(space), params)
         assert SearchResult.from_json_dict(result.to_json_dict()) == result
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda d: d.pop("evaluations"), "evaluations: missing"),
+            (lambda d: d.update(best_config=[]), "best_config: expected a dict"),
+            (lambda d: d["best_config"].pop("stages"), "best_config.stages: missing"),
+            (lambda d: d["history"][2].pop("mean_score"), "history[2].mean_score: missing"),
+            (lambda d: d.update(history={}), "history: expected a list"),
+        ],
+    )
+    def test_malformed_result_names_the_field(self, space, mangle, message):
+        params = SearchParams(population=12, generations=4, seed=9)
+        d = search(space, SearchConstraint(600_000), noiseless(space), params).to_json_dict()
+        mangle(d)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SearchResult.from_json_dict(d)
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2 ** 63 - 1),
+        cap=st.sampled_from([330_000, 400_000, 800_000]),
+        population=st.integers(2, 10),
+        generations=st.integers(1, 3),
+    )
+    def test_same_seed_same_result(self, space, seed, cap, population, generations):
+        params = SearchParams(population=population, generations=generations, seed=seed)
+        runs = [
+            search(space, SearchConstraint(cap), noiseless(space), params) for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 and resolution into skeletons."""
 
 import hashlib
+import json
 import math
 import random
 import re
@@ -487,6 +488,22 @@ class TestJsonRoundTrip:
                 "schedule: width 12 is not a positive multiple of divisor 8",
             ),
             (lambda d: d.pop("kernel_options"), "kernel_options: missing"),
+            (
+                lambda d: d["schedule"]["stage_widths"].__setitem__(2, "272"),
+                "schedule.stage_widths[2]: expected a positive integer, got '272'",
+            ),
+            (
+                lambda d: d.update(expand_options=[2, True]),
+                "expand_options[1]: expected a positive number, got True",
+            ),
+            (
+                lambda d: d.update(expand_options=[2, float("inf")]),
+                "expand_options[1]: expected a positive number, got inf",
+            ),
+            (
+                lambda d: d.update(resolution_options=[128, 160.0]),
+                "resolution_options[1]: expected a positive integer, got 160.0",
+            ),
         ],
     )
     def test_malformed_space_names_the_field(self, space, mangle, message):
@@ -494,3 +511,27 @@ class TestJsonRoundTrip:
         mangle(d)
         with pytest.raises(ValidationError, match=re.escape(message)):
             SupernetSpace.from_json_dict(d)
+
+
+class TestInvariants:
+    """Properties that hold for every space and seed."""
+
+    @given(
+        space=spaces(),
+        seeds=st.tuples(SEEDS, SEEDS, SEEDS),
+        prob=st.floats(0, 1),
+        freeze_resolution=st.booleans(),
+    )
+    def test_mutate_and_crossover_children_validate(
+        self, space, seeds, prob, freeze_resolution
+    ):
+        a, b = sample_uniform(space, seeds[0]), sample_uniform(space, seeds[1])
+        child = mutate(a, space, prob, seeds[2], freeze_resolution=freeze_resolution)
+        assert validate(child, space) == []
+        assert validate(crossover(a, b, seeds[2]), space) == []
+
+    @given(space=spaces(), seed=SEEDS)
+    def test_json_round_trips(self, space, seed):
+        config = sample_uniform(space, seed)
+        assert SubnetConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+        assert SupernetSpace.from_json_dict(json.loads(json.dumps(space.to_json_dict()))) == space
