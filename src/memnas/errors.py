@@ -64,10 +64,16 @@ def json_field(d, key: str, kind: type | None = None, path: str = ""):
     return value
 
 
-def require_positive(path: str, value, kind: type | tuple[type, ...] = int) -> None:
-    """Raise FieldError naming ``path`` unless ``value`` is a finite positive
-    ``kind``; a bool, which JSON gives for true and false, is no number
-    here."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
-        what = "integer" if kind is int else "number"
-        raise FieldError(f"{path}: expected a positive {what}, got {value!r}")
+def require_number(
+    path: str, value, kind: type | tuple[type, ...] = (int, float), sign: str = ""
+) -> None:
+    """Raise FieldError naming ``path`` unless ``value`` is a finite ``kind``
+    that is ``sign``: "positive", "non-negative" or, if empty, anything; a
+    bool, which JSON gives for true and false, is no number here."""
+    ok = not isinstance(value, bool) and isinstance(value, kind) and -math.inf < value < math.inf
+    if ok and sign:
+        ok = value > 0 if sign == "positive" else value >= 0
+    if not ok:
+        what = f"{sign} {'integer' if kind is int else 'number'}".strip()
+        article = "an" if what[0] in "aeiou" else "a"
+        raise FieldError(f"{path}: expected {article} {what}, got {value!r}")

@@ -355,20 +355,24 @@ def flops_estimate(skeleton: NetworkSkeleton) -> int:
     if the skeleton includes it.
     """
     validate_skeleton(skeleton)
-    macs = 0
     half = skeleton.resolution // 2
-    macs += 9 * 3 * skeleton.stem_width * half * half
-    for b in skeleton.blocks:
-        e_ch = b.expanded
-        o = b.output_size
-        macs += b.c_in * e_ch * b.input_size * b.input_size
-        macs += b.kernel * b.kernel * e_ch * o * o
-        macs += e_ch * b.c_out * o * o
+    macs = 9 * 3 * skeleton.stem_width * half * half
     last = skeleton.blocks[-1]
     o = last.output_size
     macs += last.c_out * skeleton.head_width * o * o
     if skeleton.include_classifier:
         macs += skeleton.head_width * skeleton.num_classes
+    return 2 * macs + sum(block_flops(b) for b in skeleton.blocks)
+
+
+def block_flops(shape: MBBlockShape) -> int:
+    """FLOPs of one MB block: 2 x the multiply-accumulates of its expansion,
+    depthwise and projection layers."""
+    e_ch = shape.expanded
+    o = shape.output_size
+    macs = shape.c_in * e_ch * shape.input_size * shape.input_size
+    macs += shape.kernel * shape.kernel * e_ch * o * o
+    macs += e_ch * shape.c_out * o * o
     return 2 * macs
 
 

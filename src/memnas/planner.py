@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import InfeasibleError, ValidationError, json_field, require_positive
+from .errors import InfeasibleError, ValidationError, json_field, require_number
 from .memory import MBBlockShape, block_memory
 
 #: channel widths of the original memory-constant supernet configuration,
@@ -65,7 +65,7 @@ class ChannelSchedule:
     mode: str = "numeric"
 
     def __post_init__(self):
-        require_positive("divisor", self.divisor)
+        require_number("divisor", self.divisor, int, "positive")
         if not self.stage_widths:
             raise ValidationError("stage_widths is empty")
         widths = (
@@ -74,7 +74,7 @@ class ChannelSchedule:
             ("head_width", self.head_width),
         )
         for path, w in widths:
-            require_positive(path, w)
+            require_number(path, w, int, "positive")
             if w % self.divisor != 0:
                 raise ValidationError(
                     f"width {w} is not a positive multiple of divisor {self.divisor}"

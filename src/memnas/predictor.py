@@ -17,12 +17,13 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import PartialDatasetError, TrainingError, ValidationError
-from .memory import flops_estimate, profile_network
+from .errors import PartialDatasetError, TrainingError, ValidationError, require_number
+from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
 from .space import (
     SCAN_CHUNK,
     SubnetConfig,
@@ -30,8 +31,10 @@ from .space import (
     _peek_peaks,
     _sample_with,
     _skip_draws,
+    _stage_terms,
     config_peak_items,
     json_field,
+    maximal_config,
     require_valid,
     resolve,
 )
@@ -75,15 +78,69 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=16)
+def _score_table(space: SupernetSpace) -> dict:
+    """Map each resolution of ``space.peak_table`` to ``(layer_sum, flops,
+    stages)``, built once per space.
+
+    ``layer_sum`` is the stem total plus the head total and ``flops`` the
+    FLOPs outside the blocks; ``stages`` holds per stage ``(first, inner)``,
+    where ``first[k][e]`` and ``inner[k][e]`` are the layer-total sum and the
+    FLOPs of the transition block and of a later block with kernel ``k`` and
+    expand ``e``.  The terms come from profiling and counting a resolved
+    maximal configuration, on the block shapes ``peak_table`` uses
+    (``_stage_terms``), so a network's sums are those of
+    ``profile_network`` and ``flops_estimate``.
+    """
+
+    def sums(shape: MBBlockShape) -> tuple[int, int]:
+        return sum(m.total_items for m in block_memory(shape)), block_flops(shape)
+
+    widest = maximal_config(space)
+    table = {}
+    for r in space.peak_table:
+        skeleton = resolve(replace(widest, resolution=r), space)
+        records = profile_network(skeleton).records
+        flops = flops_estimate(skeleton) - sum(block_flops(b) for b in skeleton.blocks)
+        stages = _stage_terms(space, skeleton, sums)
+        table[r] = (records[0].total_items + records[-1].total_items, flops, stages)
+    return table
+
+
 def synthetic_score(
     config: SubnetConfig, space: SupernetSpace, noise_seed: int | None = None
 ) -> float:
     """Deterministic capacity proxy; see the module docstring for the form
-    and constants."""
-    skeleton = resolve(config, space)
-    profile = profile_network(skeleton)
-    score = ALPHA * math.log(flops_estimate(skeleton)) + BETA * (
-        profile.avg_items / profile.peak_items
+    and constants.
+
+    The noiseless part is read from the space's table of per-block terms
+    (``_score_table``): the FLOPs and the sum of the layer totals add up
+    over the stem, the head and the active blocks, and the peak comes from
+    ``config_peak_items``.  With ``n`` layers the average is the integer
+    sum over ``n``, as ``statistics.fmean`` gives it for sums below 2**53,
+    so the score equals the one computed from ``profile_network`` and
+    ``flops_estimate`` of the resolved network bit for bit (tested).
+    """
+    require_valid(config, space)
+    try:
+        layer_sum, flops, stages = _score_table(space)[config.resolution]
+    except KeyError:
+        # the resolution does not divide through the stages; resolve says how
+        resolve(config, space)
+        raise
+    for (first, inner), depth, ks, es in zip(
+        stages, config.stage_depths, config.kernels, config.expands
+    ):
+        s, f = first[ks[0]][es[0]]
+        layer_sum += s
+        flops += f
+        for j in range(1, depth):
+            s, f = inner[ks[j]][es[j]]
+            layer_sum += s
+            flops += f
+    layers = 2 + 3 * sum(config.stage_depths)
+    score = ALPHA * math.log(flops) + BETA * (
+        (layer_sum / layers) / config_peak_items(config, space)
     )
     if noise_seed is not None:
         digest = hashlib.sha256(
@@ -114,11 +171,10 @@ class DatasetRow:
             config = SubnetConfig.from_json_dict(config)
         except ValidationError as exc:
             raise ValidationError(f"config.{exc}") from None
-        return cls(
-            config=config,
-            peak_items=json_field(d, "peak_items"),
-            score=json_field(d, "score"),
-        )
+        peak_items, score = json_field(d, "peak_items"), json_field(d, "score")
+        require_number("peak_items", peak_items, int, "non-negative")
+        require_number("score", score)
+        return cls(config=config, peak_items=peak_items, score=score)
 
 
 @dataclass(frozen=True)
@@ -266,13 +322,15 @@ class PredictorModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictorModel":
-        return cls(
-            weights=tuple(json_field(d, "weights", list)),
-            intercept=json_field(d, "intercept"),
-            l2=json_field(d, "l2"),
-            seed=json_field(d, "seed"),
-            rows=json_field(d, "rows"),
-        )
+        weights = json_field(d, "weights", list)
+        intercept, l2, seed, rows = (json_field(d, k) for k in ("intercept", "l2", "seed", "rows"))
+        for i, w in enumerate(weights):
+            require_number(f"weights[{i}]", w)
+        require_number("intercept", intercept)
+        require_number("l2", l2, sign="non-negative")
+        require_number("seed", seed, int)
+        require_number("rows", rows, int, "non-negative")
+        return cls(tuple(weights), intercept, l2, seed, rows)
 
 
 def train(

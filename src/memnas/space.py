@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import FieldError, ResolutionError, ValidationError, json_field, require_positive
+from .errors import FieldError, ResolutionError, ValidationError, json_field, require_number
 from .memory import (
     MBBlockShape,
     NetworkSkeleton,
@@ -49,13 +49,13 @@ class SupernetSpace:
     resolution_options: tuple[int, ...] = RESOLUTION_OPTIONS
 
     def __post_init__(self):
-        require_positive("num_stages", self.num_stages)
+        require_number("num_stages", self.num_stages, int, "positive")
         for name in ("depth_options", "kernel_options", "expand_options", "resolution_options"):
             opts = getattr(self, name)
             # expands may be rational (1.5, 2.5); the other options are integers
             kind = (int, float) if name == "expand_options" else int
             for i, v in enumerate(opts):
-                require_positive(f"{name}[{i}]", v, kind)
+                require_number(f"{name}[{i}]", v, kind, "positive")
             if not opts or list(opts) != sorted(opts):
                 raise ValidationError(f"{name} must be non-empty and sorted ascending")
         if len(self.schedule.stage_widths) != self.num_stages:
@@ -477,18 +477,6 @@ def _build_peak_table(space: SupernetSpace) -> dict:
     ``profile_network``.
     """
 
-    def terms(shape: MBBlockShape) -> dict:
-        return {
-            k: {
-                e: max(
-                    m.total_items for m in block_memory(replace(shape, kernel=k, expand=e))
-                )
-                for e in space.expand_options
-            }
-            for k in space.kernel_options
-        }
-
-    md = space.max_depth
     tails = {d: range(1, d) for d in space.depth_options}
     widest = maximal_config(space)
     table = {}
@@ -498,15 +486,32 @@ def _build_peak_table(space: SupernetSpace) -> dict:
         except ResolutionError:
             continue
         records = profile_network(skeleton).records
-        stages = tuple(
-            (
-                terms(skeleton.blocks[s * md]),
-                terms(skeleton.blocks[s * md + 1]) if md > 1 else {},
-            )
-            for s in range(space.num_stages)
+        stages = _stage_terms(
+            space, skeleton, lambda b: max(m.total_items for m in block_memory(b))
         )
         table[r] = (max(records[0].total_items, records[-1].total_items), tails, stages)
     return table
+
+
+def _stage_terms(space: SupernetSpace, skeleton: NetworkSkeleton, term) -> tuple:
+    """Per stage of ``skeleton``, a resolved maximal configuration, ``(first,
+    inner)``: ``first[k][e]`` and ``inner[k][e]`` are ``term`` of the
+    stage's transition block and of its second block with kernel ``k`` and
+    expand ``e`` (``inner`` is empty when the largest depth is 1).  A block
+    takes its shape from ``replace`` on the resolved one, so rational
+    expands round as they do in ``profile_network``."""
+
+    def by_gene(shape: MBBlockShape) -> dict:
+        return {
+            k: {e: term(replace(shape, kernel=k, expand=e)) for e in space.expand_options}
+            for k in space.kernel_options
+        }
+
+    md = space.max_depth
+    return tuple(
+        (by_gene(skeleton.blocks[s * md]), by_gene(skeleton.blocks[s * md + 1]) if md > 1 else {})
+        for s in range(space.num_stages)
+    )
 
 
 def _build_peak_arrays(space: SupernetSpace) -> tuple:

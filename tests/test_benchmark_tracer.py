@@ -19,3 +19,28 @@ def test_traced_name_resolves(module, name, layer):
     assert callable(getattr(importlib.import_module(module), name, None)), (
         f"{module}.{name} (layer {layer}) is gone"
     )
+
+
+def test_traced_oracle_search_records_the_reference_layers():
+    """A traced oracle search must record calls to ``resolve``,
+    ``profile_network`` and ``flops_estimate`` through the scorer's module:
+    the scorer calls them when it builds a space's table, and the benchmark
+    requires those layers on its oracle workloads."""
+    from memnas import predictor
+    from memnas.space import default_space, maximal_config
+
+    # ``memnas.search`` the attribute is the function; the tracer patches the
+    # module's namespace
+    searching = importlib.import_module("memnas.search")
+    predictor._score_table.cache_clear()
+    space = default_space()
+    tracer = runpy.run_path(str(TRACING))["Tracer"](cap=400_000)
+    with tracer:
+        predictor.synthetic_score(maximal_config(space), space)
+    # looked up at call time, so that the traced run sees the wrapped name
+    scorer = lambda c: predictor.synthetic_score(c, space)
+    params = searching.SearchParams(population=4, generations=2)
+    with tracer:
+        searching.search(space, searching.SearchConstraint(400_000), scorer, params)
+    for layer in ("search", "predictor.score", "space.resolve", "memory.profile", "memory.flops"):
+        assert tracer.stats(layer).calls, f"{layer} recorded no call"

@@ -12,6 +12,7 @@ import pytest
 import memnas
 from memnas.cli import main
 from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
+from memnas.predictor import feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
 
 
@@ -260,6 +261,15 @@ def mangled_space(mangle):
     return d
 
 
+def mangled_model(mangle):
+    """A model of the default space with zero weights, as JSON changed in
+    place by ``mangle``."""
+    weights = [0.0] * feature_length(default_space())
+    d = {"weights": weights, "intercept": 0.0, "l2": 1.0, "seed": 0, "rows": 1}
+    mangle(d)
+    return d
+
+
 class TestMalformedInput:
     """Malformed input exits 2 with a message naming the field, never with
     a traceback."""
@@ -289,6 +299,23 @@ class TestMalformedInput:
         assert "line 2: config: missing" in done.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("score", "abc", "line 4: score: expected a number, got 'abc'"),
+            ("peak_items", "x", "line 4: peak_items: expected a non-negative integer, got 'x'"),
+        ],
+    )
+    def test_dataset_row_value(self, tmp_path, space, field, value, message):
+        good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        rows = [good] * 3 + [{**good, field: value}]
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        done = run_cli("train-predictor", "--dataset", data, "--out", tmp_path / "m.json")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize(
         "flag, content, message",
@@ -316,6 +343,16 @@ class TestMalformedInput:
                 "--space",
                 mangled_space(lambda d: d.update(depth_options=[0, 2])),
                 "depth_options[0]: expected a positive integer, got 0",
+            ),
+            (
+                "--model",
+                mangled_model(lambda d: d.update(intercept="x")),
+                "intercept: expected a number, got 'x'",
+            ),
+            (
+                "--model",
+                mangled_model(lambda d: d["weights"].__setitem__(5, "w")),
+                "weights[5]: expected a number, got 'w'",
             ),
         ],
     )

@@ -11,6 +11,7 @@ from memnas.memory import (
     MBBlockShape,
     MemoryProfile,
     NetworkSkeleton,
+    block_flops,
     block_memory,
     depthwise_memory,
     expansion_memory,
@@ -285,6 +286,11 @@ class TestFlops:
         # head 4*6*2*2
         macs = 432 + (64 + 16 + 64) + 96
         assert flops_estimate(sk) == 2 * macs
+
+    def test_network_is_stem_and_head_plus_the_blocks(self):
+        sk = unit_skeleton()
+        assert block_flops(sk.blocks[0]) == 2 * (64 + 16 + 64)
+        assert flops_estimate(sk) == 2 * (432 + 96) + block_flops(sk.blocks[0])
 
     def test_classifier_counts_only_when_included(self):
         with_cls = flops_estimate(unit_skeleton(include_classifier=True, num_classes=10))

@@ -1,6 +1,7 @@
 """Feature encoding, balanced datasets, the ridge surrogate, and the
 synthetic scoring oracle."""
 
+import hashlib
 import io
 import json
 import math
@@ -162,6 +163,23 @@ class TestBalancedSample:
         buf.seek(0)
         back = Dataset.read_jsonl(buf, bucket_edges=ds.bucket_edges)
         assert back.rows == ds.rows
+
+    @pytest.mark.parametrize(
+        "buckets, noise_seed, digest",
+        [
+            # what ``memnas sample --n 1000 --buckets 2 --seed 0`` writes
+            (2, 0, "4b964d5e102f85622ec149eaa913919a1d9d7f114197871c9941ed447a2c91d6"),
+            (10, None, "c4e8fe370f561030ead7887a43f8b4f8a1c8712b51e3bc6e92e30946939dff4f"),
+        ],
+    )
+    def test_oracle_datasets_are_pinned(self, space, buckets, noise_seed, digest):
+        ds = balanced_sample(
+            space, 1000, buckets, rng_seed=0,
+            scorer=lambda c: synthetic_score(c, space, noise_seed=noise_seed),
+        )
+        buf = io.StringIO()
+        ds.write_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def linear_rows(space, n, seed):

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memnas.errors import ResolutionError, ValidationError
-from memnas.memory import profile_network
+from memnas.memory import block_flops, flops_estimate, profile_network
 from memnas.planner import ChannelSchedule, ReferenceConfig, plan_schedule
+from memnas.predictor import ALPHA, BETA, _score_table, synthetic_score
 from memnas.space import (
     SubnetConfig,
     SupernetSpace,
@@ -278,6 +279,9 @@ class TestResolve:
         with pytest.raises(ResolutionError) as by_peak:
             config_peak_items(c, sp)
         assert str(by_peak.value) == str(by_resolve.value)
+        with pytest.raises(ResolutionError) as by_score:
+            synthetic_score(c, sp)
+        assert str(by_score.value) == str(by_resolve.value)
 
     def test_fast_peak_matches_profile(self, space):
         rng = random.Random(14)
@@ -388,6 +392,33 @@ class TestPeakTable:
         with pytest.raises(ValidationError) as by_peak:
             config_peak_items(bad, space)
         assert str(by_peak.value) == str(by_resolve.value)
+        with pytest.raises(ValidationError) as by_score:
+            synthetic_score(bad, space)
+        assert (type(by_score.value), str(by_score.value)) == (
+            type(by_resolve.value), str(by_resolve.value)
+        )
+
+
+class TestScoreTable:
+    """``synthetic_score`` reads per-block terms; ``profile_network`` and
+    ``flops_estimate`` of the resolved network are the reference it must
+    match bit for bit."""
+
+    @settings(max_examples=300)
+    @given(space=spaces(), seed=SEEDS)
+    def test_matches_the_profiled_network(self, space, seed):
+        c = sample_uniform(space, seed)
+        sk = resolve(c, space)
+        p = profile_network(sk)
+        reference = ALPHA * math.log(flops_estimate(sk)) + BETA * (p.avg_items / p.peak_items)
+        assert synthetic_score(c, space) == reference
+
+    @given(space=spaces(), seed=SEEDS)
+    def test_flops_are_the_base_plus_the_blocks(self, space, seed):
+        c = sample_uniform(space, seed)
+        sk = resolve(c, space)
+        base_flops = _score_table(space)[c.resolution][1]
+        assert flops_estimate(sk) == base_flops + sum(block_flops(b) for b in sk.blocks)
 
 
 def brute_force_min_peak(space, **kwargs):
