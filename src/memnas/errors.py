@@ -35,7 +35,8 @@ class InfeasibleError(RuntimeError):
 
 
 class PartialDatasetError(RuntimeError):
-    """Balanced sampling ran out of retry budget before filling buckets.
+    """Balanced sampling cannot fill its buckets: some bucket's peak range
+    holds no configuration.
 
     ``occupancy`` maps bucket index to the number of rows collected.
     """

@@ -25,16 +25,16 @@ import numpy as np
 from .errors import PartialDatasetError, TrainingError, ValidationError, require_number
 from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
 from .space import (
-    SCAN_CHUNK,
+    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
-    _peek_peaks,
     _sample_with,
-    _skip_draws,
     _stage_terms,
     config_peak_items,
     json_field,
+    max_peak_items,
     maximal_config,
+    min_peak_items,
     require_valid,
     resolve,
 )
@@ -42,9 +42,6 @@ from .space import (
 ALPHA = 1.0
 BETA = 0.01
 SIGMA = 0.05
-
-DEFAULT_PILOT = 1000
-DEFAULT_RETRY_FACTOR = 100
 
 
 def feature_length(space: SupernetSpace) -> int:
@@ -216,6 +213,8 @@ def bucket_index(peak: float, edges: tuple[float, ...]) -> int:
 
 
 def bucket_edges_from_pilot(peaks, num_buckets: int) -> tuple[float, ...]:
+    """Equal-width edges over the range of ``peaks``; ``balanced_sample``
+    passes the exact peak range of the space."""
     lo, hi = min(peaks), max(peaks)
     if hi == lo:
         hi = lo + 1
@@ -224,80 +223,51 @@ def bucket_edges_from_pilot(peaks, num_buckets: int) -> tuple[float, ...]:
 
 
 def balanced_sample(
-    space: SupernetSpace,
-    n: int,
-    num_buckets: int,
-    rng_seed: int,
-    scorer,
-    pilot: int = DEFAULT_PILOT,
-    retry_factor: int = DEFAULT_RETRY_FACTOR,
+    space: SupernetSpace, n: int, num_buckets: int, rng_seed: int, scorer
 ) -> Dataset:
-    """Draw uniform configs and keep them only while their peak-memory
-    bucket still has room, so every bucket ends up with n/num_buckets rows
-    (plus one for the first ``n % num_buckets`` buckets).
+    """Draw configs so that every peak-memory bucket holds n/num_buckets rows
+    (plus one for the first ``n % num_buckets`` buckets), each row uniform
+    over the configs whose peak lies in its bucket.
 
-    Bucket edges are equal-width over the peak range of a pilot draw; pilot
-    configs are recycled as the first candidates.  Raises
-    PartialDatasetError with the achieved occupancy if the retry budget of
-    ``retry_factor * n`` draws runs out.
+    Bucket edges are equal-width over the exact peak range of the space,
+    ``min_peak_items`` to ``max_peak_items``, with ``bucket_index``'s
+    boundaries: bucket ``b`` holds ``edges[b] <= peak < edges[b + 1]`` and
+    the last bucket also holds the largest peak.  The buckets are filled in
+    order, each by drawing from the ``FeasibleSet`` of its upper end and
+    drawing again while the peak is below its lower end.  A bucket that no
+    config reaches, by the exact count of the configs under its two ends,
+    raises PartialDatasetError before anything is drawn.
     """
     if num_buckets < 1 or n < num_buckets:
         raise ValidationError("need n >= num_buckets >= 1")
-    rng = random.Random(rng_seed)
-    pilot_draws = [
-        (cfg := _sample_with(space, rng), config_peak_items(cfg, space))
-        for _ in range(max(pilot, 1))
-    ]
-    edges = bucket_edges_from_pilot([p for _, p in pilot_draws], num_buckets)
+    low, top = min_peak_items(space), max_peak_items(space)
+    edges = bucket_edges_from_pilot([low, top], num_buckets)
     quota = [n // num_buckets] * num_buckets
     for i in range(n % num_buckets):
         quota[i] += 1
-    counts = [0] * num_buckets
-    rows: list[DatasetRow] = []
-
-    def offer(cfg, peak) -> None:
-        b = bucket_index(peak, edges)
-        if counts[b] < quota[b]:
-            counts[b] += 1
-            rows.append(DatasetRow(config=cfg, peak_items=peak, score=scorer(cfg)))
-
-    for cfg, peak in pilot_draws:
-        offer(cfg, peak)
-    # Past the pilot, the peaks of the next draws are read in chunks; a draw
-    # into a full bucket is skipped, and the others are drawn with
-    # ``_sample_with`` and offered, so rows, draws and generator state are
-    # those of drawing one at a time.  A full bucket stays full, so only the
-    # draws open at the start of a chunk can be offered.  A peak of -1 is
-    # never skipped: drawing it raises what ``config_peak_items`` raises.
-    budget = retry_factor * n
-    drawn = 0
-    while len(rows) < n and drawn < budget:
-        chunk = min(budget - drawn, SCAN_CHUNK)
-        peaks = _peek_peaks(space, rng, chunk)
-        # bucket_index of each peak
-        buckets = np.clip(np.searchsorted(edges, peaks, "right") - 1, 0, num_buckets - 1)
-        is_open = (peaks < 0) | (np.array(counts) < quota)[buckets]
-        at = 0
-        for i in np.flatnonzero(is_open).tolist():
-            b = buckets[i]
-            if peaks[i] >= 0 and counts[b] == quota[b]:
-                continue
-            _skip_draws(space, rng, i - at)
-            cfg = _sample_with(space, rng)
-            offer(cfg, config_peak_items(cfg, space))
-            at = i + 1
-            if len(rows) == n:
-                break
-        if len(rows) < n:
-            _skip_draws(space, rng, chunk - at)
-            at = chunk
-        drawn += at
-    if len(rows) < n:
+    # per bucket, the least and the largest integer peak it holds
+    bounds = [
+        (math.ceil(edges[b]), math.ceil(edges[b + 1]) - 1) for b in range(num_buckets - 1)
+    ] + [(math.ceil(edges[-2]), top)]
+    tops = [FeasibleSet(space, hi) for _, hi in bounds]
+    empty = [
+        b for b, (lo, _) in enumerate(bounds) if tops[b].count == FeasibleSet(space, lo - 1).count
+    ]
+    if empty:
         raise PartialDatasetError(
-            f"filled {len(rows)}/{n} rows within {budget} draws; "
-            f"bucket occupancy {counts} of {quota}",
-            occupancy={b: c for b, c in enumerate(counts)},
+            f"no configuration has its peak in bucket(s) {empty} of edges "
+            f"{[round(e, 1) for e in edges]}",
+            occupancy={b: 0 for b in range(num_buckets)},
         )
+    rng = random.Random(rng_seed)
+    rows: list[DatasetRow] = []
+    for (lo, _), feasible, size in zip(bounds, tops, quota):
+        for _ in range(size):
+            peak = -1
+            while peak < lo:
+                cfg = _sample_with(space, rng, feasible)
+                peak = config_peak_items(cfg, space)
+            rows.append(DatasetRow(config=cfg, peak_items=peak, score=scorer(cfg)))
     return Dataset(rows=tuple(rows), bucket_edges=edges)
 
 

@@ -2,8 +2,11 @@
 
 Infeasible candidates are rejected and resampled rather than penalized: the
 memory cap models a device limit, so every individual ever admitted to the
-population satisfies it.  Runs are deterministic in the seed; all randomness
-flows through one generator and candidates are processed in a fixed order.
+population satisfies it.  Fresh individuals are drawn exactly and uniformly
+from the configurations under the cap (``space.FeasibleSet``), so a cap at
+or above the space's smallest peak always yields a population.  Runs are
+deterministic in the seed; all randomness flows through one generator and
+candidates are processed in a fixed order.
 """
 
 from __future__ import annotations
@@ -13,16 +16,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import InfeasibleError, ValidationError, json_field
 from .space import (
-    SCAN_CHUNK,
+    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
-    _peek_peaks,
     _sample_with,
-    _skip_draws,
     config_peak_items,
     crossover,
     min_peak_items,
@@ -34,8 +33,6 @@ Scorer = Callable[[SubnetConfig], float]
 
 _SEED_RANGE = 2 ** 63
 CHILD_RETRIES = 50
-INIT_ATTEMPTS_PER_SLOT = 10_000
-FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -133,45 +130,13 @@ def feasible(
     return peak <= constraint.max_peak_items
 
 
-def _fresh_feasible(
-    space, ok, rng, constraint: SearchConstraint, floor: int
-) -> tuple[SubnetConfig, int]:
-    """The first uniform draw that ``ok`` admits, and the number of draws
-    before it that were skipped without calling ``ok``; raises
-    InfeasibleError naming ``floor``, the smallest achievable peak, when none
-    of ``INIT_ATTEMPTS_PER_SLOT`` draws fits under the cap.
-
-    After one draw that ``ok`` rejects, the peaks of the next draws are read
-    with ``_peek_peaks`` in chunks that double from ``FIRST_CHUNK`` to
-    ``SCAN_CHUNK`` draws, so a cap that many draws meet reads few peaks in
-    vain; the draws over the cap are skipped, and the first one under it is
-    drawn with ``_sample_with`` and put to ``ok``.  So the draws, the result
-    and the generator state are those of drawing one at a time.
-    """
-    cap = constraint.max_peak_items
-    config = _sample_with(space, rng)
-    if ok(config):
-        return config, 0
-    skipped, left, size = 0, INIT_ATTEMPTS_PER_SLOT - 1, FIRST_CHUNK
-    while left:
-        chunk = min(left, size)
-        size = min(2 * size, SCAN_CHUNK)
-        peaks = _peek_peaks(space, rng, chunk, not constraint.exclude_classifier)
-        fits = np.flatnonzero(peaks <= cap)
-        misses = int(fits[0]) if len(fits) else chunk
-        _skip_draws(space, rng, misses)
-        skipped += misses
-        left -= misses
-        if misses < chunk:
-            left -= 1
-            config = _sample_with(space, rng)
-            if ok(config):
-                return config, skipped
-    raise InfeasibleError(
-        f"no feasible configuration found in {INIT_ATTEMPTS_PER_SLOT} uniform draws "
-        f"under {cap} items (smallest achievable peak: {floor})",
-        tightest_peak=floor,
-    )
+def _fresh_feasible(space, ok, rng, feasible: FeasibleSet) -> SubnetConfig:
+    """One exact uniform draw from ``feasible``, the configurations under
+    the cap, put to ``ok`` once so that it counts as an evaluation."""
+    config = _sample_with(space, rng, feasible)
+    if not ok(config):
+        raise RuntimeError(f"a draw from the feasible set is over the cap: {config}")
+    return config
 
 
 def _score_all(configs, scorer: Scorer, known: dict) -> list[float]:
@@ -197,12 +162,14 @@ def search(
     Each generation keeps the top ``parent_fraction`` by score and refills
     the rest with mutation (``mutation_fraction`` of the children) and
     gene-wise crossover; children failing the constraint are retried up to
-    a fixed budget and then replaced by fresh feasible uniform samples.
+    a fixed budget and then replaced by fresh draws.  The initial population
+    and those fresh draws are exactly uniform over the configurations under
+    the cap (``FeasibleSet``), and ``evaluations`` counts every config whose
+    peak was checked, each fresh draw once.
 
     A cap below the space's smallest achievable peak (``min_peak_items``)
     raises InfeasibleError before anything is drawn or scored, with that
-    exact minimum as ``tightest_peak``.  A cap above it that no draw of a
-    fixed budget meets raises the same error.
+    exact minimum as ``tightest_peak``; any other cap is feasible.
 
     ``scorer`` must be pure, a function of the config alone: a child equal
     to one of its generation's parents or to an earlier child of the same
@@ -224,14 +191,11 @@ def search(
         evaluations += 1
         return config_peak_items(config, space, include_classifier=include_classifier) <= cap
 
-    def fresh() -> SubnetConfig:
-        nonlocal evaluations
-        config, skipped = _fresh_feasible(space, ok, rng, constraint, floor)
-        evaluations += skipped
-        return config
-
+    feasible_set = FeasibleSet(space, cap, include_classifier)
     rng = random.Random(params.seed)
-    population = [fresh() for _ in range(params.population)]
+    population = [
+        _fresh_feasible(space, ok, rng, feasible_set) for _ in range(params.population)
+    ]
     scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
@@ -275,7 +239,7 @@ def search(
                     child = cand
                     break
             if child is None:
-                child = fresh()
+                child = _fresh_feasible(space, ok, rng, feasible_set)
             children.append(child)
 
         population = parents + children

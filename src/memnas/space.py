@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import product
+from itertools import accumulate, product
 
-import numpy as np
-
-from .errors import FieldError, ResolutionError, ValidationError, json_field, require_number
+from .errors import (
+    FieldError,
+    InfeasibleError,
+    ResolutionError,
+    ValidationError,
+    json_field,
+    require_number,
+)
 from .memory import (
     MBBlockShape,
     NetworkSkeleton,
@@ -64,20 +70,35 @@ class SupernetSpace:
                 f"{self.num_stages} stages"
             )
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         return max(self.depth_options)
+
+    @cached_property
+    def _valid_genes(self) -> tuple:
+        """``(resolutions, depth tuples, kernel tuples, expand tuples)``:
+        frozensets of the values a valid config can hold, whole stage-depth
+        tuples and whole per-stage slot tuples; see ``validate``.  A set of
+        tuples that would hold more than 65,536 is left empty, so the configs
+        of such a space are all walked."""
+
+        def tuples(options, length):
+            if len(options) ** length > 65_536:
+                return frozenset()
+            return frozenset(product(options, repeat=length))
+
+        slots = self.max_depth
+        return (
+            frozenset(self.resolution_options),
+            tuples(self.depth_options, self.num_stages),
+            tuples(self.kernel_options, slots),
+            tuples(self.expand_options, slots),
+        )
 
     @cached_property
     def peak_table(self) -> dict:
         """Per-block peak terms, built on first use; see ``config_peak_items``."""
         return _build_peak_table(self)
-
-    @cached_property
-    def peak_arrays(self) -> tuple:
-        """``peak_table`` as numpy arrays, built on first use; see
-        ``_peek_peaks``."""
-        return _build_peak_arrays(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,7 +192,34 @@ def maximal_config(space: SupernetSpace) -> SubnetConfig:
 
 def validate(config: SubnetConfig, space: SupernetSpace) -> list[str]:
     """Every option-set violation, each with the path of the offending
-    field; an empty list means the config is valid."""
+    field; an empty list means the config is valid.
+
+    A valid config is recognised by set lookups of whole tuples
+    (``SupernetSpace._valid_genes``); only a config that fails them, or holds
+    an unhashable value, is walked field by field to name the violations.
+    """
+    if _is_valid(config, space):
+        return []
+    return _violations(config, space)
+
+
+def _is_valid(config: SubnetConfig, space: SupernetSpace) -> bool:
+    resolutions, depths, kernels, expands = space._valid_genes
+    n = space.num_stages
+    try:
+        return (
+            config.resolution in resolutions
+            and config.stage_depths in depths
+            and len(config.kernels) == n
+            and len(config.expands) == n
+            and all(ks in kernels for ks in config.kernels)
+            and all(es in expands for es in config.expands)
+        )
+    except TypeError:  # an unhashable value; the walk names it if it is invalid
+        return False
+
+
+def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
     violations = []
     if config.resolution not in space.resolution_options:
         violations.append(
@@ -261,9 +309,13 @@ def enumerate_subnets(space: SupernetSpace, limit: int = 100_000):
         )
 
 
-def _sample_with(space: SupernetSpace, rng: random.Random) -> SubnetConfig:
-    # fixed draw order: resolution, then per stage depth and per-slot genes;
-    # index-by-random() keeps this hot path cheap for rejection sampling
+def _sample_with(
+    space: SupernetSpace, rng: random.Random, feasible: "FeasibleSet | None" = None
+) -> SubnetConfig:
+    # uniform over the space, or over ``feasible``'s members when given one;
+    # fixed draw order: resolution, then per stage depth and per-slot genes
+    if feasible is not None:
+        return feasible.sample(rng)
     rnd = rng.random
     d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
     n_d, n_k, n_e = len(d_opts), len(k_opts), len(e_opts)
@@ -275,62 +327,6 @@ def _sample_with(space: SupernetSpace, rng: random.Random) -> SubnetConfig:
         kernels.append(tuple([k_opts[int(rnd() * n_k)] for _ in slots]))
         expands.append(tuple([e_opts[int(rnd() * n_e)] for _ in slots]))
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
-
-
-# the most draws one ``_peek_peaks`` call reads: its arrays take a few kB
-# per draw, and larger chunks measured no faster per draw
-SCAN_CHUNK = 256
-
-
-def _peek_peaks(
-    space: SupernetSpace, rng: random.Random, n: int, include_classifier: bool = False
-) -> np.ndarray:
-    """The ``config_peak_items`` of the next ``n`` draws of ``_sample_with``
-    on ``rng``, as an int64 array computed in one numpy pass; ``rng`` is
-    left where it was, and ``_skip_draws`` moves it past the draws a caller
-    has no use for.
-
-    The generator's 32-bit words are read in the order ``random()`` consumes
-    them, and each ``random()`` value is rebuilt as CPython builds it, so the
-    genes, and so the peaks, are exactly those of ``_sample_with`` (tested).
-    A draw whose resolution is not in ``peak_table`` reads -1: drawn again
-    with ``_sample_with``, it makes ``config_peak_items`` raise.
-    """
-    base, terms, depths, lens = space.peak_arrays
-    calls, md = len(lens), space.max_depth
-    state = rng.getstate()
-    words = rng.getrandbits(64 * calls * n).to_bytes(8 * calls * n, "little")
-    rng.setstate(state)
-    w = np.frombuffer(words, "<u4")
-    # random(): the top 27 bits of one word and the top 26 of the next, / 2**53
-    u = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-    picks = (u.reshape(n, calls) * lens).astype(np.intp)
-    r = picks[:, 0]
-    stages = picks[:, 1:].reshape(n, space.num_stages, 1 + 2 * md)
-    slots = np.arange(md)
-    # per draw, stage and slot: the transition term in slot 0, inner terms after
-    term = terms[
-        r[:, None, None],
-        np.arange(space.num_stages)[:, None],
-        np.minimum(slots, 1),
-        stages[:, :, 1 : 1 + md],
-        stages[:, :, 1 + md :],
-    ]
-    active = slots < depths[stages[:, :, :1]]
-    peaks = np.maximum(base[r], np.where(active, term, 0).max(axis=(1, 2)))
-    if include_classifier:
-        t = classifier_memory(space.schedule.head_width, 1000).total_items
-        np.maximum(peaks, t, out=peaks)
-    peaks[base[r] < 0] = -1
-    return peaks
-
-
-def _skip_draws(space: SupernetSpace, rng: random.Random, n: int) -> None:
-    """Advance ``rng`` past ``n`` draws of ``_sample_with`` without making
-    them: one draw reads two 32-bit words per ``random()`` call."""
-    _, _, _, lens = space.peak_arrays
-    if n:
-        rng.getrandbits(64 * len(lens) * n)
 
 
 def sample_uniform(space: SupernetSpace, seed: int) -> SubnetConfig:
@@ -514,34 +510,6 @@ def _stage_terms(space: SupernetSpace, skeleton: NetworkSkeleton, term) -> tuple
     )
 
 
-def _build_peak_arrays(space: SupernetSpace) -> tuple:
-    """``peak_table`` as ``(base, terms, depths, lens)`` for ``_peek_peaks``.
-
-    ``base[r]`` is the base term of the ``r``-th resolution option, -1 if
-    that resolution is not in the table; ``terms[r, s, kind, k, e]`` is the
-    transition (``kind`` 0) or inner (``kind`` 1) term of stage ``s`` with
-    the ``k``-th kernel and ``e``-th expand option; ``depths`` holds the
-    depth options; ``lens`` holds, per ``random()`` call of one
-    ``_sample_with`` draw, the number of options that call picks from.
-    """
-    ks, es = space.kernel_options, space.expand_options
-    n_res = len(space.resolution_options)
-    base = np.full(n_res, -1, np.int64)
-    terms = np.zeros((n_res, space.num_stages, 2, len(ks), len(es)), np.int64)
-    for i, r in enumerate(space.resolution_options):
-        if r in space.peak_table:
-            peak, _, stages = space.peak_table[r]
-            base[i] = peak
-            for s, kinds in enumerate(stages):
-                for kind, by_kernel in enumerate(kinds):
-                    if by_kernel:  # no inner terms when the largest depth is 1
-                        terms[i, s, kind] = [[by_kernel[k][e] for e in es] for k in ks]
-    md = space.max_depth
-    stage = [len(space.depth_options)] + [len(ks)] * md + [len(es)] * md
-    lens = np.array([n_res] + stage * space.num_stages, np.float64)
-    return base, terms, np.array(space.depth_options), lens
-
-
 def config_peak_items(
     config: SubnetConfig,
     space: SupernetSpace,
@@ -556,7 +524,7 @@ def config_peak_items(
     active block, and a block term depends only on the resolution, the
     stage, whether the block is the stage's first, and its own (kernel,
     expand); so this agrees with profiling the resolved skeleton (tested).
-    Used on hot paths such as feasibility rejection sampling, it checks only
+    Used on hot paths such as the feasibility check of a search, it checks only
     the genes it reads: an out-of-space resolution, depth or active gene
     raises the ``ValidationError`` or ``ResolutionError`` that ``resolve``
     raises; inert genes are not checked.
@@ -616,3 +584,84 @@ def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> in
     if include_classifier:
         peak = max(peak, classifier_memory(space.schedule.head_width, 1000).total_items)
     return peak
+
+
+def max_peak_items(space: SupernetSpace) -> int:
+    """The largest peak of any configuration of the space, exactly: the
+    block terms are chosen independently (see ``min_peak_items``), so one
+    configuration reaches the largest term of the table at once."""
+    if not space.peak_table:
+        # no resolution divides through the stages; resolve names one
+        resolve(maximal_config(space), space)
+    return max(
+        max([base] + [t for kinds in stages for by_kernel in kinds
+                      for by_expand in by_kernel.values() for t in by_expand.values()])
+        for base, _, stages in space.peak_table.values()
+    )
+
+
+class FeasibleSet:
+    """The configurations of a space whose ``config_peak_items`` is at most
+    ``cap``, counted and drawn exactly.
+
+    The peak is the maximum of a base term set by the resolution and one
+    term per active block, each chosen independently (see
+    ``config_peak_items``).  So a configuration fits exactly when its
+    resolution's base term fits and each active block's (kernel, expand)
+    pair fits on its own.  Per resolution whose base term fits and per
+    stage, ``F`` holds the pairs whose transition term fits and ``I`` those
+    whose inner term fits; inert slots take any pair of ``P``, all pairs.
+    A stage of depth ``d`` then has ``|F| * |I|**(d-1) * |P|**(max_depth-d)``
+    gene assignments that fit, a resolution the product over its stages of
+    their sums over depths, and ``count`` is the sum over the resolutions:
+    the exact number of whole genomes, inert genes included, under the cap.
+    """
+
+    def __init__(self, space: SupernetSpace, cap: int, include_classifier: bool = False):
+        self.space, self.cap = space, cap
+        md = space.max_depth
+        pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
+        table = space.peak_table
+        classifier = classifier_memory(space.schedule.head_width, 1000).total_items
+        if include_classifier and classifier > cap:
+            table = {}
+        self._strata, counts = [], []
+        for r, (base, _, stages) in table.items():
+            if base > cap:
+                continue
+            count, plan = 1, []
+            for first, inner in stages:
+                F = [(k, e) for k, e in pairs if first[k][e] <= cap]
+                I = [(k, e) for k, e in pairs if md > 1 and inner[k][e] <= cap]
+                by_depth = [
+                    len(F) * len(I) ** (d - 1) * len(pairs) ** (md - d)
+                    for d in space.depth_options
+                ]
+                count *= sum(by_depth)
+                plan.append((list(accumulate(by_depth)), F, I))
+            if count:
+                self._strata.append((r, plan))
+                counts.append(count)
+        self._cumulative = list(accumulate(counts))
+        self.count = sum(counts)
+
+    def sample(self, rng: random.Random) -> SubnetConfig:
+        """One member, each with the same probability: the resolution, then
+        each stage's depth, in proportion to the members they hold, then each
+        slot's pair uniformly from ``F``, ``I`` or ``P``."""
+        if not self.count:
+            raise InfeasibleError(f"no configuration fits under {self.cap} items")
+        r, plan = self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
+        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
+        depths, kernels, expands = [], [], []
+        for cumulative, F, I in plan:
+            d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+            genes = (
+                [rng.choice(F)]
+                + [rng.choice(I) for _ in range(1, d)]
+                + [rng.choice(pairs) for _ in range(d, md)]
+            )
+            depths.append(d)
+            kernels.append(tuple(k for k, _ in genes))
+            expands.append(tuple(e for _, e in genes))
+        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))

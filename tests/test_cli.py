@@ -3,6 +3,7 @@ manifests, and reproducibility."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import memnas
 from memnas.cli import main
 from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
-from memnas.predictor import feature_length
+from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
 
 
@@ -184,6 +185,22 @@ class TestPipeline:
                 manifest = json.load(fh)
             assert manifest["seed"] == 1
             assert manifest["tool_version"]
+
+    def test_default_ten_bucket_sample_fills_every_bucket(self, tmp_path, capsys):
+        # seed 2 used to fill only 853/1000 rows and exit 3: uniform draws
+        # rarely reach the lowest-peak buckets
+        out = tmp_path / "data.jsonl"
+        assert main(["sample", "--n", "1000", "--seed", "2", "--out", str(out)]) == 0
+        printed = re.search(r"bucket edges: \[(.*)\]", capsys.readouterr().out).group(1)
+        printed = [float(e) for e in printed.split(",")]
+        edges = bucket_edges_from_pilot([printed[0], printed[-1]], len(printed) - 1)
+        with open(out) as fh:
+            rows = Dataset.read_jsonl(fh).rows
+        occupancy = [0] * 10
+        for row in rows:
+            occupancy[bucket_index(row.peak_items, edges)] += 1
+        assert len(edges) == 11 and len(rows) == 1000
+        assert max(occupancy) - min(occupancy) <= 1
 
     def test_search_reruns_byte_identical(self, tmp_path, space_file):
         out_a = tmp_path / "a.json"

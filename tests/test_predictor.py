@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+import memnas.predictor as predictor_module
 from memnas.errors import PartialDatasetError, TrainingError, ValidationError
 from memnas.predictor import (
     ALPHA,
@@ -29,10 +31,14 @@ from memnas.predictor import (
     synthetic_score,
     train,
 )
+from memnas.planner import ChannelSchedule
 from memnas.space import (
+    FeasibleSet,
     SubnetConfig,
+    SupernetSpace,
     config_peak_items,
     default_space,
+    max_peak_items,
     maximal_config,
     sample_uniform,
     _sample_with,
@@ -115,12 +121,15 @@ class TestEncode:
 
 class TestBalancedSample:
     def test_single_bucket_is_plain_uniform(self, space):
-        ds = balanced_sample(space, 40, 1, rng_seed=3, scorer=lambda c: 1.5, pilot=50)
+        ds = balanced_sample(space, 40, 1, rng_seed=3, scorer=lambda c: 1.5)
         assert len(ds.rows) == 40
         assert all(r.score == 1.5 for r in ds.rows)
-        # same stream as unconstrained sampling
+        # one bucket spans every peak, so its rows are the stream of exact
+        # uniform draws from the whole space, none rejected
+        everything = FeasibleSet(space, max_peak_items(space))
+        assert everything.count == len(space.resolution_options) * 9 ** (4 * 5) * 3 ** 5
         rng = random.Random(3)
-        expected = [_sample_with(space, rng) for _ in range(50)][:40]
+        expected = [_sample_with(space, rng, everything) for _ in range(40)]
         assert [r.config for r in ds.rows] == expected
 
     def test_bucket_occupancy_within_one(self, space):
@@ -144,20 +153,31 @@ class TestBalancedSample:
         assert occ[0] > unbalanced[0]
 
     def test_rows_carry_fresh_peaks(self, space):
-        ds = balanced_sample(space, 50, 5, rng_seed=7, scorer=lambda c: 0.0, pilot=100)
+        ds = balanced_sample(space, 50, 5, rng_seed=7, scorer=lambda c: 0.0)
         for r in ds.rows:
             assert r.peak_items == config_peak_items(r.config, space)
 
-    def test_budget_exhaustion_reports_occupancy(self, space):
-        with pytest.raises(PartialDatasetError) as exc:
-            balanced_sample(
-                space, 1000, 10, rng_seed=1, scorer=lambda c: 0.0,
-                pilot=50, retry_factor=1,
-            )
-        assert sum(exc.value.occupancy.values()) < 1000
+    def test_budget_exhaustion_reports_occupancy(self, monkeypatch):
+        # one option per gene: the two resolutions give the only two peaks,
+        # so the eight buckets between the lowest and the highest hold none
+        tiny = SupernetSpace(
+            schedule=ChannelSchedule(stem_width=8, stage_widths=(8, 8), head_width=8, divisor=8),
+            num_stages=2,
+            depth_options=(1,),
+            kernel_options=(3,),
+            expand_options=(2,),
+            resolution_options=(32, 64),
+        )
+        draws = []
+        monkeypatch.setattr(predictor_module, "_sample_with", lambda *a: draws.append(a))
+        empty = re.escape("bucket(s) [1, 2, 3, 4, 5, 6, 7, 8]")
+        with pytest.raises(PartialDatasetError, match=empty) as exc:
+            balanced_sample(tiny, 100, 10, rng_seed=1, scorer=lambda c: 0.0)
+        assert exc.value.occupancy == {b: 0 for b in range(10)}
+        assert draws == []
 
     def test_jsonl_roundtrip(self, space):
-        ds = balanced_sample(space, 20, 2, rng_seed=9, scorer=lambda c: 0.25, pilot=30)
+        ds = balanced_sample(space, 20, 2, rng_seed=9, scorer=lambda c: 0.25)
         buf = io.StringIO()
         ds.write_jsonl(buf)
         buf.seek(0)
@@ -168,8 +188,8 @@ class TestBalancedSample:
         "buckets, noise_seed, digest",
         [
             # what ``memnas sample --n 1000 --buckets 2 --seed 0`` writes
-            (2, 0, "4b964d5e102f85622ec149eaa913919a1d9d7f114197871c9941ed447a2c91d6"),
-            (10, None, "c4e8fe370f561030ead7887a43f8b4f8a1c8712b51e3bc6e92e30946939dff4f"),
+            (2, 0, "d97aa0e5929f44c8b74d108b02c86519022c07b48bbb0fbbc28d2a3e1d24bc09"),
+            (10, None, "e52eac06fff9ba23604143c14bd43482df0eb8bed9a1dbaa52514e7765483d32"),
         ],
     )
     def test_oracle_datasets_are_pinned(self, space, buckets, noise_seed, digest):

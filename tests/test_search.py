@@ -145,15 +145,13 @@ class TestSearch:
         assert exc.value.tightest_peak == floor > min_peak_items(space)
 
     def test_feasible_but_sparse_cap_names_the_minimum_peak(self, space):
-        # only configurations at the cheapest option everywhere fit, and
-        # uniform draws almost never hit one
+        # only about 0.01% of uniform draws fit under the exact minimum peak,
+        # but the exact sampler draws only those
         floor = min_peak_items(space)
         params = SearchParams(population=2, generations=1)
-        with pytest.raises(InfeasibleError) as exc:
-            search(space, SearchConstraint(floor), noiseless(space), params)
-        assert "10000 uniform draws" in str(exc.value)
-        assert f"smallest achievable peak: {floor}" in str(exc.value)
-        assert exc.value.tightest_peak == floor
+        result = search(space, SearchConstraint(floor), noiseless(space), params)
+        assert result.best_peak_items == floor
+        assert profile_network(resolve(result.best_config, space)).peak_items == floor
 
     def test_json_roundtrip(self, space):
         params = SearchParams(population=12, generations=4, seed=9)
@@ -207,8 +205,8 @@ def result_digest(result: SearchResult) -> str:
 
 
 class TestScoreReuse:
-    """Identical children reuse a score; results are pinned to the values
-    of the search that scored every child."""
+    """Identical children reuse a score; with a pure scorer that changes no
+    result, and the results are pinned."""
 
     def test_default_search_at_350k_is_pinned_and_scores_fewer_children(self, space):
         calls = []
@@ -219,9 +217,9 @@ class TestScoreReuse:
 
         result = search(space, SearchConstraint(350_000), counting, SearchParams(seed=0))
         assert result.best_score == 20.61610055126735
-        assert result.evaluations == 87380
+        assert result.evaluations == 5614
         assert result_digest(result) == (
-            "4f08e4d49804d08f6c37dab95c9080cc40bec47377de518d4d6688eec4db2ea0"
+            "e8945ee065f43ed0288d685020f562f0e3a8553662159c0b68f681a148ec610c"
         )
         # 100 initial individuals plus 75 children in each of 50 generations
         assert len(calls) < 100 + 50 * 75
@@ -233,7 +231,7 @@ class TestScoreReuse:
         b = search(space, SearchConstraint(400_000), scorer, params)
         assert a == b
         assert result_digest(a) == (
-            "bd641aa46b1375b80074ee6c045d71ef04ab24ed0deeec3ee807185e482b2601"
+            "9a08b3af35a96e258c267ff4bdd0e7595278c6b889f1484bf39ebd0b19a7aaa3"
         )
 
     def test_reuse_keys_on_the_whole_config_inert_genes_included(self, space):

@@ -17,14 +17,18 @@ from memnas.memory import block_flops, flops_estimate, profile_network
 from memnas.planner import ChannelSchedule, ReferenceConfig, plan_schedule
 from memnas.predictor import ALPHA, BETA, _score_table, synthetic_score
 from memnas.space import (
+    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
+    _is_valid,
     _sample_with,
+    _violations,
     config_peak_items,
     count_subnets,
     crossover,
     default_space,
     enumerate_subnets,
+    max_peak_items,
     maximal_config,
     min_peak_items,
     mutate,
@@ -336,6 +340,104 @@ def spaces(draw):
 
 
 SEEDS = st.integers(0, 2 ** 63 - 1)
+
+
+def corrupt(config, space, how, where):
+    """``config`` with one field moved out of the space, shortened, or held
+    in an unhashable list; ``where`` picks the stage and slot."""
+    s, j = where % space.num_stages, where % space.max_depth
+
+    def at_stage(lists, stage):
+        return tuple(stage if i == s else inner for i, inner in enumerate(lists))
+
+    def at_slot(lists, value):
+        return at_stage(lists, tuple(value if i == j else v for i, v in enumerate(lists[s])))
+
+    if how == "resolution":
+        return replace(config, resolution=space.resolution_options[-1] + 2)
+    if how == "depth":
+        depths = tuple(9 if i == s else d for i, d in enumerate(config.stage_depths))
+        return replace(config, stage_depths=depths)
+    if how == "kernel":
+        return replace(config, kernels=at_slot(config.kernels, 9))
+    if how == "expand":
+        return replace(config, expands=at_slot(config.expands, 5.5))
+    if how == "short-slots":
+        return replace(config, expands=at_stage(config.expands, config.expands[s][:-1]))
+    if how == "short-stages":
+        return replace(config, kernels=config.kernels[:-1])
+    if how == "short-depths":
+        return replace(config, stage_depths=config.stage_depths[:-1])
+    if how == "list-slots":
+        return replace(config, kernels=at_stage(config.kernels, list(config.kernels[s])))
+    if how == "list-resolution":
+        return replace(config, resolution=[config.resolution])
+    return config
+
+
+class TestFastValidate:
+    """``validate`` answers a valid config by set lookups and walks every
+    other one; the walk is the reference for the verdict and the messages."""
+
+    HASHABLE = ("valid", "resolution", "depth", "kernel", "expand", "short-slots",
+                "short-stages", "short-depths")
+
+    @settings(max_examples=300)
+    @given(space=spaces(), seed=SEEDS, how=st.sampled_from(HASHABLE), where=st.integers(0, 99))
+    def test_fast_verdict_matches_the_walk(self, space, seed, how, where):
+        config = corrupt(sample_uniform(space, seed), space, how, where)
+        assert _is_valid(config, space) == (_violations(config, space) == [])
+        assert validate(config, space) == _violations(config, space)
+
+    @given(space=spaces(), seed=SEEDS, how=st.sampled_from(("list-slots", "list-resolution")),
+           where=st.integers(0, 99))
+    def test_unhashable_values_are_walked(self, space, seed, how, where):
+        config = corrupt(sample_uniform(space, seed), space, how, where)
+        assert not _is_valid(config, space)
+        assert validate(config, space) == _violations(config, space)
+
+    def test_messages_name_each_field_in_order(self, space):
+        c = maximal_config(space)
+        bad = replace(
+            c,
+            resolution=100,
+            stage_depths=(5,) + c.stage_depths[1:],
+            kernels=((9, 7, 7),) + c.kernels[1:],
+            expands=c.expands[:-1],
+        )
+        assert validate(bad, space) == [
+            "resolution: 100 not in resolution_options [128, 160, 192, 224]",
+            "expands: expected 5 stages, got 4",
+            "stages[0].depth: 5 not in depth_options [2, 3, 4]",
+            "stages[0].kernels: expected 4 slots, got 3",
+        ]
+
+
+class TestFeasibleSet:
+    """The exact feasible set of a cap on varied spaces; brute-force checks
+    on small spaces are in ``test_feasible.py``."""
+
+    @settings(max_examples=150)
+    @given(space=spaces(), seed=SEEDS, share=st.floats(0, 1), include_classifier=st.booleans())
+    def test_draws_fit_under_the_cap_and_validate(self, space, seed, share, include_classifier):
+        floor = min_peak_items(space, include_classifier)
+        cap = floor + int(share * max(0, max_peak_items(space) - floor))
+        feasible = FeasibleSet(space, cap, include_classifier)
+        assert feasible.count > 0
+        assert FeasibleSet(space, floor - 1, include_classifier).count == 0
+        rng = random.Random(seed)
+        for _ in range(5):
+            config = _sample_with(space, rng, feasible)
+            assert validate(config, space) == []
+            assert config_peak_items(config, space, include_classifier=include_classifier) <= cap
+
+    def test_reference_counts(self, space):
+        # every whole genome: 4 resolutions, 9 pairs in each of 20 slots, 3
+        # depths in each of 5 stages
+        assert FeasibleSet(space, max_peak_items(space)).count == 4 * 9 ** 20 * 3 ** 5
+        assert FeasibleSet(space, 350_000).count == 16_071_083_493_135_722_532
+        assert FeasibleSet(space, 253_184).count == 1_357_028_451_635_831_559
+        assert FeasibleSet(space, 253_183).count == 0
 
 
 class TestPeakTable:
