@@ -1,10 +1,11 @@
 """Evolutionary search over the subnet space under a hard peak-memory cap.
 
-Infeasible candidates are rejected and resampled rather than penalized: the
-memory cap models a device limit, so every individual ever admitted to the
-population satisfies it.  Fresh individuals are drawn exactly and uniformly
-from the configurations under the cap (``space.FeasibleSet``), so a cap at
-or above the space's smallest peak always yields a population.  Runs are
+Infeasible candidates are repaired rather than penalized: the memory cap
+models a device limit, so every individual ever admitted to the population
+satisfies it.  The initial population is drawn exactly and uniformly from
+the configurations under the cap (``space.FeasibleSet``), so a cap at or
+above the space's smallest peak always yields one, and a child over the cap
+has only the genes that break it redrawn from that set.  Runs are
 deterministic in the seed; all randomness flows through one generator and
 candidates are processed in a fixed order.
 """
@@ -32,7 +33,6 @@ from .space import (
 Scorer = Callable[[SubnetConfig], float]
 
 _SEED_RANGE = 2 ** 63
-CHILD_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,14 @@ def search(
 
     Each generation keeps the top ``parent_fraction`` by score and refills
     the rest with mutation (``mutation_fraction`` of the children) and
-    gene-wise crossover; children failing the constraint are retried up to
-    a fixed budget and then replaced by fresh draws.  The initial population
-    and those fresh draws are exactly uniform over the configurations under
-    the cap (``FeasibleSet``), and ``evaluations`` counts every config whose
-    peak was checked, each fresh draw once.
+    gene-wise crossover.  Each child is proposed once; one over the cap is
+    repaired (``FeasibleSet.repair``): the genes that break the cap are
+    redrawn from the configurations under it and the rest are kept.  The
+    initial population is exactly uniform over those configurations.
+    ``evaluations`` counts every config whose peak was checked: each initial
+    draw and each proposed child once, so at every cap it is ``population +
+    generations * (population - n_parents)``, where ``n_parents`` is the
+    number of parents kept.
 
     A cap below the space's smallest achievable peak (``min_peak_items``)
     raises InfeasibleError before anything is drawn or scored, with that
@@ -222,24 +225,16 @@ def search(
         parent_scores = [scores[i] for i in order[:n_parents]]
 
         children: list[SubnetConfig] = []
-        while len(children) < n_children:
-            use_mutation = len(children) < n_mutation
-            child = None
-            for _ in range(CHILD_RETRIES):
-                if use_mutation:
-                    parent = parents[rng.randrange(n_parents)]
-                    cand = mutate(
-                        parent, space, params.mutation_prob, rng.randrange(_SEED_RANGE)
-                    )
-                else:
-                    a = parents[rng.randrange(n_parents)]
-                    b = parents[rng.randrange(n_parents)]
-                    cand = crossover(a, b, rng.randrange(_SEED_RANGE))
-                if ok(cand):
-                    child = cand
-                    break
-            if child is None:
-                child = _fresh_feasible(space, ok, rng, feasible_set)
+        for i in range(n_children):
+            if i < n_mutation:
+                parent = parents[rng.randrange(n_parents)]
+                child = mutate(parent, space, params.mutation_prob, rng.randrange(_SEED_RANGE))
+            else:
+                a = parents[rng.randrange(n_parents)]
+                b = parents[rng.randrange(n_parents)]
+                child = crossover(a, b, rng.randrange(_SEED_RANGE))
+            if not ok(child):
+                child = feasible_set.repair(child, rng)
             children.append(child)
 
         population = parents + children

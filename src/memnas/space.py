@@ -342,13 +342,16 @@ def mutate(
     seed: int,
     freeze_resolution: bool = False,
 ) -> SubnetConfig:
-    """Resample each gene independently with probability ``prob``."""
+    """Resample each gene independently with probability ``prob``; a new
+    resolution is one that ``resolve`` accepts (a key of ``peak_table``),
+    in option order."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
     rng = random.Random(seed)
     resolution = config.resolution
     if not freeze_resolution and rng.random() < prob:
-        resolution = rng.choice(space.resolution_options)
+        # all the listed ones when none resolves, as no config then resolves
+        resolution = rng.choice(tuple(space.peak_table) or space.resolution_options)
     depths, kernels, expands = [], [], []
     for s in range(space.num_stages):
         d = config.stage_depths[s]
@@ -602,7 +605,7 @@ def max_peak_items(space: SupernetSpace) -> int:
 
 class FeasibleSet:
     """The configurations of a space whose ``config_peak_items`` is at most
-    ``cap``, counted and drawn exactly.
+    ``cap``, counted, drawn and repaired exactly.
 
     The peak is the maximum of a base term set by the resolution and one
     term per active block, each chosen independently (see
@@ -642,24 +645,41 @@ class FeasibleSet:
             if count:
                 self._strata.append((r, plan))
                 counts.append(count)
+        self._by_resolution = {stratum[0]: stratum for stratum in self._strata}
         self._cumulative = list(accumulate(counts))
         self.count = sum(counts)
 
     def sample(self, rng: random.Random) -> SubnetConfig:
-        """One member, each with the same probability: the resolution, then
-        each stage's depth, in proportion to the members they hold, then each
-        slot's pair uniformly from ``F``, ``I`` or ``P``."""
+        """One member, each with the same probability: ``repair`` with every
+        gene redrawn, the resolution and then each stage's depth in
+        proportion to the members they hold, then each slot's pair uniformly
+        from ``F``, ``I`` or ``P``."""
+        return self.repair(None, rng)
+
+    def repair(self, config: SubnetConfig | None, rng: random.Random) -> SubnetConfig:
+        """``config`` with only the genes that break the cap redrawn, in
+        ``sample``'s order and as ``sample`` draws them; ``None`` redraws
+        every gene.  A resolution that holds no member, a depth that needs
+        an inner pair when ``I`` is empty, and an active slot's pair outside
+        ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
+        slots are kept.  A member comes back equal, with ``rng`` unused."""
         if not self.count:
             raise InfeasibleError(f"no configuration fits under {self.cap} items")
-        r, plan = self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
+        kept = None if config is None else self._by_resolution.get(config.resolution)
+        r, plan = kept or self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
         depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
         depths, kernels, expands = [], [], []
-        for cumulative, F, I in plan:
-            d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+        for s, (cumulative, F, I) in enumerate(plan):
+            if config is None:
+                d, old = None, [None] * md
+            else:
+                d, old = config.stage_depths[s], list(zip(config.kernels[s], config.expands[s]))
+            if d is None or (d > 1 and not I):
+                d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
             genes = (
-                [rng.choice(F)]
-                + [rng.choice(I) for _ in range(1, d)]
-                + [rng.choice(pairs) for _ in range(d, md)]
+                [old[0] if old[0] in F else rng.choice(F)]
+                + [g if g in I else rng.choice(I) for g in old[1:d]]
+                + [rng.choice(pairs) if g is None else g for g in old[d:]]
             )
             depths.append(d)
             kernels.append(tuple(k for k, _ in genes))

@@ -1,5 +1,6 @@
 """The exact feasible set of a cap (``space.FeasibleSet``) against brute
-force on small spaces, and the dataset sampler that draws from it."""
+force on small spaces, its repair of configs over the cap, and the dataset
+sampler that draws from it."""
 
 import random
 from collections import Counter
@@ -7,7 +8,10 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
+from test_space import SEEDS, spaces
 
 from memnas.errors import InfeasibleError, PartialDatasetError, ResolutionError
 from memnas.planner import ChannelSchedule
@@ -186,3 +190,76 @@ def test_balanced_sample_rows_land_in_their_buckets(name, num_buckets):
     assert [bucket_index(r.peak_items, edges) for r in dataset.rows] == expected
     for row in dataset.rows:
         assert row.peak_items == config_peak_items(row.config, space)
+
+
+def assert_repaired(feasible, config, rng, include_classifier=False):
+    """``feasible.repair(config, rng)`` fits and validates; a config that
+    fits comes back equal with ``rng`` unmoved; otherwise every gene that was
+    redrawn had to be: put back alone, it takes the repaired config over the
+    cap.  Fit is judged by ``config_peak_items`` alone, not by the set's
+    pair lists."""
+    space, cap = feasible.space, feasible.cap
+
+    def fits(c):
+        try:
+            return config_peak_items(c, space, include_classifier=include_classifier) <= cap
+        except ResolutionError:
+            return False
+
+    state = rng.getstate()
+    repaired = feasible.repair(config, rng)
+    assert validate(repaired, space) == []
+    assert fits(repaired)
+    if fits(config):
+        assert repaired == config
+        assert rng.getstate() == state
+        return
+    if repaired.resolution != config.resolution:
+        assert not fits(replace(repaired, resolution=config.resolution))
+    for s, (depth, old_depth) in enumerate(zip(repaired.stage_depths, config.stage_depths)):
+        if depth != old_depth:
+            depths = repaired.stage_depths[:s] + (old_depth,) + repaired.stage_depths[s + 1 :]
+            assert not fits(replace(repaired, stage_depths=depths))
+        for j in range(space.max_depth):
+            old = (config.kernels[s][j], config.expands[s][j])
+            if (repaired.kernels[s][j], repaired.expands[s][j]) == old:
+                continue
+            assert j < depth, "an inert gene was redrawn"
+
+            def put(genes, value):
+                stage = genes[s][:j] + (value,) + genes[s][j + 1 :]
+                return genes[:s] + (stage,) + genes[s + 1 :]
+
+            kernels, expands = put(repaired.kernels, old[0]), put(repaired.expands, old[1])
+            assert not fits(replace(repaired, kernels=kernels, expands=expands))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SPACES))
+def test_repair_against_brute_force(name):
+    """Every active-gene assignment at every resolution, listed ones and
+    unresolvable ones alike, at caps across the peaks of the space."""
+    space = SMALL_SPACES[name]
+    distinct = sorted({p for p, _ in brute_force_peaks(space)})
+    caps = sorted({distinct[i * (len(distinct) - 1) // 4] for i in range(5)})
+    configs = [
+        replace(c, resolution=r)
+        for c in enumerate_subnets(space)
+        for r in space.resolution_options
+    ]
+    rng = random.Random(2)
+    for cap in caps:
+        feasible = FeasibleSet(space, cap)
+        for config in configs:
+            assert_repaired(feasible, config, rng)
+
+
+@settings(max_examples=150)
+@given(space=spaces(), seed=SEEDS, share=st.floats(0, 1), include_classifier=st.booleans())
+def test_repair_keeps_every_gene_that_fits(space, seed, share, include_classifier):
+    floor = min_peak_items(space, include_classifier)
+    cap = floor + int(share * max(0, max_peak_items(space) - floor))
+    feasible = FeasibleSet(space, cap, include_classifier)
+    rng = random.Random(seed)
+    for _ in range(5):
+        assert_repaired(feasible, _sample_with(space, rng), rng, include_classifier)
+        assert_repaired(feasible, feasible.sample(rng), rng, include_classifier)

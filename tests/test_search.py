@@ -5,7 +5,9 @@ import io
 import json
 import random
 import re
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,10 @@ from memnas.space import (
     resolve,
     sample_uniform,
 )
+
+BOUNDS = Path(__file__).resolve().parents[1] / "perfbench" / "bounds.py"
+# run_path compiles the source without writing a bytecode cache next to it
+oracle_bound = runpy.run_path(str(BOUNDS))["oracle_bound"]
 
 # a profiled configuration frozen for the constraint examples: its peak is
 # 308064 items, between the 300k and 325k levels
@@ -153,6 +159,16 @@ class TestSearch:
         assert result.best_peak_items == floor
         assert profile_network(resolve(result.best_config, space)).peak_items == floor
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unresolvable_resolution_is_never_drawn(self, seed):
+        # 136 does not divide through the stride stages, so mutation must
+        # not pick it, and the feasible set holds none of its configs
+        space = replace(default_space(), resolution_options=(128, 136, 224))
+        params = SearchParams(population=20, generations=5, seed=seed)
+        result = search(space, SearchConstraint(400_000), noiseless(space), params)
+        assert result.best_config.resolution in (128, 224)
+        assert result.best_peak_items <= 400_000
+
     def test_json_roundtrip(self, space):
         params = SearchParams(population=12, generations=4, seed=9)
         result = search(space, SearchConstraint(600_000), noiseless(space), params)
@@ -198,6 +214,41 @@ class TestSearch:
             SearchParams(mutation_fraction=1.5)
 
 
+class TestRepair:
+    """Children over the cap are repaired, so every child costs one
+    evaluation and children that move to resolution 224 are kept."""
+
+    @pytest.mark.parametrize(
+        "cap, max_regret",
+        # at 400k the max-FLOPs network itself scores 0.00348 below the bound
+        [(325_000, 0.003), (350_000, 0.003), (400_000, 0.0035)],
+    )
+    def test_reaches_the_certified_bracket_at_resolution_224(self, space, cap, max_regret):
+        # the optimum lies between the score of the max-FLOPs network under
+        # the cap and the bound ALPHA * ln(max FLOPs) + BETA
+        bound, max_flops = oracle_bound(space, cap)
+        result = search(space, SearchConstraint(cap), noiseless(space), SearchParams(seed=0))
+        assert result.best_config.resolution == 224
+        assert result.best_score >= synthetic_score(max_flops, space)
+        assert bound - result.best_score <= max_regret
+
+    @pytest.mark.parametrize("cap", [350_000, 800_000])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SearchParams(seed=0),
+            SearchParams(population=30, generations=7, parent_fraction=0.3, seed=2),
+        ],
+        ids=["default", "small"],
+    )
+    def test_every_child_is_one_evaluation(self, space, cap, params):
+        n_parents = max(1, round(params.parent_fraction * params.population))
+        result = search(space, SearchConstraint(cap), noiseless(space), params)
+        assert result.evaluations == params.population + params.generations * (
+            params.population - n_parents
+        )
+
+
 def result_digest(result: SearchResult) -> str:
     return hashlib.sha256(
         json.dumps(result.to_json_dict(), sort_keys=True).encode()
@@ -216,10 +267,10 @@ class TestScoreReuse:
             return synthetic_score(cfg, space)
 
         result = search(space, SearchConstraint(350_000), counting, SearchParams(seed=0))
-        assert result.best_score == 20.61610055126735
-        assert result.evaluations == 5614
+        assert result.best_score == 20.91640531518137
+        assert result.evaluations == 3850
         assert result_digest(result) == (
-            "e8945ee065f43ed0288d685020f562f0e3a8553662159c0b68f681a148ec610c"
+            "29428cad5f7b2b197dc0a65b2c287ea9550333045555af5567c1ea45f4d06d4c"
         )
         # 100 initial individuals plus 75 children in each of 50 generations
         assert len(calls) < 100 + 50 * 75
@@ -231,7 +282,7 @@ class TestScoreReuse:
         b = search(space, SearchConstraint(400_000), scorer, params)
         assert a == b
         assert result_digest(a) == (
-            "9a08b3af35a96e258c267ff4bdd0e7595278c6b889f1484bf39ebd0b19a7aaa3"
+            "68c2f7b7bd875165d60a54daa8d7e496463e29fb852a8e6a8ffb1d30ec43f74a"
         )
 
     def test_reuse_keys_on_the_whole_config_inert_genes_included(self, space):

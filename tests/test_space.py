@@ -190,6 +190,15 @@ class TestMutate:
         for seed in range(40):
             assert mutate(c, space, 1.0, seed=seed, freeze_resolution=True).resolution == c.resolution
 
+    def test_new_resolution_is_one_that_resolves(self, space):
+        # 136 does not divide through the stride stages
+        mixed = replace(space, resolution_options=(128, 136, 224))
+        parent = sample_uniform(space, 5)
+        drawn = {mutate(parent, mixed, 1.0, seed=s).resolution for s in range(60)}
+        assert drawn == {128, 224}
+        unresolvable = replace(space, resolution_options=(136,))
+        assert mutate(sample_uniform(unresolvable, 5), unresolvable, 1.0, seed=0).resolution == 136
+
     def test_results_validate(self, space):
         rng = random.Random(8)
         c = sample_uniform(space, 1)
