@@ -106,13 +106,14 @@ def _load_config(path: str) -> SubnetConfig:
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type for a comma-separated list of integers."""
+    """argparse type for a comma-separated list of at least one integer."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def cmd_profile(args) -> int:

@@ -46,11 +46,13 @@ class ReferenceConfig:
     resolution: int = 224
 
     def __post_init__(self):
-        if self.depth < 1 or self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValidationError("depth must be >= 1 and kernel odd positive")
-        if self.expand <= 0 or self.resolution < 2 ** (NUM_STAGES + 1):
+        for name in ("depth", "kernel", "resolution"):
+            require_number(name, getattr(self, name), int, "positive")
+        require_number("expand", self.expand, sign="positive")
+        if self.kernel % 2 == 0 or self.resolution < 2 ** (NUM_STAGES + 1):
             raise ValidationError(
-                f"expand must be positive and resolution >= {2 ** (NUM_STAGES + 1)}"
+                f"kernel must be odd and resolution >= {2 ** (NUM_STAGES + 1)}, "
+                f"got kernel {self.kernel} and resolution {self.resolution}"
             )
 
 
@@ -109,19 +111,14 @@ class DominantLayer(Enum):
     PROJECTION = "projection"
 
 
-def _require_positive(**kwargs) -> None:
-    for name, v in kwargs.items():
-        if v <= 0:
-            raise ValidationError(f"{name} must be positive, got {v}")
-
-
 def cout_depthwise_dominated(c_in: float, i: float, k: float) -> float:
     """Transition width when depthwise memory dominates both stages,
     evaluated exactly as printed: C_in * (I^2 + 4K^2 + I^2/4) / (2I^2 + 4K^2).
 
     Note the printed ratio is strictly below 1 for all positive inputs.
     """
-    _require_positive(c_in=c_in, i=i, k=k)
+    for name, v in (("c_in", c_in), ("i", i), ("k", k)):
+        require_number(name, v, sign="positive")
     return c_in * (i * i + 4 * k * k + i * i / 4) / (2 * i * i + 4 * k * k)
 
 
@@ -136,7 +133,8 @@ def cout_dw_to_exp(c_in: float, i: float, k: float, e: float) -> float:
     """Transition width when the peak moves from the depthwise layer of the
     current stage to the expansion layer of the next; positive root of
     E*x^2 + (E*I^2/4 + I^2/4)*x - E*C_in*(I^2 + K^2 + I^2/4) = 0."""
-    _require_positive(c_in=c_in, i=i, k=k, e=e)
+    for name, v in (("c_in", c_in), ("i", i), ("k", k), ("e", e)):
+        require_number(name, v, sign="positive")
     a = e
     b = e * i * i / 4 + i * i / 4
     d = -e * c_in * (i * i + k * k + i * i / 4)
@@ -147,7 +145,8 @@ def cout_exp_dominated(c_in: float, i: float, e: float) -> float:
     """Transition width when the expansion layer dominates the current
     stage; positive root of E*x^2 + (E*I^2/2 + I^2/4)*x
     - C_in*(I^2/4 + E*C_in + E*I^2) = 0."""
-    _require_positive(c_in=c_in, i=i, e=e)
+    for name, v in (("c_in", c_in), ("i", i), ("e", e)):
+        require_number(name, v, sign="positive")
     a = e
     b = e * i * i / 2 + i * i / 4
     d = -c_in * (i * i / 4 + e * c_in + e * i * i)
@@ -271,8 +270,7 @@ def numeric_balance(
 
 def quantize(x: float, divisor: int) -> int:
     """Largest multiple of ``divisor`` not exceeding ``x``."""
-    if divisor < 1:
-        raise ValidationError(f"divisor must be >= 1, got {divisor}")
+    require_number("divisor", divisor, int, "positive")
     if x < divisor:
         raise InfeasibleError(f"value {x} is below one quantum of {divisor}")
     return int(math.floor(x / divisor)) * divisor
@@ -321,6 +319,7 @@ def plan_schedule(
     to a multiple of ``divisor``."""
     if mode not in ("numeric", "closed-form"):
         raise ValidationError(f"mode must be 'numeric' or 'closed-form', got {mode!r}")
+    require_number("divisor", divisor, int, "positive")
     if stem_width < 1 or stem_width % divisor != 0:
         raise ValidationError(
             f"stem_width {stem_width} is not a positive multiple of divisor {divisor}"

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -198,18 +199,7 @@ class Dataset:
 def bucket_index(peak: float, edges: tuple[float, ...]) -> int:
     """Bucket of a peak value; values outside the edge span clamp to the
     first/last bucket."""
-    if peak <= edges[0]:
-        return 0
-    if peak >= edges[-1]:
-        return len(edges) - 2
-    lo, hi = 0, len(edges) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if peak < edges[mid]:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return min(max(bisect_right(edges, peak) - 1, 0), len(edges) - 2)
 
 
 def bucket_edges_from_pilot(peaks, num_buckets: int) -> tuple[float, ...]:
@@ -315,8 +305,7 @@ def train(
     """
     if not dataset.rows:
         raise ValidationError("dataset is empty")
-    if l2 < 0:
-        raise ValidationError(f"l2 must be non-negative, got {l2}")
+    require_number("l2", l2, sign="non-negative")
     phi = np.stack([encode(row.config, space) for row in dataset.rows])
     y = np.array([row.score for row in dataset.rows])
     if l2 == 0 and len(dataset.rows) > 1 and np.ptp(phi, axis=0).max() == 0:

@@ -6,8 +6,9 @@ satisfies it.  The initial population is drawn exactly and uniformly from
 the configurations under the cap (``space.FeasibleSet``), so a cap at or
 above the space's smallest peak always yields one, and a child over the cap
 has only the genes that break it redrawn from that set.  Runs are
-deterministic in the seed; all randomness flows through one generator and
-candidates are processed in a fixed order.
+deterministic in the seed: one ``random.Random(seed)`` makes every draw of a
+search (initial population, parent picks, mutation, crossover and repair),
+and candidates are processed in a fixed order.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .space import (
 )
 
 Scorer = Callable[[SubnetConfig], float]
-
-_SEED_RANGE = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,11 @@ def search(
     """Evolve a feasible population and return the best-scoring individual
     ever seen, deterministically in ``params.seed``.
 
-    Each generation keeps the top ``parent_fraction`` by score and refills
-    the rest with mutation (``mutation_fraction`` of the children) and
-    gene-wise crossover.  Each child is proposed once; one over the cap is
-    repaired (``FeasibleSet.repair``): the genes that break the cap are
+    Each generation keeps the top ``parent_fraction`` by score, in rank
+    order, and refills the rest with mutation (``mutation_fraction`` of the
+    children) and gene-wise crossover, both drawing from the search's one
+    generator in child order.  Each child is proposed once; one over the cap
+    is repaired (``FeasibleSet.repair``): the genes that break the cap are
     redrawn from the configurations under it and the rest are kept.  The
     initial population is exactly uniform over those configurations.
     ``evaluations`` counts every config whose peak was checked: each initial
@@ -205,15 +205,10 @@ def search(
     n_children = params.population - n_parents
     n_mutation = round(params.mutation_fraction * n_children)
 
-    best_config = None
-    best_score = float("-inf")
     history: list[GenerationStats] = []
 
     for gen in range(params.generations):
         order = sorted(range(len(population)), key=lambda i: (-scores[i], i))
-        if scores[order[0]] > best_score:
-            best_score = scores[order[0]]
-            best_config = population[order[0]]
         history.append(
             GenerationStats(
                 generation=gen,
@@ -228,11 +223,11 @@ def search(
         for i in range(n_children):
             if i < n_mutation:
                 parent = parents[rng.randrange(n_parents)]
-                child = mutate(parent, space, params.mutation_prob, rng.randrange(_SEED_RANGE))
+                child = mutate(parent, space, params.mutation_prob, rng)
             else:
                 a = parents[rng.randrange(n_parents)]
                 b = parents[rng.randrange(n_parents)]
-                child = crossover(a, b, rng.randrange(_SEED_RANGE))
+                child = crossover(a, b, rng)
             if not ok(child):
                 child = feasible_set.repair(child, rng)
             children.append(child)
@@ -242,11 +237,9 @@ def search(
         known = dict(zip(parents, parent_scores))
         scores = parent_scores + _score_all(children, scorer, known)
 
-    order = sorted(range(len(population)), key=lambda i: (-scores[i], i))
-    if scores[order[0]] > best_score:
-        best_score = scores[order[0]]
-        best_config = population[order[0]]
-
+    # parents lead the population in rank order, so the first best of the
+    # last population is the first best ever seen
+    best_config, best_score = max(zip(population, scores), key=lambda cs: cs[1])
     best_peak = config_peak_items(best_config, space, include_classifier=include_classifier)
     assert best_peak <= cap
     return SearchResult(

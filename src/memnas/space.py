@@ -339,17 +339,15 @@ def mutate(
     config: SubnetConfig,
     space: SupernetSpace,
     prob: float,
-    seed: int,
-    freeze_resolution: bool = False,
+    rng: random.Random,
 ) -> SubnetConfig:
-    """Resample each gene independently with probability ``prob``; a new
-    resolution is one that ``resolve`` accepts (a key of ``peak_table``),
-    in option order."""
+    """Resample each gene independently with probability ``prob``, drawing
+    from ``rng``; a new resolution is one that ``resolve`` accepts (a key of
+    ``peak_table``), in option order."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
-    rng = random.Random(seed)
     resolution = config.resolution
-    if not freeze_resolution and rng.random() < prob:
+    if rng.random() < prob:
         # all the listed ones when none resolves, as no config then resolves
         resolution = rng.choice(tuple(space.peak_table) or space.resolution_options)
     depths, kernels, expands = [], [], []
@@ -378,14 +376,13 @@ def mutate(
     )
 
 
-def crossover(a: SubnetConfig, b: SubnetConfig, seed: int) -> SubnetConfig:
-    """Gene-wise uniform crossover; both parents must share one genome
-    shape."""
+def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetConfig:
+    """Gene-wise uniform crossover, each gene's parent drawn from ``rng``;
+    both parents must share one genome shape."""
     if len(a.stage_depths) != len(b.stage_depths) or any(
         len(ka) != len(kb) for ka, kb in zip(a.kernels, b.kernels)
     ):
         raise ValidationError("parents come from different spaces")
-    rng = random.Random(seed)
     pick = lambda x, y: x if rng.random() < 0.5 else y
     depths, kernels, expands = [], [], []
     resolution = pick(a.resolution, b.resolution)

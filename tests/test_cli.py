@@ -297,6 +297,42 @@ class TestMalformedInput:
         assert "Traceback" not in done.stderr
         assert "comma-separated integers" in done.stderr
 
+    def test_sweep_without_levels(self, tmp_path):
+        out = tmp_path / "c.csv"
+        done = run_cli("sweep", "--constraints", ",", "--out", out)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "comma-separated integers" in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--divisor", "0", "divisor: expected a positive integer, got 0"),
+            ("--expand", "nan", "expand: expected a positive number, got nan"),
+            ("--expand", "inf", "expand: expected a positive number, got inf"),
+        ],
+    )
+    def test_plan_number(self, tmp_path, flag, value, message):
+        out = tmp_path / "schedule.json"
+        done = run_cli("plan", flag, value, "--out", out)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("l2", ["nan", "inf"])
+    def test_train_l2_not_finite(self, tmp_path, space, l2):
+        row = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        data.write_text((json.dumps(row) + "\n") * 3)
+        model = tmp_path / "m.json"
+        done = run_cli("train-predictor", "--dataset", data, "--l2", l2, "--out", model)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"l2: expected a non-negative number, got {l2}" in done.stderr
+        assert not model.exists()
+
     def test_config_without_stages(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"resolution": 224}))

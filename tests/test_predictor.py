@@ -139,6 +139,11 @@ class TestBalancedSample:
             occ[bucket_index(r.peak_items, ds.bucket_edges)] += 1
         assert max(occ) - min(occ) <= 1
         assert sum(occ) == 205
+        # a peak on an edge opens the bucket above it; the span's ends clamp
+        edges = ds.bucket_edges
+        assert [bucket_index(e, edges) for e in edges] == list(range(10)) + [9]
+        assert bucket_index(edges[0] - 1, edges) == 0
+        assert bucket_index(edges[-1] + 1, edges) == 9
 
     def test_low_bucket_grows_versus_unbalanced(self, space):
         ds = balanced_sample(space, 400, 10, rng_seed=11, scorer=lambda c: 0.0)

@@ -205,6 +205,47 @@ class TestSearch:
         ]
         assert runs[0] == runs[1]
 
+    def test_one_generator_drives_a_search(self, space, monkeypatch):
+        # mutation and crossover draw from the search's own generator instead
+        # of seeding one per child
+        seeded = []
+        original = random.Random.seed
+
+        def seed(rng, *args, **kwargs):
+            seeded.append(args)
+            return original(rng, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", seed)
+        search(space, SearchConstraint(350_000), noiseless(space), SearchParams(seed=0))
+        assert seeded == [(0,)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 63 - 1),
+        cap=st.sampled_from([253_184, 300_000, 350_000, 800_000]),
+        population=st.integers(2, 12),
+        generations=st.integers(1, 4),
+        parent_fraction=st.floats(0.05, 0.95),
+        noise_seed=st.none() | st.integers(0, 3),
+    )
+    def test_best_is_the_highest_score_ever_returned(
+        self, space, seed, cap, population, generations, parent_fraction, noise_seed
+    ):
+        # the parents are kept, so the last population holds the best ever
+        scored = []
+
+        def recording(cfg):
+            scored.append((cfg, synthetic_score(cfg, space, noise_seed=noise_seed)))
+            return scored[-1][1]
+
+        params = SearchParams(
+            population=population, generations=generations,
+            parent_fraction=parent_fraction, seed=seed,
+        )
+        result = search(space, SearchConstraint(cap), recording, params)
+        assert result.best_score == max(score for _, score in scored)
+        assert (result.best_config, result.best_score) in scored
+
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             SearchParams(population=1)
@@ -270,7 +311,7 @@ class TestScoreReuse:
         assert result.best_score == 20.91640531518137
         assert result.evaluations == 3850
         assert result_digest(result) == (
-            "29428cad5f7b2b197dc0a65b2c287ea9550333045555af5567c1ea45f4d06d4c"
+            "ff0946924b511328b627455d70c87790bef20e8efc70f455ac68066910d71204"
         )
         # 100 initial individuals plus 75 children in each of 50 generations
         assert len(calls) < 100 + 50 * 75
@@ -282,7 +323,7 @@ class TestScoreReuse:
         b = search(space, SearchConstraint(400_000), scorer, params)
         assert a == b
         assert result_digest(a) == (
-            "68c2f7b7bd875165d60a54daa8d7e496463e29fb852a8e6a8ffb1d30ec43f74a"
+            "5a7a11165aa9594f4e9b8c69b5a2479cd98e979a93c9c004f4da79c49b830267"
         )
 
     def test_reuse_keys_on_the_whole_config_inert_genes_included(self, space):

@@ -171,51 +171,47 @@ class TestSampleUniform:
 class TestMutate:
     def test_prob_zero_is_identity(self, space):
         c = sample_uniform(space, 5)
-        assert mutate(c, space, 0.0, seed=9) == c
+        assert mutate(c, space, 0.0, random.Random(9)) == c
 
     def test_prob_one_redraws_everything(self, space):
         c = sample_uniform(space, 5)
-        m = mutate(c, space, 1.0, seed=9)
+        m = mutate(c, space, 1.0, random.Random(9))
         assert validate(m, space) == []
         # same seed, same output; overwhelmingly different from the parent
-        assert m == mutate(c, space, 1.0, seed=9)
+        assert m == mutate(c, space, 1.0, random.Random(9))
         assert m != c
 
     def test_deterministic(self, space):
         c = sample_uniform(space, 5)
-        assert mutate(c, space, 0.3, seed=4) == mutate(c, space, 0.3, seed=4)
-
-    def test_freeze_resolution(self, space):
-        c = sample_uniform(space, 5)
-        for seed in range(40):
-            assert mutate(c, space, 1.0, seed=seed, freeze_resolution=True).resolution == c.resolution
+        assert mutate(c, space, 0.3, random.Random(4)) == mutate(c, space, 0.3, random.Random(4))
 
     def test_new_resolution_is_one_that_resolves(self, space):
         # 136 does not divide through the stride stages
         mixed = replace(space, resolution_options=(128, 136, 224))
         parent = sample_uniform(space, 5)
-        drawn = {mutate(parent, mixed, 1.0, seed=s).resolution for s in range(60)}
+        drawn = {mutate(parent, mixed, 1.0, random.Random(s)).resolution for s in range(60)}
         assert drawn == {128, 224}
         unresolvable = replace(space, resolution_options=(136,))
-        assert mutate(sample_uniform(unresolvable, 5), unresolvable, 1.0, seed=0).resolution == 136
+        child = mutate(sample_uniform(unresolvable, 5), unresolvable, 1.0, random.Random(0))
+        assert child.resolution == 136
 
     def test_results_validate(self, space):
         rng = random.Random(8)
         c = sample_uniform(space, 1)
         for _ in range(200):
-            c = mutate(c, space, 0.2, seed=rng.randrange(2 ** 63))
+            c = mutate(c, space, 0.2, rng)
             assert validate(c, space) == []
 
 
 class TestCrossover:
     def test_identical_parents_fixed_point(self, space):
         a = sample_uniform(space, 3)
-        assert crossover(a, a, seed=1) == a
+        assert crossover(a, a, random.Random(1)) == a
 
     def test_genes_come_from_parents(self, space):
         a = sample_uniform(space, 3)
         b = sample_uniform(space, 4)
-        child = crossover(a, b, seed=2)
+        child = crossover(a, b, random.Random(2))
         assert child.resolution in (a.resolution, b.resolution)
         for s in range(space.num_stages):
             assert child.stage_depths[s] in (a.stage_depths[s], b.stage_depths[s])
@@ -226,14 +222,14 @@ class TestCrossover:
 
     def test_deterministic(self, space):
         a, b = sample_uniform(space, 3), sample_uniform(space, 4)
-        assert crossover(a, b, seed=5) == crossover(a, b, seed=5)
+        assert crossover(a, b, random.Random(5)) == crossover(a, b, random.Random(5))
 
     def test_space_mismatch_rejected(self, space):
         a = sample_uniform(space, 3)
         other = tiny_space(depths=(1, 2), kernels=(3,), expands=(2,), stages=3)
         b = sample_uniform(other, 3)
         with pytest.raises(ValidationError):
-            crossover(a, b, seed=0)
+            crossover(a, b, random.Random(0))
 
 
 class TestResolve:
@@ -662,15 +658,12 @@ class TestInvariants:
         space=spaces(),
         seeds=st.tuples(SEEDS, SEEDS, SEEDS),
         prob=st.floats(0, 1),
-        freeze_resolution=st.booleans(),
     )
-    def test_mutate_and_crossover_children_validate(
-        self, space, seeds, prob, freeze_resolution
-    ):
+    def test_mutate_and_crossover_children_validate(self, space, seeds, prob):
         a, b = sample_uniform(space, seeds[0]), sample_uniform(space, seeds[1])
-        child = mutate(a, space, prob, seeds[2], freeze_resolution=freeze_resolution)
+        child = mutate(a, space, prob, random.Random(seeds[2]))
         assert validate(child, space) == []
-        assert validate(crossover(a, b, seeds[2]), space) == []
+        assert validate(crossover(a, b, random.Random(seeds[2])), space) == []
 
     @given(space=spaces(), seed=SEEDS)
     def test_json_round_trips(self, space, seed):
