@@ -232,6 +232,34 @@ class TestCrossover:
             crossover(a, b, random.Random(0))
 
 
+@pytest.mark.parametrize(
+    "rational, children, state",
+    [
+        (False, "0a798467396c3d1197c1431e2de9a137445032363cf5d28dde95037ccb33c199",
+         "117d78549fc1e3b84370d3ed0c5c4c64c582f1469583a90e61187d40b2265565"),
+        (True, "ff718e3aa93aae556553b9d7e919e325e1c4dfa98af65ef8aeec208f0ce9c0fd",
+         "788eb9d7349de911924a93b232ebd1843e1687dd7c097c15b6a7e5ff512e4c7b"),
+    ],
+)
+def test_mutate_and_crossover_draw_streams_are_pinned(space, rational, children, state):
+    # digests of 800 children and of the generator state after them: a
+    # faster mutate or crossover must make the same draws in the same order
+    if rational:
+        space = SupernetSpace(
+            schedule=plan_schedule(ReferenceConfig(depth=3, kernel=5, expand=2.5, resolution=160)),
+            expand_options=(1.5, 2.5, 3, 4, 6),
+        )
+    parents = [sample_uniform(space, s) for s in range(8)]
+    rng = random.Random(0)
+    lines = []
+    for i in range(400):
+        a, b = parents[i % 8], parents[(3 * i + 1) % 8]
+        lines.append(mutate(a, space, (0.0, 0.1, 0.5, 1.0)[i % 4], rng).canonical_json())
+        lines.append(crossover(a, b, rng).canonical_json())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == children
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state
+
+
 class TestResolve:
     def test_stage_entry_sizes_halve_from_224(self, space):
         sk = resolve(maximal_config(space), space)
