@@ -19,7 +19,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import getitem
 
 import numpy as np
 
@@ -56,24 +57,51 @@ def feature_length(space: SupernetSpace) -> int:
 def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     """One-hot feature vector: resolution block, then per stage a depth
     block followed by per-slot kernel and expand blocks.  Slots beyond the
-    active depth encode as all-zero blocks, so inert genes never show."""
+    active depth encode as all-zero blocks, so inert genes never show.
+
+    The positions of the ones are read from the space's table
+    (``_one_hot_positions``) and set in one assignment."""
     require_valid(config, space)
-    vec = np.zeros(feature_length(space))
-    pos = 0
-    vec[pos + space.resolution_options.index(config.resolution)] = 1.0
-    pos += len(space.resolution_options)
-    for s in range(space.num_stages):
-        depth = config.stage_depths[s]
-        vec[pos + space.depth_options.index(depth)] = 1.0
-        pos += len(space.depth_options)
-        for j in range(space.max_depth):
-            if j < depth:
-                vec[pos + space.kernel_options.index(config.kernels[s][j])] = 1.0
-            pos += len(space.kernel_options)
-            if j < depth:
-                vec[pos + space.expand_options.index(config.expands[s][j])] = 1.0
-            pos += len(space.expand_options)
+    resolution_at, stages, length = _one_hot_positions(space)
+    hot = [resolution_at[config.resolution]]
+    for (depth_at, kernel_at, expand_at), depth, ks, es in zip(
+        stages, config.stage_depths, config.kernels, config.expands
+    ):
+        hot.append(depth_at[depth])
+        hot += map(getitem, kernel_at[:depth], ks)
+        hot += map(getitem, expand_at[:depth], es)
+    vec = np.zeros(length)
+    vec[hot] = 1.0
     return vec
+
+
+@lru_cache(maxsize=16)
+def _one_hot_positions(space: SupernetSpace) -> tuple:
+    """``(resolution_at, stages, feature_length(space))`` for ``encode``,
+    built once per space.
+
+    ``resolution_at`` maps each resolution option to its position in the
+    feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
+    expand_at)``, a map for the depth block and one map per slot for the
+    kernel and the expand blocks.  A repeated option keeps its first
+    position, as ``tuple.index`` finds it."""
+    end = 0
+
+    def block(options) -> dict:
+        nonlocal end
+        start, end = end, end + len(options)
+        return {v: start + options.index(v) for v in options}
+
+    resolution_at = block(space.resolution_options)
+    stages = []
+    for _ in range(space.num_stages):
+        depth_at = block(space.depth_options)
+        kernel_at, expand_at = [], []
+        for _ in range(space.max_depth):
+            kernel_at.append(block(space.kernel_options))
+            expand_at.append(block(space.expand_options))
+        stages.append((depth_at, tuple(kernel_at), tuple(expand_at)))
+    return resolution_at, tuple(stages), end
 
 
 @lru_cache(maxsize=16)
@@ -280,6 +308,15 @@ class PredictorModel:
             "rows": self.rows,
         }
 
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        """``weights`` as the read-only array that ``np.dot`` would build
+        from the tuple, made once per model; not a field, so equality, hash,
+        repr and JSON are those of the fields."""
+        array = np.array(self.weights)
+        array.flags.writeable = False
+        return array
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictorModel":
         weights = json_field(d, "weights", list)
@@ -329,20 +366,28 @@ def train(
     )
 
 
-def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
-    vec = encode(config, space)
-    if len(model.weights) != len(vec):
+def _require_features(model: PredictorModel, length: int) -> None:
+    if len(model.weights) != length:
         raise ValidationError(
             f"model has {len(model.weights)} weights but the space encodes "
-            f"{len(vec)} features"
+            f"{length} features"
         )
-    return float(np.dot(model.weights, vec) + model.intercept)
+
+
+def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
+    """``weights . encode(config) + intercept``: ``np.dot`` over the whole
+    one-hot vector with the model's cached ``weight_array``, so the sum is
+    the one ``np.dot`` of the weight tuple gives, bit for bit."""
+    vec = encode(config, space)
+    _require_features(model, len(vec))
+    return float(np.dot(model.weight_array, vec) + model.intercept)
 
 
 def predict_batch(
     model: PredictorModel, configs, space: SupernetSpace
 ) -> np.ndarray:
-    phi = np.stack([encode(c, space) for c in configs])
-    if phi.shape[1] != len(model.weights):
-        raise ValidationError("feature length mismatch")
-    return phi @ np.array(model.weights) + model.intercept
+    """``predict`` of each config as one float array, empty for no configs."""
+    length = feature_length(space)
+    _require_features(model, length)
+    phi = np.reshape([encode(c, space) for c in configs], (-1, length))
+    return phi @ model.weight_array + model.intercept

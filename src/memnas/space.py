@@ -212,8 +212,8 @@ def _is_valid(config: SubnetConfig, space: SupernetSpace) -> bool:
             and config.stage_depths in depths
             and len(config.kernels) == n
             and len(config.expands) == n
-            and all(ks in kernels for ks in config.kernels)
-            and all(es in expands for es in config.expands)
+            and kernels.issuperset(config.kernels)
+            and expands.issuperset(config.expands)
         )
     except TypeError:  # an unhashable value; the walk names it if it is invalid
         return False
@@ -343,63 +343,59 @@ def mutate(
 ) -> SubnetConfig:
     """Resample each gene independently with probability ``prob``, drawing
     from ``rng``; a new resolution is one that ``resolve`` accepts (a key of
-    ``peak_table``), in option order."""
+    ``peak_table``), in option order.  Draw order: the resolution, then per
+    stage its depth, its kernel slots and its expand slots; each gene takes
+    one ``rng.random()`` and, when it is resampled, one ``rng.choice``."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
+    n = space.num_stages
+    if not len(config.stage_depths) == len(config.kernels) == len(config.expands) == n:
+        raise ValidationError(
+            f"config has {len(config.stage_depths)} depths, {len(config.kernels)} kernel "
+            f"and {len(config.expands)} expand stages; the space has {n} stages"
+        )
+    rnd, choice = rng.random, rng.choice
+    d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
     resolution = config.resolution
-    if rng.random() < prob:
+    if rnd() < prob:
         # all the listed ones when none resolves, as no config then resolves
-        resolution = rng.choice(tuple(space.peak_table) or space.resolution_options)
+        resolution = choice(tuple(space.peak_table) or space.resolution_options)
     depths, kernels, expands = [], [], []
-    for s in range(space.num_stages):
-        d = config.stage_depths[s]
-        if rng.random() < prob:
-            d = rng.choice(space.depth_options)
-        depths.append(d)
-        kernels.append(
-            tuple(
-                rng.choice(space.kernel_options) if rng.random() < prob else k
-                for k in config.kernels[s]
-            )
-        )
-        expands.append(
-            tuple(
-                rng.choice(space.expand_options) if rng.random() < prob else e
-                for e in config.expands[s]
-            )
-        )
-    return SubnetConfig(
-        resolution=resolution,
-        stage_depths=tuple(depths),
-        kernels=tuple(kernels),
-        expands=tuple(expands),
+    for d, ks, es in zip(config.stage_depths, config.kernels, config.expands):
+        depths.append(choice(d_opts) if rnd() < prob else d)
+        kernels.append(tuple([choice(k_opts) if rnd() < prob else k for k in ks]))
+        expands.append(tuple([choice(e_opts) if rnd() < prob else e for e in es]))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def _genome_shape(config: SubnetConfig) -> tuple:
+    return (
+        len(config.stage_depths),
+        tuple(map(len, config.kernels)),
+        tuple(map(len, config.expands)),
     )
 
 
 def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetConfig:
-    """Gene-wise uniform crossover, each gene's parent drawn from ``rng``;
-    both parents must share one genome shape."""
-    if len(a.stage_depths) != len(b.stage_depths) or any(
-        len(ka) != len(kb) for ka, kb in zip(a.kernels, b.kernels)
-    ):
-        raise ValidationError("parents come from different spaces")
-    pick = lambda x, y: x if rng.random() < 0.5 else y
+    """Gene-wise uniform crossover, each gene's parent drawn from ``rng``
+    with one ``rng.random()``, in ``mutate``'s gene order; both parents must
+    share one genome shape: stage count and per-stage kernel and expand
+    slot counts."""
+    shape_a, shape_b = _genome_shape(a), _genome_shape(b)
+    if shape_a != shape_b:
+        raise ValidationError(
+            f"parents come from different spaces: genome shapes {shape_a} and {shape_b}"
+        )
+    rnd = rng.random
+    resolution = a.resolution if rnd() < 0.5 else b.resolution
     depths, kernels, expands = [], [], []
-    resolution = pick(a.resolution, b.resolution)
-    for s in range(len(a.stage_depths)):
-        depths.append(pick(a.stage_depths[s], b.stage_depths[s]))
-        kernels.append(
-            tuple(pick(x, y) for x, y in zip(a.kernels[s], b.kernels[s]))
-        )
-        expands.append(
-            tuple(pick(x, y) for x, y in zip(a.expands[s], b.expands[s]))
-        )
-    return SubnetConfig(
-        resolution=resolution,
-        stage_depths=tuple(depths),
-        kernels=tuple(kernels),
-        expands=tuple(expands),
-    )
+    for da, db, ka, kb, ea, eb in zip(
+        a.stage_depths, b.stage_depths, a.kernels, b.kernels, a.expands, b.expands
+    ):
+        depths.append(da if rnd() < 0.5 else db)
+        kernels.append(tuple([x if rnd() < 0.5 else y for x, y in zip(ka, kb)]))
+        expands.append(tuple([x if rnd() < 0.5 else y for x, y in zip(ea, eb)]))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
 
 
 def _stage_entry_sizes(resolution: int, num_stages: int) -> list[int]:

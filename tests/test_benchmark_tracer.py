@@ -44,3 +44,25 @@ def test_traced_oracle_search_records_the_reference_layers():
         searching.search(space, searching.SearchConstraint(400_000), scorer, params)
     for layer in ("search", "predictor.score", "space.resolve", "memory.profile", "memory.flops"):
         assert tracer.stats(layer).calls, f"{layer} recorded no call"
+
+
+def test_traced_model_search_records_the_child_layers():
+    """A traced search with a ridge model, as the benchmark's loose-cap
+    workload runs it, must record ``encode`` through ``predict`` and both
+    genome operators: ``predict`` calls ``encode`` by its module name."""
+    from memnas import predictor
+    from memnas.space import default_space
+
+    searching = importlib.import_module("memnas.search")
+    space = default_space()
+    dataset = predictor.balanced_sample(
+        space, 40, 2, rng_seed=0, scorer=lambda c: predictor.synthetic_score(c, space)
+    )
+    model = predictor.train(dataset, space, l2=1.0)
+    scorer = lambda c: predictor.predict(model, c, space)
+    tracer = runpy.run_path(str(TRACING))["Tracer"](cap=800_000)
+    params = searching.SearchParams(population=8, generations=2)
+    with tracer:
+        searching.search(space, searching.SearchConstraint(800_000), scorer, params)
+    for layer in ("predictor.encode", "predictor.predict", "space.mutate", "space.crossover"):
+        assert tracer.stats(layer).calls, f"{layer} recorded no call"

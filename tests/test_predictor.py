@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
+from test_space import SEEDS, spaces
 
 import memnas.predictor as predictor_module
 from memnas.errors import PartialDatasetError, TrainingError, ValidationError
@@ -59,7 +60,34 @@ def replace_gene(config, *, kernels=None, expands=None, depths=None, resolution=
     )
 
 
+def reference_encode(config, space):
+    """The one-hot vector built slot by slot with ``tuple.index``."""
+    vec = np.zeros(feature_length(space))
+    pos = 0
+    vec[pos + space.resolution_options.index(config.resolution)] = 1.0
+    pos += len(space.resolution_options)
+    for s in range(space.num_stages):
+        depth = config.stage_depths[s]
+        vec[pos + space.depth_options.index(depth)] = 1.0
+        pos += len(space.depth_options)
+        for j in range(space.max_depth):
+            if j < depth:
+                vec[pos + space.kernel_options.index(config.kernels[s][j])] = 1.0
+            pos += len(space.kernel_options)
+            if j < depth:
+                vec[pos + space.expand_options.index(config.expands[s][j])] = 1.0
+            pos += len(space.expand_options)
+    return vec
+
+
 class TestEncode:
+    @given(space=spaces(), seed=SEEDS)
+    def test_matches_the_reference(self, space, seed):
+        config = sample_uniform(space, seed)
+        vec, ref = encode(config, space), reference_encode(config, space)
+        assert vec.dtype == ref.dtype and vec.shape == ref.shape
+        assert vec.tobytes() == ref.tobytes()
+
     def test_length_and_block_structure(self, space):
         vec = encode(maximal_config(space), space)
         assert len(vec) == feature_length(space) == 139
@@ -302,8 +330,33 @@ class TestPredict:
             seed=model.seed,
             rows=model.rows,
         )
-        with pytest.raises(ValidationError):
+        message = "model has 138 weights but the space encodes 139 features"
+        with pytest.raises(ValidationError, match=message):
             predict(clipped, maximal_config(space), space)
+        with pytest.raises(ValidationError, match=message):
+            predict_batch(clipped, [maximal_config(space)], space)
+        with pytest.raises(ValidationError, match=message):
+            predict_batch(clipped, [], space)
+
+    def test_batch_of_no_configs_is_empty(self, space):
+        model = train(linear_rows(space, 50, seed=9), space, l2=0.1)
+        out = predict_batch(model, [], space)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @given(space=spaces(), seed=SEEDS, integral=st.booleans())
+    def test_equals_the_dot_of_the_weight_tuple(self, space, seed, integral):
+        # bit for bit: the cached array is the one np.dot builds from the tuple
+        rng = random.Random(seed)
+        draw = (lambda: rng.randint(-9, 9)) if integral else (lambda: rng.uniform(-1e3, 1e3))
+        model = PredictorModel(
+            tuple(draw() for _ in range(feature_length(space))), rng.uniform(-5, 5), 1.0, 0, 1
+        )
+        config = sample_uniform(space, seed)
+        expected = float(
+            np.dot(np.array(model.weights), reference_encode(config, space)) + model.intercept
+        )
+        for _ in range(2):  # the first call builds the cached array, the second reads it
+            assert predict(model, config, space).hex() == expected.hex()
 
     def test_batch_predict_throughput(self, space):
         import time
@@ -400,5 +453,12 @@ class TestModelJson:
     )
     def test_round_trip(self, weights, intercept, l2, seed, rows):
         model = PredictorModel(tuple(weights), intercept, l2, seed, rows)
+        fresh = PredictorModel(tuple(weights), intercept, l2, seed, rows)
+        # the cached weight array is not a field: it leaves equality, hash,
+        # repr and JSON as they are
+        assert np.array_equal(model.weight_array, np.array(weights))
+        assert not model.weight_array.flags.writeable
+        assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+        assert model.to_json_dict() == fresh.to_json_dict()
         text = json.dumps(model.to_json_dict())
         assert PredictorModel.from_json_dict(json.loads(text)) == model

@@ -195,6 +195,15 @@ class TestMutate:
         child = mutate(sample_uniform(unresolvable, 5), unresolvable, 1.0, random.Random(0))
         assert child.resolution == 136
 
+    @pytest.mark.parametrize("field, count", [
+        ("stage_depths", 4), ("stage_depths", 6), ("kernels", 4), ("expands", 6),
+    ])
+    def test_stage_count_mismatch_rejected(self, space, field, count):
+        c = maximal_config(space)
+        wrong = replace(c, **{field: (getattr(c, field) * 2)[:count]})
+        with pytest.raises(ValidationError, match=f"{count}.*the space has 5 stages"):
+            mutate(wrong, space, 0.5, random.Random(0))
+
     def test_results_validate(self, space):
         rng = random.Random(8)
         c = sample_uniform(space, 1)
@@ -224,12 +233,20 @@ class TestCrossover:
         a, b = sample_uniform(space, 3), sample_uniform(space, 4)
         assert crossover(a, b, random.Random(5)) == crossover(a, b, random.Random(5))
 
-    def test_space_mismatch_rejected(self, space):
+    @pytest.mark.parametrize("how", ["other-space", "short-slots", "short-stages"])
+    def test_space_mismatch_rejected(self, space, how):
         a = sample_uniform(space, 3)
-        other = tiny_space(depths=(1, 2), kernels=(3,), expands=(2,), stages=3)
-        b = sample_uniform(other, 3)
-        with pytest.raises(ValidationError):
-            crossover(a, b, random.Random(0))
+        if how == "other-space":
+            b = sample_uniform(tiny_space(depths=(1, 2), kernels=(3,), expands=(2,), stages=3), 3)
+        else:
+            # a differing expand slot or stage count alone used to give a
+            # truncated child
+            b = corrupt(a, space, how, 2) if how == "short-slots" else replace(
+                a, expands=a.expands[:-1]
+            )
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match="parents come from different spaces"):
+                crossover(x, y, random.Random(0))
 
 
 @pytest.mark.parametrize(
@@ -428,6 +445,21 @@ class TestFastValidate:
         config = corrupt(sample_uniform(space, seed), space, how, where)
         assert not _is_valid(config, space)
         assert validate(config, space) == _violations(config, space)
+
+    @pytest.mark.parametrize("big", [
+        # 17**4 kernel tuples and 4**9 depth tuples: more than 65,536 each
+        tiny_space(depths=(1, 2, 3, 4), kernels=tuple(range(10, 27)), stages=2),
+        tiny_space(depths=(1, 2, 3, 4), stages=9),
+    ], ids=["kernels", "depths"])
+    @settings(max_examples=50)
+    @given(seed=SEEDS, how=st.sampled_from(HASHABLE), where=st.integers(0, 99))
+    def test_oversized_tuple_sets_are_walked(self, big, seed, how, where):
+        # the set of such tuples is left empty, so the fast check accepts
+        # nothing and every config, valid or not, is walked
+        config = corrupt(sample_uniform(big, seed), big, how, where)
+        assert not _is_valid(config, big)
+        assert validate(config, big) == _violations(config, big)
+        assert (validate(config, big) == []) == (how == "valid")
 
     def test_messages_name_each_field_in_order(self, space):
         c = maximal_config(space)
