@@ -233,17 +233,22 @@ class TestCrossover:
         a, b = sample_uniform(space, 3), sample_uniform(space, 4)
         assert crossover(a, b, random.Random(5)) == crossover(a, b, random.Random(5))
 
-    @pytest.mark.parametrize("how", ["other-space", "short-slots", "short-stages"])
-    def test_space_mismatch_rejected(self, space, how):
+    def test_space_mismatch_rejected(self, space):
         a = sample_uniform(space, 3)
-        if how == "other-space":
-            b = sample_uniform(tiny_space(depths=(1, 2), kernels=(3,), expands=(2,), stages=3), 3)
+        other = tiny_space(depths=(1, 2), kernels=(3,), expands=(2,), stages=3)
+        b = sample_uniform(other, 3)
+        with pytest.raises(ValidationError):
+            crossover(a, b, random.Random(0))
+
+    @pytest.mark.parametrize("how", ["short-slots", "short-stages"])
+    def test_expand_shape_mismatch_rejected(self, space, how):
+        # parents that differ only in their expand slot or stage counts used
+        # to give a truncated child
+        a = sample_uniform(space, 3)
+        if how == "short-slots":
+            b = corrupt(a, space, how, 2)
         else:
-            # a differing expand slot or stage count alone used to give a
-            # truncated child
-            b = corrupt(a, space, how, 2) if how == "short-slots" else replace(
-                a, expands=a.expands[:-1]
-            )
+            b = replace(a, expands=a.expands[:-1])
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValidationError, match="parents come from different spaces"):
                 crossover(x, y, random.Random(0))
