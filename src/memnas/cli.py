@@ -21,6 +21,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import __version__
 from .errors import InfeasibleError, PartialDatasetError, TrainingError, ValidationError
 from .memory import flops_estimate, flops_millions, items_to_bytes, profile_network
@@ -186,10 +188,26 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _spearman(a, b) -> float:
-    from scipy.stats import spearmanr
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, each run of equal values given the mean of its
+    positions, as ``scipy.stats.rankdata`` gives them."""
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # where each run of equal values starts in sorted order, then the end
+    bounds = np.r_[np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]), len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
+    return ranks
 
-    return float(spearmanr(a, b).statistic)
+
+def _spearman(a, b) -> float:
+    """Spearman's rank correlation, as ``scipy.stats.spearmanr`` gives it:
+    ``nan`` for fewer than two pairs or a constant side."""
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if len(ra) < 2 or ra.min() == ra.max() or rb.min() == rb.max():
+        return float("nan")
+    return float(np.corrcoef(ra, rb)[1, 0])
 
 
 def cmd_train(args) -> int:

@@ -386,8 +386,7 @@ def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -
 def predict_batch(
     model: PredictorModel, configs, space: SupernetSpace
 ) -> np.ndarray:
-    """``predict`` of each config as one float array, empty for no configs."""
-    length = feature_length(space)
-    _require_features(model, length)
-    phi = np.reshape([encode(c, space) for c in configs], (-1, length))
-    return phi @ model.weight_array + model.intercept
+    """``predict`` of each config as one float array, empty for no configs;
+    not one matrix product, which would sum in another order."""
+    _require_features(model, feature_length(space))
+    return np.array([predict(model, c, space) for c in configs], dtype=float)

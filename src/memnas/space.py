@@ -380,11 +380,17 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
     """Gene-wise uniform crossover, each gene's parent drawn from ``rng``
     with one ``rng.random()``, in ``mutate``'s gene order; both parents must
     share one genome shape: stage count and per-stage kernel and expand
-    slot counts."""
+    slot counts, with as many depths as kernel and expand stages."""
     shape_a, shape_b = _genome_shape(a), _genome_shape(b)
     if shape_a != shape_b:
         raise ValidationError(
             f"parents come from different spaces: genome shapes {shape_a} and {shape_b}"
+        )
+    n_depths, kernel_slots, expand_slots = shape_a
+    if not n_depths == len(kernel_slots) == len(expand_slots):
+        raise ValidationError(
+            f"parents have {n_depths} depths, {len(kernel_slots)} kernel "
+            f"and {len(expand_slots)} expand stages"
         )
     rnd = rng.random
     resolution = a.resolution if rnd() < 0.5 else b.resolution

@@ -6,12 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 import memnas
-from memnas.cli import main
+from memnas.cli import _spearman, main
 from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
 from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
@@ -454,6 +458,72 @@ class TestTrainHoldout:
                      "--holdout", holdout, "--out", str(tmp_path / "model.json")])
         assert code == 2
         assert "--holdout must lie in [0, 1)" in capsys.readouterr().err
+
+    def test_train_predictor_imports_no_scipy(self, tmp_path):
+        # in a fresh interpreter, as the suite itself imports scipy
+        data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+        script = (
+            "import sys\n"
+            "from memnas.cli import main\n"
+            f"assert main(['sample', '--n', '40', '--buckets', '2', '--out', {str(data)!r}]) == 0\n"
+            f"assert main(['train-predictor', '--dataset', {str(data)!r}, '--holdout', '0.2',"
+            f" '--out', {str(model)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(memnas.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "held-out rank correlation (n=8)" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def paired_lists(elements):
+    return st.integers(1, 30).flatmap(
+        lambda n: st.tuples(*[st.lists(elements, min_size=n, max_size=n)] * 2)
+    )
+
+
+def reference_spearman(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant side
+        return float(spearmanr(a, b).statistic)
+
+
+def spearman_without_warnings(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _spearman(a, b)
+
+
+class TestSpearman:
+    """``_spearman`` gives what ``scipy.stats.spearmanr`` gives, without
+    importing scipy and without a warning."""
+
+    @given(pair=st.one_of(
+        paired_lists(st.floats(-1e6, 1e6)),
+        paired_lists(st.sampled_from((0.0, 1.0, 2.0))),  # heavy ties
+    ))
+    @example(pair=([1.0], [2.0]))
+    @example(pair=([1.0, 2.0], [3.0, 4.0]))
+    @example(pair=([1.0, 2.0], [4.0, 3.0]))
+    @example(pair=([2.0, 2.0], [3.0, 4.0]))
+    def test_matches_scipy(self, pair):
+        got, expected = spearman_without_warnings(*pair), reference_spearman(*pair)
+        if expected != expected:
+            assert got != got
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("constant_first", [True, False])
+    def test_constant_side_is_nan_without_warning(self, constant_first):
+        a, b = [0.5] * 6, [3.0, 1.0, 2.0, 2.0, 5.0, 4.0]
+        if not constant_first:
+            a, b = b, a
+        rho = spearman_without_warnings(a, b)
+        assert rho != rho
 
 
 MANIFEST_CASES = {

@@ -318,7 +318,7 @@ class TestPredict:
         batch = predict_batch(model, configs, space)
         for c, expected in zip(configs, batch):
             assert predict(model, c, space) == predict(model, c, space)
-            assert predict(model, c, space) == pytest.approx(float(expected))
+            assert predict(model, c, space) == float(expected)
 
     def test_feature_length_mismatch_rejected(self, space):
         ds = linear_rows(space, 50, seed=9)

@@ -253,6 +253,17 @@ class TestCrossover:
             with pytest.raises(ValidationError, match="parents come from different spaces"):
                 crossover(x, y, random.Random(0))
 
+    @pytest.mark.parametrize("n_depths", [4, 6])
+    def test_depth_count_mismatch_rejected(self, space, n_depths):
+        # two parents that share one malformed shape, 4 depths but 5 kernel
+        # and expand stages, used to give a child cut to 4 stages
+        a, b = (
+            replace(c, stage_depths=(c.stage_depths * 2)[:n_depths])
+            for c in (sample_uniform(space, 3), sample_uniform(space, 4))
+        )
+        with pytest.raises(ValidationError, match=f"{n_depths} depths, 5 kernel and 5 expand"):
+            crossover(a, b, random.Random(0))
+
 
 @pytest.mark.parametrize(
     "rational, children, state",
