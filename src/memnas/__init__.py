@@ -53,7 +53,6 @@ from .search import (
     SearchParams,
     SearchResult,
     SweepPoint,
-    feasible,
     search,
     sweep,
 )

@@ -60,9 +60,9 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     active depth encode as all-zero blocks, so inert genes never show.
 
     The positions of the ones are read from the space's table
-    (``_one_hot_positions``) and set in one assignment."""
+    (``SupernetSpace.one_hot_positions``) and set in one assignment."""
     require_valid(config, space)
-    resolution_at, stages, length = _one_hot_positions(space)
+    resolution_at, stages, length = space.one_hot_positions
     hot = [resolution_at[config.resolution]]
     for (depth_at, kernel_at, expand_at), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
@@ -76,60 +76,44 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _one_hot_positions(space: SupernetSpace) -> tuple:
-    """``(resolution_at, stages, feature_length(space))`` for ``encode``,
-    built once per space.
-
-    ``resolution_at`` maps each resolution option to its position in the
-    feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
-    expand_at)``, a map for the depth block and one map per slot for the
-    kernel and the expand blocks.  A repeated option keeps its first
-    position, as ``tuple.index`` finds it."""
-    end = 0
-
-    def block(options) -> dict:
-        nonlocal end
-        start, end = end, end + len(options)
-        return {v: start + options.index(v) for v in options}
-
-    resolution_at = block(space.resolution_options)
-    stages = []
-    for _ in range(space.num_stages):
-        depth_at = block(space.depth_options)
-        kernel_at, expand_at = [], []
-        for _ in range(space.max_depth):
-            kernel_at.append(block(space.kernel_options))
-            expand_at.append(block(space.expand_options))
-        stages.append((depth_at, tuple(kernel_at), tuple(expand_at)))
-    return resolution_at, tuple(stages), end
-
-
-@lru_cache(maxsize=16)
 def _score_table(space: SupernetSpace) -> dict:
     """Map each resolution of ``space.peak_table`` to ``(layer_sum, flops,
-    stages)``, built once per space.
+    peak, stages)``, built once per space.
 
-    ``layer_sum`` is the stem total plus the head total and ``flops`` the
-    FLOPs outside the blocks; ``stages`` holds per stage ``(first, inner)``,
-    where ``first[k][e]`` and ``inner[k][e]`` are the layer-total sum and the
-    FLOPs of the transition block and of a later block with kernel ``k`` and
-    expand ``e``.  The terms come from profiling and counting a resolved
+    ``layer_sum`` is the stem total plus the head total, ``flops`` the FLOPs
+    outside the blocks and ``peak`` the larger of the stem and head totals;
+    ``stages`` holds per stage ``(first, inner)``, where ``first[k][e]`` and
+    ``inner[k][e]`` are the layer-total sum, the FLOPs and the peak term of
+    the transition block and of a later block with kernel ``k`` and expand
+    ``e``.  The sums and FLOPs come from profiling and counting a resolved
     maximal configuration, on the block shapes ``peak_table`` uses
     (``_stage_terms``), so a network's sums are those of
-    ``profile_network`` and ``flops_estimate``.
+    ``profile_network`` and ``flops_estimate``; the peak terms are
+    ``peak_table``'s own.
     """
 
     def sums(shape: MBBlockShape) -> tuple[int, int]:
         return sum(m.total_items for m in block_memory(shape)), block_flops(shape)
 
+    def with_peaks(terms: dict, peaks: dict) -> dict:
+        return {
+            k: {e: (*sf, peaks[k][e]) for e, sf in by_expand.items()}
+            for k, by_expand in terms.items()
+        }
+
     widest = maximal_config(space)
     table = {}
-    for r in space.peak_table:
+    for r, (peak, _, peak_stages) in space.peak_table.items():
         skeleton = resolve(replace(widest, resolution=r), space)
         records = profile_network(skeleton).records
         flops = flops_estimate(skeleton) - sum(block_flops(b) for b in skeleton.blocks)
-        stages = _stage_terms(space, skeleton, sums)
-        table[r] = (records[0].total_items + records[-1].total_items, flops, stages)
+        stages = tuple(
+            (with_peaks(first, peak_first), with_peaks(inner, peak_inner))
+            for (first, inner), (peak_first, peak_inner) in zip(
+                _stage_terms(space, skeleton, sums), peak_stages
+            )
+        )
+        table[r] = (records[0].total_items + records[-1].total_items, flops, peak, stages)
     return table
 
 
@@ -140,16 +124,17 @@ def synthetic_score(
     and constants.
 
     The noiseless part is read from the space's table of per-block terms
-    (``_score_table``): the FLOPs and the sum of the layer totals add up
-    over the stem, the head and the active blocks, and the peak comes from
-    ``config_peak_items``.  With ``n`` layers the average is the integer
-    sum over ``n``, as ``statistics.fmean`` gives it for sums below 2**53,
-    so the score equals the one computed from ``profile_network`` and
-    ``flops_estimate`` of the resolved network bit for bit (tested).
+    (``_score_table``) in one walk over the stem, the head and the active
+    blocks: the FLOPs and the sum of the layer totals add up, and the peak
+    is the largest of their peak terms, those of ``config_peak_items``.
+    With ``n`` layers the average is the integer sum over ``n``, as
+    ``statistics.fmean`` gives it for sums below 2**53, so the score equals
+    the one computed from ``profile_network`` and ``flops_estimate`` of the
+    resolved network bit for bit (tested).
     """
     require_valid(config, space)
     try:
-        layer_sum, flops, stages = _score_table(space)[config.resolution]
+        layer_sum, flops, peak, stages = _score_table(space)[config.resolution]
     except KeyError:
         # the resolution does not divide through the stages; resolve says how
         resolve(config, space)
@@ -157,17 +142,19 @@ def synthetic_score(
     for (first, inner), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
     ):
-        s, f = first[ks[0]][es[0]]
+        s, f, p = first[ks[0]][es[0]]
         layer_sum += s
         flops += f
+        if p > peak:
+            peak = p
         for j in range(1, depth):
-            s, f = inner[ks[j]][es[j]]
+            s, f, p = inner[ks[j]][es[j]]
             layer_sum += s
             flops += f
+            if p > peak:
+                peak = p
     layers = 2 + 3 * sum(config.stage_depths)
-    score = ALPHA * math.log(flops) + BETA * (
-        (layer_sum / layers) / config_peak_items(config, space)
-    )
+    score = ALPHA * math.log(flops) + BETA * ((layer_sum / layers) / peak)
     if noise_seed is not None:
         digest = hashlib.sha256(
             f"{noise_seed}|{config.canonical_json()}".encode()

@@ -28,7 +28,6 @@ from .space import (
     crossover,
     min_peak_items,
     mutate,
-    require_valid,
 )
 
 Scorer = Callable[[SubnetConfig], float]
@@ -119,19 +118,9 @@ class SearchResult:
         )
 
 
-def feasible(
-    config: SubnetConfig, space: SupernetSpace, constraint: SearchConstraint
-) -> bool:
-    require_valid(config, space)
-    peak = config_peak_items(
-        config, space, include_classifier=not constraint.exclude_classifier
-    )
-    return peak <= constraint.max_peak_items
-
-
 def _fresh_feasible(space, ok, rng, feasible: FeasibleSet) -> SubnetConfig:
     """One exact uniform draw from ``feasible``, the configurations under
-    the cap, put to ``ok`` once so that it counts as an evaluation."""
+    the cap, checked with ``ok``."""
     config = _sample_with(space, rng, feasible)
     if not ok(config):
         raise RuntimeError(f"a draw from the feasible set is over the cap: {config}")
@@ -143,10 +132,13 @@ def _score_all(configs, scorer: Scorer, known: dict) -> list[float]:
     ``known`` maps configs already scored to their scores and gains the new
     ones.  Keys are whole configs, inert genes included, since a scorer may
     read them (the noisy oracle hashes them)."""
+    scores = []
     for c in configs:
-        if c not in known:
-            known[c] = scorer(c)
-    return [known[c] for c in configs]
+        score = known.get(c)
+        if score is None:
+            score = known[c] = scorer(c)
+        scores.append(score)
+    return scores
 
 
 def search(
@@ -163,12 +155,14 @@ def search(
     children) and gene-wise crossover, both drawing from the search's one
     generator in child order.  Each child is proposed once; one over the cap
     is repaired (``FeasibleSet.repair``): the genes that break the cap are
-    redrawn from the configurations under it and the rest are kept.  The
-    initial population is exactly uniform over those configurations.
-    ``evaluations`` counts every config whose peak was checked: each initial
-    draw and each proposed child once, so at every cap it is ``population +
-    generations * (population - n_parents)``, where ``n_parents`` is the
-    number of parents kept.
+    redrawn from the configurations under it and the rest are kept.  A
+    child equal to a config already in its generation, a parent or an
+    earlier child after repair, is known to fit and is not checked again.
+    The initial population is exactly uniform over the configurations under
+    the cap.  ``evaluations`` counts the initial draws plus the proposed
+    children, so at every cap it is ``population + generations *
+    (population - n_parents)``, where ``n_parents`` is the number of
+    parents kept.
 
     A cap below the space's smallest achievable peak (``min_peak_items``)
     raises InfeasibleError before anything is drawn or scored, with that
@@ -187,11 +181,8 @@ def search(
             f"peak is {floor}",
             tightest_peak=floor,
         )
-    evaluations = 0
 
     def ok(config) -> bool:
-        nonlocal evaluations
-        evaluations += 1
         return config_peak_items(config, space, include_classifier=include_classifier) <= cap
 
     feasible_set = FeasibleSet(space, cap, include_classifier)
@@ -217,9 +208,11 @@ def search(
             )
         )
         parents = [population[i] for i in order[:n_parents]]
-        parent_scores = [scores[i] for i in order[:n_parents]]
-
-        children: list[SubnetConfig] = []
+        scores = [scores[i] for i in order[:n_parents]]
+        # the configs of this generation, all under the cap, and their
+        # scores; rebuilt each generation, so it holds at most one population
+        known = dict(zip(parents, scores))
+        population = parents.copy()
         for i in range(n_children):
             if i < n_mutation:
                 parent = parents[rng.randrange(n_parents)]
@@ -228,14 +221,15 @@ def search(
                 a = parents[rng.randrange(n_parents)]
                 b = parents[rng.randrange(n_parents)]
                 child = crossover(a, b, rng)
-            if not ok(child):
-                child = feasible_set.repair(child, rng)
-            children.append(child)
-
-        population = parents + children
-        # rebuilt each generation, so it holds at most one population
-        known = dict(zip(parents, parent_scores))
-        scores = parent_scores + _score_all(children, scorer, known)
+            score = known.get(child)
+            if score is None:
+                if not ok(child):
+                    child = feasible_set.repair(child, rng)
+                    score = known.get(child)
+                if score is None:
+                    score = known[child] = scorer(child)
+            population.append(child)
+            scores.append(score)
 
     # parents lead the population in rank order, so the first best of the
     # last population is the first best ever seen
@@ -247,7 +241,7 @@ def search(
         best_score=best_score,
         best_peak_items=best_peak,
         history=tuple(history),
-        evaluations=evaluations,
+        evaluations=params.population + params.generations * n_children,
     )
 
 

@@ -100,6 +100,49 @@ class SupernetSpace:
         """Per-block peak terms, built on first use; see ``config_peak_items``."""
         return _build_peak_table(self)
 
+    @cached_property
+    def uniform_plan(self) -> tuple:
+        """``(options, len(options))`` per gene in ``_sample_with``'s draw
+        order: the resolution, then per stage its depth, its kernel slots
+        and its expand slots."""
+
+        def gene(options) -> tuple:
+            return options, len(options)
+
+        md = self.max_depth
+        stage = (gene(self.depth_options),) + (gene(self.kernel_options),) * md
+        stage += (gene(self.expand_options),) * md
+        return (gene(self.resolution_options),) + stage * self.num_stages
+
+    @cached_property
+    def one_hot_positions(self) -> tuple:
+        """``(resolution_at, stages, length)`` for ``predictor.encode``,
+        built on first use.
+
+        ``resolution_at`` maps each resolution option to its position in the
+        feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
+        expand_at)``, a map for the depth block and one map per slot for the
+        kernel and the expand blocks; ``length`` is the vector's length.  A
+        repeated option keeps its first position, as ``tuple.index`` finds
+        it."""
+        end = 0
+
+        def block(options) -> dict:
+            nonlocal end
+            start, end = end, end + len(options)
+            return {v: start + options.index(v) for v in options}
+
+        resolution_at = block(self.resolution_options)
+        stages = []
+        for _ in range(self.num_stages):
+            depth_at = block(self.depth_options)
+            kernel_at, expand_at = [], []
+            for _ in range(self.max_depth):
+                kernel_at.append(block(self.kernel_options))
+                expand_at.append(block(self.expand_options))
+            stages.append((depth_at, tuple(kernel_at), tuple(expand_at)))
+        return resolution_at, tuple(stages), end
+
     def to_json_dict(self) -> dict:
         return {
             "num_stages": self.num_stages,
@@ -313,20 +356,20 @@ def _sample_with(
     space: SupernetSpace, rng: random.Random, feasible: "FeasibleSet | None" = None
 ) -> SubnetConfig:
     # uniform over the space, or over ``feasible``'s members when given one;
-    # fixed draw order: resolution, then per stage depth and per-slot genes
+    # fixed draw order: resolution, then per stage depth and per-slot genes,
+    # one gene per entry of the space's ``uniform_plan``
     if feasible is not None:
         return feasible.sample(rng)
     rnd = rng.random
-    d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
-    n_d, n_k, n_e = len(d_opts), len(k_opts), len(e_opts)
-    slots = range(space.max_depth)
-    resolution = space.resolution_options[int(rnd() * len(space.resolution_options))]
-    depths, kernels, expands = [], [], []
-    for _ in range(space.num_stages):
-        depths.append(d_opts[int(rnd() * n_d)])
-        kernels.append(tuple([k_opts[int(rnd() * n_k)] for _ in slots]))
-        expands.append(tuple([e_opts[int(rnd() * n_e)] for _ in slots]))
-    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+    genes = tuple([options[int(rnd() * n)] for options, n in space.uniform_plan])
+    md = space.max_depth
+    step = 1 + 2 * md
+    return SubnetConfig(
+        genes[0],
+        genes[1::step],
+        tuple([genes[i : i + md] for i in range(2, len(genes), step)]),
+        tuple([genes[i : i + md] for i in range(2 + md, len(genes), step)]),
+    )
 
 
 def sample_uniform(space: SupernetSpace, seed: int) -> SubnetConfig:
@@ -640,7 +683,7 @@ class FeasibleSet:
                     for d in space.depth_options
                 ]
                 count *= sum(by_depth)
-                plan.append((list(accumulate(by_depth)), F, I))
+                plan.append((list(accumulate(by_depth)), F, I, frozenset(F), frozenset(I)))
             if count:
                 self._strata.append((r, plan))
                 counts.append(count)
@@ -661,23 +704,33 @@ class FeasibleSet:
         every gene.  A resolution that holds no member, a depth that needs
         an inner pair when ``I`` is empty, and an active slot's pair outside
         ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
-        slots are kept.  A member comes back equal, with ``rng`` unused."""
+        slots are kept, and so are the kernel and expand tuples of a stage
+        that keeps its depth and every active pair.  A member comes back
+        equal, with ``rng`` unused."""
         if not self.count:
             raise InfeasibleError(f"no configuration fits under {self.cap} items")
         kept = None if config is None else self._by_resolution.get(config.resolution)
         r, plan = kept or self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
         depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
         depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I) in enumerate(plan):
+        for s, (cumulative, F, I, first_fits, inner_fits) in enumerate(plan):
             if config is None:
                 d, old = None, [None] * md
             else:
-                d, old = config.stage_depths[s], list(zip(config.kernels[s], config.expands[s]))
+                d, ks, es = config.stage_depths[s], config.kernels[s], config.expands[s]
+                # a depth that needs an inner pair when none fits fails the
+                # second test, since it makes a later slot active
+                if (ks[0], es[0]) in first_fits and inner_fits.issuperset(zip(ks[1:d], es[1:d])):
+                    depths.append(d)
+                    kernels.append(ks)
+                    expands.append(es)
+                    continue
+                old = list(zip(ks, es))
             if d is None or (d > 1 and not I):
                 d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
             genes = (
-                [old[0] if old[0] in F else rng.choice(F)]
-                + [g if g in I else rng.choice(I) for g in old[1:d]]
+                [old[0] if old[0] in first_fits else rng.choice(F)]
+                + [g if g in inner_fits else rng.choice(I) for g in old[1:d]]
                 + [rng.choice(pairs) if g is None else g for g in old[d:]]
             )
             depths.append(d)

@@ -3,9 +3,10 @@ force on small spaces, its repair of configs over the cap, and the dataset
 sampler that draws from it."""
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from scipy.stats import chisquare
 from test_space import SEEDS, spaces
 
 from memnas.errors import InfeasibleError, PartialDatasetError, ResolutionError
+from memnas.memory import classifier_memory
 from memnas.planner import ChannelSchedule
 from memnas.predictor import balanced_sample, bucket_edges_from_pilot, bucket_index
 from memnas.space import (
@@ -25,6 +27,7 @@ from memnas.space import (
     enumerate_subnets,
     max_peak_items,
     min_peak_items,
+    mutate,
     validate,
 )
 
@@ -263,3 +266,91 @@ def test_repair_keeps_every_gene_that_fits(space, seed, share, include_classifie
     for _ in range(5):
         assert_repaired(feasible, _sample_with(space, rng), rng, include_classifier)
         assert_repaired(feasible, feasible.sample(rng), rng, include_classifier)
+
+
+class ReferenceFeasibleSet:
+    """``FeasibleSet``'s pair lists and ``repair`` without shortcuts: every
+    stage is rebuilt from its (kernel, expand) pairs, with list membership.
+    The equivalence tests hold ``FeasibleSet`` to it."""
+
+    def __init__(self, space, cap, include_classifier=False):
+        self.space, self.cap = space, cap
+        md = space.max_depth
+        pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
+        table = space.peak_table
+        classifier = classifier_memory(space.schedule.head_width, 1000).total_items
+        if include_classifier and classifier > cap:
+            table = {}
+        self._strata, counts = [], []
+        for r, (base, _, stages) in table.items():
+            if base > cap:
+                continue
+            count, plan = 1, []
+            for first, inner in stages:
+                F = [(k, e) for k, e in pairs if first[k][e] <= cap]
+                I = [(k, e) for k, e in pairs if md > 1 and inner[k][e] <= cap]
+                by_depth = [
+                    len(F) * len(I) ** (d - 1) * len(pairs) ** (md - d)
+                    for d in space.depth_options
+                ]
+                count *= sum(by_depth)
+                plan.append((list(accumulate(by_depth)), F, I))
+            if count:
+                self._strata.append((r, plan))
+                counts.append(count)
+        self._by_resolution = {stratum[0]: stratum for stratum in self._strata}
+        self._cumulative = list(accumulate(counts))
+        self.count = sum(counts)
+
+    def repair(self, config, rng):
+        if not self.count:
+            raise InfeasibleError(f"no configuration fits under {self.cap} items")
+        kept = None if config is None else self._by_resolution.get(config.resolution)
+        r, plan = kept or self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
+        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
+        depths, kernels, expands = [], [], []
+        for s, (cumulative, F, I) in enumerate(plan):
+            if config is None:
+                d, old = None, [None] * md
+            else:
+                d, old = config.stage_depths[s], list(zip(config.kernels[s], config.expands[s]))
+            if d is None or (d > 1 and not I):
+                d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+            genes = (
+                [old[0] if old[0] in F else rng.choice(F)]
+                + [g if g in I else rng.choice(I) for g in old[1:d]]
+                + [rng.choice(pairs) if g is None else g for g in old[d:]]
+            )
+            depths.append(d)
+            kernels.append(tuple(k for k, _ in genes))
+            expands.append(tuple(e for _, e in genes))
+        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
+
+
+@settings(max_examples=150)
+@given(
+    space=spaces(),
+    seed=SEEDS,
+    share=st.floats(0, 1),
+    include_classifier=st.booleans(),
+    prob=st.floats(0.05, 0.6),
+)
+def test_repair_equals_the_reference(space, seed, share, include_classifier, prob):
+    """Same config and same generator state afterwards as the reference, on
+    uniform draws (mostly far over the cap) and on mutated members (mostly a
+    few genes over it), and for whole draws."""
+    floor = min_peak_items(space, include_classifier)
+    cap = floor + int(share * max(0, max_peak_items(space) - floor))
+    feasible = FeasibleSet(space, cap, include_classifier)
+    reference = ReferenceFeasibleSet(space, cap, include_classifier)
+    assert feasible.count == reference.count
+    rng = random.Random(seed)
+    for _ in range(5):
+        member = feasible.sample(rng)
+        for config in (None, _sample_with(space, rng), member, mutate(member, space, prob, rng)):
+            state = rng.getstate()
+            repaired = feasible.repair(config, rng)
+            after = rng.getstate()
+            rng.setstate(state)
+            assert repaired == reference.repair(config, rng)
+            assert rng.getstate() == after

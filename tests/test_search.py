@@ -12,16 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_feasible import ReferenceFeasibleSet
+from test_space import SEEDS, spaces
 
 from memnas.errors import InfeasibleError, ValidationError
 from memnas.memory import profile_network
 from memnas.predictor import synthetic_score
 from memnas.search import (
+    GenerationStats,
     SearchConstraint,
     SearchParams,
     SearchResult,
     _score_all,
-    feasible,
     search,
     sweep,
     write_sweep_csv,
@@ -29,9 +31,13 @@ from memnas.search import (
 from memnas.space import (
     SubnetConfig,
     config_peak_items,
+    crossover,
     default_space,
+    max_peak_items,
     maximal_config,
     min_peak_items,
+    mutate,
+    require_valid,
     resolve,
     sample_uniform,
 )
@@ -65,23 +71,30 @@ def noiseless(space):
     return lambda cfg: synthetic_score(cfg, space)
 
 
+def fits(config, space, constraint):
+    require_valid(config, space)
+    return config_peak_items(
+        config, space, include_classifier=not constraint.exclude_classifier
+    ) <= constraint.max_peak_items
+
+
 class TestFeasible:
     def test_vacuous_bound_admits_everything(self, space):
         rng = random.Random(0)
         constraint = SearchConstraint(10 ** 9)
         for _ in range(50):
-            assert feasible(sample_uniform(space, rng.randrange(2 ** 63)), space, constraint)
+            assert fits(sample_uniform(space, rng.randrange(2 ** 63)), space, constraint)
 
     def test_one_item_admits_nothing(self, space):
         rng = random.Random(1)
         constraint = SearchConstraint(1)
         for _ in range(50):
-            assert not feasible(sample_uniform(space, rng.randrange(2 ** 63)), space, constraint)
+            assert not fits(sample_uniform(space, rng.randrange(2 ** 63)), space, constraint)
 
     def test_frozen_config_between_levels(self, space):
         assert config_peak_items(MID_CONFIG, space) == 308064
-        assert feasible(MID_CONFIG, space, SearchConstraint(325_000))
-        assert not feasible(MID_CONFIG, space, SearchConstraint(300_000))
+        assert fits(MID_CONFIG, space, SearchConstraint(325_000))
+        assert not fits(MID_CONFIG, space, SearchConstraint(300_000))
 
     def test_classifier_flag_changes_the_verdict(self, space):
         # head width 344 -> classifier needs 344*1000 + 1344 items
@@ -89,8 +102,8 @@ class TestFeasible:
         peak_cls = config_peak_items(MID_CONFIG, space, include_classifier=True)
         assert peak_cls > peak_no_cls
         between = (peak_no_cls + peak_cls) // 2
-        assert feasible(MID_CONFIG, space, SearchConstraint(between))
-        assert not feasible(
+        assert fits(MID_CONFIG, space, SearchConstraint(between))
+        assert not fits(
             MID_CONFIG, space, SearchConstraint(between, exclude_classifier=False)
         )
 
@@ -343,6 +356,95 @@ class TestScoreReuse:
         assert scores == [1.0, 2.0, 2.0]
         assert calls == [inert_variant]
         assert known == {base: 1.0, inert_variant: 2.0}
+
+
+def reference_search(space, constraint, scorer, params):
+    """The search loop without shortcuts, for the equivalence test: every
+    child's peak is checked, one over the cap is repaired by
+    ``ReferenceFeasibleSet``, and all children are scored after the last is
+    proposed."""
+    cap = constraint.max_peak_items
+    include_classifier = not constraint.exclude_classifier
+    evaluations = 0
+
+    def ok(config):
+        nonlocal evaluations
+        evaluations += 1
+        return config_peak_items(config, space, include_classifier=include_classifier) <= cap
+
+    def score_all(configs, known):
+        for c in configs:
+            if c not in known:
+                known[c] = scorer(c)
+        return [known[c] for c in configs]
+
+    feasible_set = ReferenceFeasibleSet(space, cap, include_classifier)
+    rng = random.Random(params.seed)
+    population = []
+    for _ in range(params.population):
+        config = feasible_set.repair(None, rng)
+        assert ok(config)
+        population.append(config)
+    scores = score_all(population, {})
+    n_parents = max(1, round(params.parent_fraction * params.population))
+    n_children = params.population - n_parents
+    n_mutation = round(params.mutation_fraction * n_children)
+    history = []
+    for gen in range(params.generations):
+        order = sorted(range(len(population)), key=lambda i: (-scores[i], i))
+        history.append(GenerationStats(gen, scores[order[0]], sum(scores) / len(scores)))
+        parents = [population[i] for i in order[:n_parents]]
+        parent_scores = [scores[i] for i in order[:n_parents]]
+        children = []
+        for i in range(n_children):
+            if i < n_mutation:
+                child = mutate(parents[rng.randrange(n_parents)], space, params.mutation_prob, rng)
+            else:
+                a = parents[rng.randrange(n_parents)]
+                b = parents[rng.randrange(n_parents)]
+                child = crossover(a, b, rng)
+            if not ok(child):
+                child = feasible_set.repair(child, rng)
+            children.append(child)
+        population = parents + children
+        scores = parent_scores + score_all(children, dict(zip(parents, parent_scores)))
+    best_config, best_score = max(zip(population, scores), key=lambda cs: cs[1])
+    return SearchResult(
+        best_config=best_config,
+        best_score=best_score,
+        best_peak_items=config_peak_items(
+            best_config, space, include_classifier=include_classifier
+        ),
+        history=tuple(history),
+        evaluations=evaluations,
+    )
+
+
+@settings(max_examples=60)
+@given(
+    space=spaces(),
+    seed=SEEDS,
+    share=st.floats(0, 1),
+    exclude_classifier=st.booleans(),
+    population=st.integers(2, 10),
+    generations=st.integers(1, 4),
+    mutation_prob=st.floats(0.05, 0.9),
+    noise_seed=st.none() | st.integers(0, 3),
+)
+def test_search_equals_the_reference_loop(
+    space, seed, share, exclude_classifier, population, generations, mutation_prob, noise_seed
+):
+    floor = min_peak_items(space, not exclude_classifier)
+    cap = floor + int(share * max(0, max_peak_items(space) - floor))
+    constraint = SearchConstraint(cap, exclude_classifier=exclude_classifier)
+    params = SearchParams(
+        population=population, generations=generations, mutation_prob=mutation_prob, seed=seed
+    )
+    scorer = lambda c: synthetic_score(c, space, noise_seed=noise_seed)
+    assert (
+        search(space, constraint, scorer, params).to_json_dict()
+        == reference_search(space, constraint, scorer, params).to_json_dict()
+    )
 
 
 class TestSweep:

@@ -408,6 +408,29 @@ def spaces(draw):
 SEEDS = st.integers(0, 2 ** 63 - 1)
 
 
+def reference_uniform_draw(space, rng):
+    """``_sample_with``'s uniform draw as a loop over the stages: the
+    reference for its flat draw over ``SupernetSpace.uniform_plan``."""
+    rnd = rng.random
+    d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
+    slots = range(space.max_depth)
+    resolution = space.resolution_options[int(rnd() * len(space.resolution_options))]
+    depths, kernels, expands = [], [], []
+    for _ in range(space.num_stages):
+        depths.append(d_opts[int(rnd() * len(d_opts))])
+        kernels.append(tuple([k_opts[int(rnd() * len(k_opts))] for _ in slots]))
+        expands.append(tuple([e_opts[int(rnd() * len(e_opts))] for _ in slots]))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+
+
+@given(space=spaces(), seed=SEEDS)
+def test_uniform_draw_equals_the_reference_loop(space, seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert _sample_with(space, fast) == reference_uniform_draw(space, slow)
+    assert fast.getstate() == slow.getstate()
+
+
 def corrupt(config, space, how, where):
     """``config`` with one field moved out of the space, shortened, or held
     in an unhashable list; ``where`` picks the stage and slot."""
@@ -595,6 +618,19 @@ class TestScoreTable:
         p = profile_network(sk)
         reference = ALPHA * math.log(flops_estimate(sk)) + BETA * (p.avg_items / p.peak_items)
         assert synthetic_score(c, space) == reference
+
+    @given(space=spaces())
+    def test_peak_terms_are_those_of_the_peak_table(self, space):
+        # one source of peak terms: the score table carries peak_table's
+        table = _score_table(space)
+        assert table.keys() == space.peak_table.keys()
+        for r, (base, _, peak_stages) in space.peak_table.items():
+            assert table[r][2] == base
+            for stage, peak_stage in zip(table[r][3], peak_stages, strict=True):
+                for terms, peaks in zip(stage, peak_stage, strict=True):
+                    assert {
+                        k: {e: t[2] for e, t in by_expand.items()} for k, by_expand in terms.items()
+                    } == peaks
 
     @given(space=spaces(), seed=SEEDS)
     def test_flops_are_the_base_plus_the_blocks(self, space, seed):
