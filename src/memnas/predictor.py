@@ -77,8 +77,8 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _score_table(space: SupernetSpace) -> dict:
-    """Map each resolution of ``space.peak_table`` to ``(layer_sum, flops,
-    peak, stages)``, built once per space.
+    """Map each resolution of ``space.peak_table``, every listed one, to
+    ``(layer_sum, flops, peak, stages)``, built once per space.
 
     ``layer_sum`` is the stem total plus the head total, ``flops`` the FLOPs
     outside the blocks and ``peak`` the larger of the stem and head totals;
@@ -130,15 +130,12 @@ def synthetic_score(
     With ``n`` layers the average is the integer sum over ``n``, as
     ``statistics.fmean`` gives it for sums below 2**53, so the score equals
     the one computed from ``profile_network`` and ``flops_estimate`` of the
-    resolved network bit for bit (tested).
+    resolved network bit for bit (tested).  A space listing a resolution
+    that does not divide through the stride stages raises the
+    ``ResolutionError`` of ``peak_table``.
     """
     require_valid(config, space)
-    try:
-        layer_sum, flops, peak, stages = _score_table(space)[config.resolution]
-    except KeyError:
-        # the resolution does not divide through the stages; resolve says how
-        resolve(config, space)
-        raise
+    layer_sum, flops, peak, stages = _score_table(space)[config.resolution]
     for (first, inner), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
     ):
@@ -353,27 +350,15 @@ def train(
     )
 
 
-def _require_features(model: PredictorModel, length: int) -> None:
-    if len(model.weights) != length:
-        raise ValidationError(
-            f"model has {len(model.weights)} weights but the space encodes "
-            f"{length} features"
-        )
-
-
 def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
     """``weights . encode(config) + intercept``: ``np.dot`` over the whole
     one-hot vector with the model's cached ``weight_array``, so the sum is
     the one ``np.dot`` of the weight tuple gives, bit for bit."""
     vec = encode(config, space)
-    _require_features(model, len(vec))
+    if len(model.weights) != len(vec):
+        raise ValidationError(
+            f"model has {len(model.weights)} weights but the space encodes "
+            f"{len(vec)} features"
+        )
     return float(np.dot(model.weight_array, vec) + model.intercept)
 
-
-def predict_batch(
-    model: PredictorModel, configs, space: SupernetSpace
-) -> np.ndarray:
-    """``predict`` of each config as one float array, empty for no configs;
-    not one matrix product, which would sum in another order."""
-    _require_features(model, feature_length(space))
-    return np.array([predict(model, c, space) for c in configs], dtype=float)

@@ -62,8 +62,8 @@ class SupernetSpace:
             kind = (int, float) if name == "expand_options" else int
             for i, v in enumerate(opts):
                 require_number(f"{name}[{i}]", v, kind, "positive")
-            if not opts or list(opts) != sorted(opts):
-                raise ValidationError(f"{name} must be non-empty and sorted ascending")
+            if not opts or any(a >= b for a, b in zip(opts, opts[1:])):
+                raise ValidationError(f"{name} must be non-empty and strictly ascending")
         if len(self.schedule.stage_widths) != self.num_stages:
             raise ValidationError(
                 f"schedule has {len(self.schedule.stage_widths)} stage widths for "
@@ -97,7 +97,9 @@ class SupernetSpace:
 
     @cached_property
     def peak_table(self) -> dict:
-        """Per-block peak terms, built on first use; see ``config_peak_items``."""
+        """Per-block peak terms of every listed resolution, built on first
+        use; see ``config_peak_items``.  Raises ``ResolutionError`` if a
+        resolution does not divide through the stride stages."""
         return _build_peak_table(self)
 
     @cached_property
@@ -122,15 +124,13 @@ class SupernetSpace:
         ``resolution_at`` maps each resolution option to its position in the
         feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
         expand_at)``, a map for the depth block and one map per slot for the
-        kernel and the expand blocks; ``length`` is the vector's length.  A
-        repeated option keeps its first position, as ``tuple.index`` finds
-        it."""
+        kernel and the expand blocks; ``length`` is the vector's length."""
         end = 0
 
         def block(options) -> dict:
             nonlocal end
             start, end = end, end + len(options)
-            return {v: start + options.index(v) for v in options}
+            return {v: start + i for i, v in enumerate(options)}
 
         resolution_at = block(self.resolution_options)
         stages = []
@@ -385,10 +385,10 @@ def mutate(
     rng: random.Random,
 ) -> SubnetConfig:
     """Resample each gene independently with probability ``prob``, drawing
-    from ``rng``; a new resolution is one that ``resolve`` accepts (a key of
-    ``peak_table``), in option order.  Draw order: the resolution, then per
-    stage its depth, its kernel slots and its expand slots; each gene takes
-    one ``rng.random()`` and, when it is resampled, one ``rng.choice``."""
+    from ``rng`` and from the space's options.  Draw order: the resolution,
+    then per stage its depth, its kernel slots and its expand slots; each
+    gene takes one ``rng.random()`` and, when it is resampled, one
+    ``rng.choice``."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
     n = space.num_stages
@@ -401,8 +401,7 @@ def mutate(
     d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
     resolution = config.resolution
     if rnd() < prob:
-        # all the listed ones when none resolves, as no config then resolves
-        resolution = choice(tuple(space.peak_table) or space.resolution_options)
+        resolution = choice(space.resolution_options)
     depths, kernels, expands = [], [], []
     for d, ks, es in zip(config.stage_depths, config.kernels, config.expands):
         depths.append(choice(d_opts) if rnd() < prob else d)
@@ -505,8 +504,9 @@ def resolve(
 
 
 def _build_peak_table(space: SupernetSpace) -> dict:
-    """Map each resolution that ``resolve`` accepts to ``(base, tails,
-    stages)``.
+    """Map each listed resolution to ``(base, tails, stages)``; a resolution
+    that does not divide through the stride stages raises ``resolve``'s
+    ``ResolutionError``.
 
     ``base`` is the larger of the stem and head totals, which depend only on
     the resolution; ``tails[depth]`` is the range of slots after the first
@@ -522,10 +522,7 @@ def _build_peak_table(space: SupernetSpace) -> dict:
     widest = maximal_config(space)
     table = {}
     for r in space.resolution_options:
-        try:
-            skeleton = resolve(replace(widest, resolution=r), space)
-        except ResolutionError:
-            continue
+        skeleton = resolve(replace(widest, resolution=r), space)
         records = profile_network(skeleton).records
         stages = _stage_terms(
             space, skeleton, lambda b: max(m.total_items for m in block_memory(b))
@@ -571,8 +568,9 @@ def config_peak_items(
     expand); so this agrees with profiling the resolved skeleton (tested).
     Used on hot paths such as the feasibility check of a search, it checks only
     the genes it reads: an out-of-space resolution, depth or active gene
-    raises the ``ValidationError`` or ``ResolutionError`` that ``resolve``
-    raises; inert genes are not checked.
+    raises the ``ValidationError`` that ``resolve`` raises; inert genes are
+    not checked.  A space listing a resolution that does not divide through
+    the stride stages raises the ``ResolutionError`` of ``peak_table``.
     """
     try:
         peak, tails, stages = space.peak_table[config.resolution]
@@ -608,18 +606,16 @@ def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> in
     when the smallest depth keeps a later block active, each stage's
     cheapest inner term.  The result is the least of these over the
     resolutions, raised to the classifier term (at ``config_peak_items``'s
-    default 1000 classes) if that counts.
+    default 1000 classes) if that counts.  Like ``peak_table``, it raises
+    ``ResolutionError`` for a space listing a resolution that does not
+    divide through the stride stages.
     """
 
     def cheapest(terms: dict) -> int:
         return min(min(by_expand.values()) for by_expand in terms.values())
 
-    table = space.peak_table
-    if not table:
-        # no resolution divides through the stages; resolve names one
-        resolve(maximal_config(space), space)
     peaks = []
-    for peak, _, stages in table.values():
+    for peak, _, stages in space.peak_table.values():
         for first, inner in stages:
             peak = max(peak, cheapest(first))
             if space.depth_options[0] > 1:
@@ -634,10 +630,8 @@ def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> in
 def max_peak_items(space: SupernetSpace) -> int:
     """The largest peak of any configuration of the space, exactly: the
     block terms are chosen independently (see ``min_peak_items``), so one
-    configuration reaches the largest term of the table at once."""
-    if not space.peak_table:
-        # no resolution divides through the stages; resolve names one
-        resolve(maximal_config(space), space)
+    configuration reaches the largest term of the table at once.  Raises
+    ``ResolutionError`` as ``min_peak_items`` does."""
     return max(
         max([base] + [t for kinds in stages for by_kernel in kinds
                       for by_expand in by_kernel.values() for t in by_expand.values()])

@@ -411,6 +411,11 @@ class TestMalformedInput:
                 mangled_model(lambda d: d["weights"].__setitem__(5, "w")),
                 "weights[5]: expected a number, got 'w'",
             ),
+            (
+                "--space",
+                mangled_space(lambda d: d.update(kernel_options=[3, 3, 5])),
+                "kernel_options must be non-empty and strictly ascending",
+            ),
         ],
     )
     def test_model_and_space_fields(self, tmp_path, space, flag, content, message):
@@ -424,6 +429,26 @@ class TestMalformedInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert message in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("sample", ["--n", "20"]),
+            ("search", ["--constraint", "400000"]),
+            ("sweep", ["--constraints", "300000,400000"]),
+        ],
+    )
+    def test_unresolvable_resolution(self, tmp_path, command, args):
+        # 136 does not divide through the five stride stages
+        path = tmp_path / "space.json"
+        unresolvable = mangled_space(lambda d: d.update(resolution_options=[128, 136]))
+        path.write_text(json.dumps(unresolvable))
+        out = tmp_path / "out"
+        done = run_cli(command, "--space", path, *args, "--out", out)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "resolution 136 does not divide through the stride stages" in done.stderr
         assert not out.exists()
 
 

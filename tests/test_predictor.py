@@ -28,7 +28,6 @@ from memnas.predictor import (
     encode,
     feature_length,
     predict,
-    predict_batch,
     synthetic_score,
     train,
 )
@@ -315,10 +314,9 @@ class TestPredict:
         ds = linear_rows(space, 100, seed=8)
         model = train(ds, space, l2=0.1)
         configs = [r.config for r in ds.rows[:30]]
-        batch = predict_batch(model, configs, space)
+        batch = [predict(model, c, space) for c in configs]
         for c, expected in zip(configs, batch):
-            assert predict(model, c, space) == predict(model, c, space)
-            assert predict(model, c, space) == float(expected)
+            assert predict(model, c, space) == expected
 
     def test_feature_length_mismatch_rejected(self, space):
         ds = linear_rows(space, 50, seed=9)
@@ -333,15 +331,6 @@ class TestPredict:
         message = "model has 138 weights but the space encodes 139 features"
         with pytest.raises(ValidationError, match=message):
             predict(clipped, maximal_config(space), space)
-        with pytest.raises(ValidationError, match=message):
-            predict_batch(clipped, [maximal_config(space)], space)
-        with pytest.raises(ValidationError, match=message):
-            predict_batch(clipped, [], space)
-
-    def test_batch_of_no_configs_is_empty(self, space):
-        model = train(linear_rows(space, 50, seed=9), space, l2=0.1)
-        out = predict_batch(model, [], space)
-        assert out.shape == (0,) and out.dtype == np.float64
 
     @given(space=spaces(), seed=SEEDS, integral=st.booleans())
     def test_equals_the_dot_of_the_weight_tuple(self, space, seed, integral):
@@ -366,7 +355,7 @@ class TestPredict:
         rng = random.Random(11)
         configs = [sample_uniform(space, rng.randrange(2 ** 63)) for _ in range(10_000)]
         start = time.perf_counter()
-        out = predict_batch(model, configs, space)
+        out = [predict(model, c, space) for c in configs]
         elapsed = time.perf_counter() - start
         assert len(out) == 10_000
         # comfortably implies 1e5 within seconds

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from test_feasible import ReferenceFeasibleSet
 from test_space import SEEDS, spaces
 
-from memnas.errors import InfeasibleError, ValidationError
+from memnas.errors import InfeasibleError, ResolutionError, ValidationError
 from memnas.memory import profile_network
-from memnas.predictor import synthetic_score
+from memnas.predictor import balanced_sample, synthetic_score
 from memnas.search import (
     GenerationStats,
     SearchConstraint,
@@ -29,6 +29,7 @@ from memnas.search import (
     write_sweep_csv,
 )
 from memnas.space import (
+    FeasibleSet,
     SubnetConfig,
     config_peak_items,
     crossover,
@@ -69,6 +70,30 @@ def space():
 
 def noiseless(space):
     return lambda cfg: synthetic_score(cfg, space)
+
+
+# 136 halves to 68, 34, 17, which the fourth stride stage cannot halve
+UNRESOLVABLE = replace(default_space(), resolution_options=(128, 136, 224))
+UNRESOLVABLE_ENTRY_POINTS = {
+    "peak_table": lambda space: space.peak_table,
+    "min_peak_items": min_peak_items,
+    "max_peak_items": max_peak_items,
+    "FeasibleSet": lambda space: FeasibleSet(space, 400_000),
+    "config_peak_items": lambda space: config_peak_items(maximal_config(space), space),
+    "synthetic_score": lambda space: synthetic_score(maximal_config(space), space),
+    "search": lambda space: search(
+        space, SearchConstraint(400_000), noiseless(space), SearchParams(population=20)
+    ),
+    "balanced_sample": lambda space: balanced_sample(space, 20, 2, 0, noiseless(space)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNRESOLVABLE_ENTRY_POINTS))
+def test_unresolvable_resolution_is_refused(entry):
+    # a space's peak table covers every listed resolution or raises, so no
+    # entry point skips 136 and goes on with the others
+    with pytest.raises(ResolutionError, match="resolution 136 does not divide"):
+        UNRESOLVABLE_ENTRY_POINTS[entry](UNRESOLVABLE)
 
 
 def fits(config, space, constraint):
@@ -171,16 +196,6 @@ class TestSearch:
         result = search(space, SearchConstraint(floor), noiseless(space), params)
         assert result.best_peak_items == floor
         assert profile_network(resolve(result.best_config, space)).peak_items == floor
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_unresolvable_resolution_is_never_drawn(self, seed):
-        # 136 does not divide through the stride stages, so mutation must
-        # not pick it, and the feasible set holds none of its configs
-        space = replace(default_space(), resolution_options=(128, 136, 224))
-        params = SearchParams(population=20, generations=5, seed=seed)
-        result = search(space, SearchConstraint(400_000), noiseless(space), params)
-        assert result.best_config.resolution in (128, 224)
-        assert result.best_peak_items <= 400_000
 
     def test_json_roundtrip(self, space):
         params = SearchParams(population=12, generations=4, seed=9)

@@ -185,16 +185,6 @@ class TestMutate:
         c = sample_uniform(space, 5)
         assert mutate(c, space, 0.3, random.Random(4)) == mutate(c, space, 0.3, random.Random(4))
 
-    def test_new_resolution_is_one_that_resolves(self, space):
-        # 136 does not divide through the stride stages
-        mixed = replace(space, resolution_options=(128, 136, 224))
-        parent = sample_uniform(space, 5)
-        drawn = {mutate(parent, mixed, 1.0, random.Random(s)).resolution for s in range(60)}
-        assert drawn == {128, 224}
-        unresolvable = replace(space, resolution_options=(136,))
-        child = mutate(sample_uniform(unresolvable, 5), unresolvable, 1.0, random.Random(0))
-        assert child.resolution == 136
-
     @pytest.mark.parametrize("field, count", [
         ("stage_depths", 4), ("stage_depths", 6), ("kernels", 4), ("expands", 6),
     ])
@@ -620,6 +610,10 @@ class TestScoreTable:
         assert synthetic_score(c, space) == reference
 
     @given(space=spaces())
+    def test_peak_table_covers_every_listed_resolution(self, space):
+        assert tuple(space.peak_table) == space.resolution_options
+
+    @given(space=spaces())
     def test_peak_terms_are_those_of_the_peak_table(self, space):
         # one source of peak terms: the score table carries peak_table's
         table = _score_table(space)
@@ -642,15 +636,12 @@ class TestScoreTable:
 
 def brute_force_min_peak(space, **kwargs):
     """The least ``config_peak_items`` over every configuration of the space
-    at every resolution that resolves."""
-    peaks = []
-    for config in enumerate_subnets(space):
-        for r in space.resolution_options:
-            try:
-                peaks.append(config_peak_items(replace(config, resolution=r), space, **kwargs))
-            except ResolutionError:
-                pass
-    return min(peaks)
+    at every resolution."""
+    return min(
+        config_peak_items(replace(config, resolution=r), space, **kwargs)
+        for config in enumerate_subnets(space)
+        for r in space.resolution_options
+    )
 
 
 TWO_STAGES = ChannelSchedule(stem_width=8, stage_widths=(16, 48), head_width=64, divisor=8)
@@ -666,11 +657,11 @@ MIN_PEAK_SPACES = {
     ),
     "two-stages-depths-1-3": dict(
         schedule=TWO_STAGES, num_stages=2, depth_options=(1, 2, 3),
-        kernel_options=(3, 5), expand_options=(2, 3), resolution_options=(10, 16, 40, 64),
+        kernel_options=(3, 5), expand_options=(2, 3), resolution_options=(16, 40, 64),
     ),
     "two-stages-depths-2-3": dict(
         schedule=TWO_STAGES, num_stages=2, depth_options=(2, 3),
-        kernel_options=(3, 7), expand_options=(2, 4), resolution_options=(10, 16, 40, 64),
+        kernel_options=(3, 7), expand_options=(2, 4), resolution_options=(16, 40, 64),
     ),
 }
 
@@ -753,6 +744,10 @@ class TestJsonRoundTrip:
             (
                 lambda d: d.update(resolution_options=[128, 160.0]),
                 "resolution_options[1]: expected a positive integer, got 160.0",
+            ),
+            (
+                lambda d: d.update(kernel_options=[3, 3, 5]),
+                "kernel_options must be non-empty and strictly ascending",
             ),
         ],
     )
