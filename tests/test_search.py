@@ -197,6 +197,20 @@ class TestSearch:
         assert result.best_peak_items == floor
         assert profile_network(resolve(result.best_config, space)).peak_items == floor
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unresolvable_resolution_is_never_drawn(self, seed):
+        # 136 does not divide through the stride stages: a space listing it
+        # is refused before any child is drawn, and the same space without
+        # it searches only the resolutions that remain
+        params = SearchParams(population=20, generations=5, seed=seed)
+        constraint = SearchConstraint(400_000)
+        with pytest.raises(ResolutionError, match="resolution 136 does not divide"):
+            search(UNRESOLVABLE, constraint, noiseless(UNRESOLVABLE), params)
+        space = replace(default_space(), resolution_options=(128, 224))
+        result = search(space, constraint, noiseless(space), params)
+        assert result.best_config.resolution in (128, 224)
+        assert result.best_peak_items <= 400_000
+
     def test_json_roundtrip(self, space):
         params = SearchParams(population=12, generations=4, seed=9)
         result = search(space, SearchConstraint(600_000), noiseless(space), params)
