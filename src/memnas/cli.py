@@ -5,7 +5,7 @@ Every randomized command takes a --seed (default 0); nothing reads entropy
 from the environment, so reruns with the same inputs write byte-identical
 artifacts.  Outputs are written atomically and each artifact gets a
 ``<name>.manifest.json`` sibling recording the command, inputs, seed, tool
-version, and wall time.
+and Python versions, the process's peak RSS, and wall time.
 
 Exit codes: 0 ok, 2 validation failure, 3 infeasible, 4 I/O failure.
 """
@@ -17,11 +17,11 @@ import io
 import json
 import os
 import random
+import resource
 import sys
 import tempfile
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import InfeasibleError, PartialDatasetError, TrainingError, ValidationError
@@ -49,7 +49,10 @@ from .search import (
     sweep,
     write_sweep_csv,
 )
-from .space import SubnetConfig, SupernetSpace, default_space, resolve
+from .space import SubnetConfig, SupernetSpace, _stage_entry_sizes, default_space, resolve
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,16 +61,20 @@ EXIT_IO = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``; an OSError names ``path``, never the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _canonical_json(obj) -> str:
@@ -79,12 +86,19 @@ _INPUT_FLAGS = ("config", "config_a", "config_b", "dataset", "model", "space", "
 
 
 def _write_artifact(args, path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically, then its manifest."""
+    """Write ``text`` to ``path`` atomically, then its manifest.
+
+    ``peak_rss_kb`` is the process's peak resident set so far, as
+    ``getrusage`` reports it (kilobytes on Linux)."""
+    import platform
+
     _atomic_write(path, text)
     given = {flag: getattr(args, flag, None) for flag in _INPUT_FLAGS}
     manifest = {
         "command": args.command,
         "inputs": {flag: value for flag, value in given.items() if value is not None},
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "python": platform.python_version(),
         "seed": args.seed,
         "tool_version": __version__,
         "wall_time_s": round(time.time() - args.started, 3),
@@ -98,9 +112,15 @@ def _load_json(path: str) -> dict:
 
 
 def _load_space(path: str | None) -> SupernetSpace:
+    """The space in ``path``, or the default one; every subcommand refuses
+    a space listing a resolution that does not divide through its stride
+    stages (``ResolutionError``), whether or not it builds a peak table."""
     if path is None:
         return default_space()
-    return SupernetSpace.from_json_dict(_load_json(path))
+    space = SupernetSpace.from_json_dict(_load_json(path))
+    for resolution in space.resolution_options:
+        _stage_entry_sizes(resolution, space.num_stages)
+    return space
 
 
 def _load_config(path: str) -> SubnetConfig:
@@ -191,6 +211,8 @@ def cmd_sample(args) -> int:
 def _average_ranks(values) -> np.ndarray:
     """1-based ranks, each run of equal values given the mean of its
     positions, as ``scipy.stats.rankdata`` gives them."""
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     order = np.argsort(x, kind="stable")
     ordered = x[order]
@@ -204,6 +226,8 @@ def _average_ranks(values) -> np.ndarray:
 def _spearman(a, b) -> float:
     """Spearman's rank correlation, as ``scipy.stats.spearmanr`` gives it:
     ``nan`` for fewer than two pairs or a constant side."""
+    import numpy as np
+
     ra, rb = _average_ranks(a), _average_ranks(b)
     if len(ra) < 2 or ra.min() == ra.max() or rb.min() == rb.max():
         return float("nan")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -220,6 +219,10 @@ class MemoryProfile:
 
     When ``classifier_excluded`` is true the record list simply carries no
     classifier entry; statistics always cover exactly the records listed.
+    ``avg_items`` is ``math.fsum`` of the totals over their count, which is
+    what ``statistics.fmean`` computes, so ``statistics`` (and the
+    ``decimal`` and ``fractions`` it loads) is imported only by
+    ``std_items``.
     """
 
     records: tuple[LayerMemory, ...]
@@ -238,7 +241,7 @@ class MemoryProfile:
             records=tuple(records),
             peak_items=peak,
             peak_index=totals.index(peak),
-            avg_items=statistics.fmean(totals),
+            avg_items=math.fsum(totals) / len(totals),
             classifier_excluded=classifier_excluded,
         )
 
@@ -247,6 +250,8 @@ class MemoryProfile:
         """Population standard deviation of the layer totals, computed on
         first use: the exact-fraction ``pstdev`` is about a fifth of the cost
         of ``profile_network``, and scoring never reads it."""
+        import statistics
+
         return statistics.pstdev([r.total_items for r in self.records])
 
     def to_json_dict(self) -> dict:

@@ -9,11 +9,15 @@ scale.  It is a fixed monotone function of network capacity::
 with ``noise ~ N(0, SIGMA^2)`` derived deterministically from the noise seed
 and the configuration (pass ``noise_seed=None`` for the noiseless oracle).
 Growing any active gene strictly increases the noiseless score.
+
+numpy is imported only by the surrogate (``encode``, ``train`` and
+``PredictorModel.weight_array``) and ``hashlib`` only by the noisy oracle,
+each on first use, so a run that scores with the noiseless oracle loads
+neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -21,8 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import getitem
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PartialDatasetError, TrainingError, ValidationError, require_number
 from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
@@ -40,6 +43,9 @@ from .space import (
     require_valid,
     resolve,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALPHA = 1.0
 BETA = 0.01
@@ -60,7 +66,10 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     active depth encode as all-zero blocks, so inert genes never show.
 
     The positions of the ones are read from the space's table
-    (``SupernetSpace.one_hot_positions``) and set in one assignment."""
+    (``SupernetSpace.one_hot_positions``) and set in one assignment.
+    numpy is imported here, not with the module (see its docstring)."""
+    import numpy as np
+
     require_valid(config, space)
     resolution_at, stages, length = space.one_hot_positions
     hot = [resolution_at[config.resolution]]
@@ -153,6 +162,8 @@ def synthetic_score(
     layers = 2 + 3 * sum(config.stage_depths)
     score = ALPHA * math.log(flops) + BETA * ((layer_sum / layers) / peak)
     if noise_seed is not None:
+        import hashlib
+
         digest = hashlib.sha256(
             f"{noise_seed}|{config.canonical_json()}".encode()
         ).digest()
@@ -295,8 +306,11 @@ class PredictorModel:
     @cached_property
     def weight_array(self) -> np.ndarray:
         """``weights`` as the read-only array that ``np.dot`` would build
-        from the tuple, made once per model; not a field, so equality, hash,
-        repr and JSON are those of the fields."""
+        from the tuple, made once per model, on the first ``predict``; not a
+        field, so equality, hash, repr and JSON are those of the fields, and
+        a model read from JSON imports no numpy until it is used."""
+        import numpy as np
+
         array = np.array(self.weights)
         array.flags.writeable = False
         return array
@@ -324,6 +338,8 @@ def train(
     collinear with the intercept, so plain normal equations would be
     singular); the minimum-norm solution is deterministic.
     """
+    import numpy as np
+
     if not dataset.rows:
         raise ValidationError("dataset is empty")
     require_number("l2", l2, sign="non-negative")
@@ -351,14 +367,15 @@ def train(
 
 
 def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
-    """``weights . encode(config) + intercept``: ``np.dot`` over the whole
-    one-hot vector with the model's cached ``weight_array``, so the sum is
-    the one ``np.dot`` of the weight tuple gives, bit for bit."""
+    """``weights . encode(config) + intercept``: the dot product over the
+    whole one-hot vector with the model's cached ``weight_array``, so the
+    sum is the one ``np.dot`` of the weight tuple gives, bit for bit
+    (``ndarray.dot`` and ``np.dot`` make the same call)."""
     vec = encode(config, space)
     if len(model.weights) != len(vec):
         raise ValidationError(
             f"model has {len(model.weights)} weights but the space encodes "
             f"{len(vec)} features"
         )
-    return float(np.dot(model.weight_array, vec) + model.intercept)
+    return float(model.weight_array.dot(vec) + model.intercept)
 

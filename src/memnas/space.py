@@ -266,7 +266,7 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
     violations = []
     if config.resolution not in space.resolution_options:
         violations.append(
-            f"resolution: {config.resolution} not in resolution_options "
+            f"resolution: {config.resolution!r} not in resolution_options "
             f"{list(space.resolution_options)}"
         )
     for name, lists in (("kernels", config.kernels), ("expands", config.expands)):
@@ -283,7 +283,7 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
     for s, depth in enumerate(config.stage_depths):
         if depth not in space.depth_options:
             violations.append(
-                f"stages[{s}].depth: {depth} not in depth_options "
+                f"stages[{s}].depth: {depth!r} not in depth_options "
                 f"{list(space.depth_options)}"
             )
     for name, lists, options in (
@@ -300,7 +300,7 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
             for j, v in enumerate(inner):
                 if v not in options:
                     violations.append(
-                        f"stages[{s}].{name}[{j}]: {v} not in options {list(options)}"
+                        f"stages[{s}].{name}[{j}]: {v!r} not in options {list(options)}"
                     )
     return violations
 

@@ -3,7 +3,9 @@ manifests, and reproducibility."""
 
 import json
 import os
+import platform
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -225,6 +227,13 @@ class TestPipeline:
         assert not (tmp_path / "never.json").exists()
         assert "infeasible" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_4_naming_it(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "d.jsonl")
+        assert main(["sample", "--n", "10", "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert f"error: I/O: [Errno 2] No such file or directory: {out!r}" in err
+        assert ".tmp-" not in err
+
 
 class TestCompareCommand:
     def test_planner_flat_versus_doubling_baseline(self, tmp_path, space_file, config_file, capsys):
@@ -345,6 +354,16 @@ class TestMalformedInput:
         assert "Traceback" not in done.stderr
         assert "stages: missing" in done.stderr
 
+    def test_config_value_shows_its_type(self, tmp_path, space):
+        config = maximal_config(space).to_json_dict()
+        config["stages"][0]["kernels"][0] = "7"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        done = run_cli("profile", "--config", path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "stages[0].kernels[0]: '7' not in options [3, 5, 7]" in done.stderr
+
     def test_dataset_row_without_config(self, tmp_path, space):
         good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
         no_config = {"peak_items": 1, "score": 1.0}
@@ -434,18 +453,26 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, args",
         [
-            ("sample", ["--n", "20"]),
-            ("search", ["--constraint", "400000"]),
-            ("sweep", ["--constraints", "300000,400000"]),
+            ("sample", ["--n", "20", "--out", "{out}"]),
+            ("search", ["--constraint", "400000", "--out", "{out}"]),
+            ("sweep", ["--constraints", "300000,400000", "--out", "{out}"]),
+            ("profile", ["--config", "{config}", "--csv", "{out}"]),
+            ("compare", ["--config-a", "{config}", "--config-b", "{config}", "--out", "{out}"]),
         ],
     )
-    def test_unresolvable_resolution(self, tmp_path, command, args):
-        # 136 does not divide through the five stride stages
+    def test_unresolvable_resolution(self, tmp_path, space, command, args):
+        # 136 does not divide through the five stride stages; the config, at
+        # 128, resolves, so only the space's listing is at fault
         path = tmp_path / "space.json"
         unresolvable = mangled_space(lambda d: d.update(resolution_options=[128, 136]))
         path.write_text(json.dumps(unresolvable))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**maximal_config(space).to_json_dict(), "resolution": 128}
+        ))
         out = tmp_path / "out"
-        done = run_cli(command, "--space", path, *args, "--out", out)
+        args = [arg.format(out=out, config=config) for arg in args]
+        done = run_cli(command, "--space", path, *args)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert "resolution 136 does not divide through the stride stages" in done.stderr
@@ -503,6 +530,77 @@ class TestTrainHoldout:
         assert proc.returncode == 0, proc.stderr
         assert "held-out rank correlation (n=8)" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+#: modules that only some paths need: numpy for the surrogate, and
+#: hashlib, with OpenSSL's _hashlib, for the noisy oracle
+HEAVY_MODULES = ("numpy", "hashlib", "_hashlib")
+SMALL_SEARCH = ["--population", "4", "--generations", "1"]
+
+IMPORT_CASES = {
+    "model-free": (
+        [
+            ["plan", "--out", "{dir}/plan.json"],
+            ["profile", "--config", "{config}", "--csv", "{dir}/profile.csv"],
+            ["compare", "--config-a", "{config}", "--config-b", "{config}",
+             "--out", "{dir}/compare.csv"],
+            ["sample", "--no-noise", "--n", "20", "--buckets", "2", "--out", "{dir}/d.jsonl"],
+            ["search", "--no-noise", "--constraint", "400000", *SMALL_SEARCH,
+             "--out", "{dir}/r.json"],
+            ["sweep", "--no-noise", "--constraints", "350000,400000", *SMALL_SEARCH,
+             "--out", "{dir}/c.csv"],
+        ],
+        [],
+    ),
+    "noisy": (
+        [
+            ["sample", "--n", "20", "--buckets", "2", "--out", "{dir}/d.jsonl"],
+            ["search", "--constraint", "400000", *SMALL_SEARCH, "--out", "{dir}/r.json"],
+        ],
+        ["hashlib", "_hashlib"],
+    ),
+    "train-predictor": (
+        [
+            ["sample", "--no-noise", "--n", "20", "--buckets", "2", "--out", "{dir}/d.jsonl"],
+            ["train-predictor", "--dataset", "{dir}/d.jsonl", "--out", "{dir}/m.json"],
+        ],
+        ["numpy"],
+    ),
+    "search-model": (
+        [["search", "--model", "{model}", "--constraint", "400000", *SMALL_SEARCH,
+          "--out", "{dir}/r.json"]],
+        ["numpy"],
+    ),
+}
+
+
+class TestImports:
+    """Each path loads only the heavy modules it uses: a model-free run
+    needs neither numpy nor OpenSSL."""
+
+    @pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+    def test_heavy_modules_load_only_where_used(self, tmp_path, config_file, case):
+        argvs, expected = IMPORT_CASES[case]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(mangled_model(lambda d: None)))
+        paths = {"dir": tmp_path, "config": config_file, "model": model}
+        argvs = [[arg.format(**paths) for arg in argv] for argv in argvs]
+        # in a fresh interpreter, as the suite itself imports numpy
+        script = (
+            "import json, sys\n"
+            "import memnas\n"
+            "from memnas.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
+        )
+        src = Path(memnas.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
 
 def paired_lists(elements):
@@ -619,7 +717,11 @@ class TestManifests:
         assert main(argv + ["--seed", "5"]) == 0
         with open(paths["out"] + ".manifest.json") as fh:
             manifest = json.load(fh)
-        assert set(manifest) == {"command", "inputs", "seed", "tool_version", "wall_time_s"}
+        assert set(manifest) == {
+            "command", "inputs", "peak_rss_kb", "python", "seed", "tool_version", "wall_time_s"
+        }
+        assert manifest["python"] == platform.python_version()
+        assert 0 < manifest["peak_rss_kb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert manifest["command"] == argv[0]
         assert manifest["seed"] == 5
         assert set(manifest["inputs"]) == input_keys

@@ -2,8 +2,11 @@
 
 import io
 import random
+import statistics
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memnas.errors import ChainError, ResolutionError, ValidationError
 from memnas.memory import (
@@ -262,6 +265,16 @@ class TestSerialization:
         assert d["classifier_excluded"] is True
         assert len(d["records"]) == len(prof.records)
         assert d["records"][0]["total_items"] == prof.records[0].total_items
+
+
+    @given(totals=st.lists(
+        st.one_of(st.integers(0, 10 ** 7), st.integers(0, 2 ** 70)), min_size=1, max_size=80
+    ))
+    def test_average_is_the_fmean_of_the_totals(self, totals):
+        # bit for bit, also past 2**53, where float sums round
+        records = [LayerMemory(f"l{i}", t, 0, 0) for i, t in enumerate(totals)]
+        profile = MemoryProfile.from_records(records, classifier_excluded=True)
+        assert profile.avg_items.hex() == statistics.fmean(totals).hex()
 
 
 class TestItemsToBytes:
