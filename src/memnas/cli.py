@@ -62,12 +62,19 @@ EXIT_IO = 4
 
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it
-    over ``path``; an OSError names ``path``, never the temporary file."""
+    over ``path``; an OSError names ``path``, never the temporary file.
+
+    ``mkstemp`` creates the file readable by its owner alone, so it is given
+    the mode ``open`` would have given a new file, 0o666 less the umask,
+    before the rename."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:

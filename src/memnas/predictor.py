@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from .errors import PartialDatasetError, TrainingError, ValidationError, require_number
 from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
 from .space import (
-    FeasibleSet,
+    PeakBand,
     SubnetConfig,
     SupernetSpace,
     _sample_with,
@@ -246,10 +246,9 @@ def balanced_sample(
     ``min_peak_items`` to ``max_peak_items``, with ``bucket_index``'s
     boundaries: bucket ``b`` holds ``edges[b] <= peak < edges[b + 1]`` and
     the last bucket also holds the largest peak.  The buckets are filled in
-    order, each by drawing from the ``FeasibleSet`` of its upper end and
-    drawing again while the peak is below its lower end.  A bucket that no
-    config reaches, by the exact count of the configs under its two ends,
-    raises PartialDatasetError before anything is drawn.
+    order, one exact uniform draw per row from the ``PeakBand`` of the
+    integer peaks the bucket holds.  A bucket that no config reaches, by the
+    band's exact count, raises PartialDatasetError before anything is drawn.
     """
     if num_buckets < 1 or n < num_buckets:
         raise ValidationError("need n >= num_buckets >= 1")
@@ -262,10 +261,8 @@ def balanced_sample(
     bounds = [
         (math.ceil(edges[b]), math.ceil(edges[b + 1]) - 1) for b in range(num_buckets - 1)
     ] + [(math.ceil(edges[-2]), top)]
-    tops = [FeasibleSet(space, hi) for _, hi in bounds]
-    empty = [
-        b for b, (lo, _) in enumerate(bounds) if tops[b].count == FeasibleSet(space, lo - 1).count
-    ]
+    bands = [PeakBand(space, lo, hi) for lo, hi in bounds]
+    empty = [b for b, band in enumerate(bands) if not band.count]
     if empty:
         raise PartialDatasetError(
             f"no configuration has its peak in bucket(s) {empty} of edges "
@@ -274,13 +271,12 @@ def balanced_sample(
         )
     rng = random.Random(rng_seed)
     rows: list[DatasetRow] = []
-    for (lo, _), feasible, size in zip(bounds, tops, quota):
+    for band, size in zip(bands, quota):
         for _ in range(size):
-            peak = -1
-            while peak < lo:
-                cfg = _sample_with(space, rng, feasible)
-                peak = config_peak_items(cfg, space)
-            rows.append(DatasetRow(config=cfg, peak_items=peak, score=scorer(cfg)))
+            cfg = _sample_with(space, rng, band)
+            rows.append(
+                DatasetRow(config=cfg, peak_items=config_peak_items(cfg, space), score=scorer(cfg))
+            )
     return Dataset(rows=tuple(rows), bucket_edges=edges)
 
 

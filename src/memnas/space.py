@@ -13,12 +13,12 @@ by the remaining active blocks at the halved resolution, then the head.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import accumulate, product
+from math import prod
 
 from .errors import (
     FieldError,
@@ -203,23 +203,49 @@ class SubnetConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubnetConfig":
+        """A config from parsed JSON.  A missing or mistyped field raises
+        FieldError naming its path, and so does a gene given as ``true`` or
+        ``false``: it would pass an option check as 1 or 0, and equal the
+        config holding that number, yet serialize, and so score under the
+        noisy oracle, differently."""
+
+        def gene(value, path: str):
+            if isinstance(value, bool):
+                raise FieldError(f"{path}: expected a number, got {value!r}")
+            return value
+
+        def genes(s: dict, i: int, key: str) -> tuple:
+            values = json_field(s, key, list, f"stages[{i}]")
+            return tuple(gene(v, f"stages[{i}].{key}[{j}]") for j, v in enumerate(values))
+
         stages = [
             (
-                json_field(s, "depth", path=f"stages[{i}]"),
-                tuple(json_field(s, "kernels", list, f"stages[{i}]")),
-                tuple(json_field(s, "expands", list, f"stages[{i}]")),
+                gene(json_field(s, "depth", path=f"stages[{i}]"), f"stages[{i}].depth"),
+                genes(s, i, "kernels"),
+                genes(s, i, "expands"),
             )
             for i, s in enumerate(json_field(d, "stages", list))
         ]
         return cls(
-            resolution=json_field(d, "resolution"),
+            resolution=gene(json_field(d, "resolution"), "resolution"),
             stage_depths=tuple(depth for depth, _, _ in stages),
             kernels=tuple(ks for _, ks, _ in stages),
             expands=tuple(es for _, _, es in stages),
         )
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",",
+        ":"))``, built directly: keys in sorted order and each gene as
+        ``repr`` writes it, which for an int or a finite float is what
+        ``json.dumps`` writes (property-tested)."""
+        stages = ",".join(
+            [
+                f'{{"depth":{d!r},"expands":[{",".join(map(repr, es))}],'
+                f'"kernels":[{",".join(map(repr, ks))}]}}'
+                for d, ks, es in zip(self.stage_depths, self.kernels, self.expands)
+            ]
+        )
+        return f'{{"resolution":{self.resolution!r},"stages":[{stages}]}}'
 
 
 def maximal_config(space: SupernetSpace) -> SubnetConfig:
@@ -353,7 +379,7 @@ def enumerate_subnets(space: SupernetSpace, limit: int = 100_000):
 
 
 def _sample_with(
-    space: SupernetSpace, rng: random.Random, feasible: "FeasibleSet | None" = None
+    space: SupernetSpace, rng: random.Random, feasible: "FeasibleSet | PeakBand | None" = None
 ) -> SubnetConfig:
     # uniform over the space, or over ``feasible``'s members when given one;
     # fixed draw order: resolution, then per stage depth and per-slot genes,
@@ -727,6 +753,114 @@ class FeasibleSet:
                 + [g if g in inner_fits else rng.choice(I) for g in old[1:d]]
                 + [rng.choice(pairs) if g is None else g for g in old[d:]]
             )
+            depths.append(d)
+            kernels.append(tuple(k for k, _ in genes))
+            expands.append(tuple(e for _, e in genes))
+        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def _first_reaching(below: list[int], above: list[int]) -> list[int]:
+    """Cumulative weights over ``j`` of the members of ``above`` that leave
+    ``below`` first at term ``j``: ``prod(below[:j]) * (above[j] -
+    below[j]) * prod(above[j + 1:])``, where each term chooses independently
+    among ``above[j]`` options, ``below[j]`` of them in ``below``.  The last
+    weight is ``prod(above) - prod(below)``."""
+    return list(
+        accumulate(
+            prod(below[:j]) * (above[j] - below[j]) * prod(above[j + 1 :])
+            for j in range(len(above))
+        )
+    )
+
+
+class PeakBand:
+    """The configurations of a space whose ``config_peak_items`` lies in
+    ``lo <= peak <= hi``, counted and drawn exactly.
+
+    The band is ``A \\ B`` with ``A = FeasibleSet(space, hi)`` and ``B =
+    FeasibleSet(space, lo - 1)``, read from their per-stage ``F``/``I``
+    lists, so ``count`` is ``A.count - B.count`` (0 when ``lo > hi``).  A
+    draw picks the resolution in proportion to the members it holds.  Where
+    ``B`` holds none there (the base term reaches ``lo``, or some stage
+    always does), it draws every stage from ``A`` as ``FeasibleSet.sample``
+    does, consuming ``rng`` alike.  Otherwise it picks the first stage whose
+    term reaches ``lo`` (see ``_first_reaching``), draws the stages before
+    it from ``B`` and those after it from ``A``, and within that stage picks
+    the depth in proportion to ``A``'s members less ``B``'s, then the first
+    slot that reaches ``lo`` in the same way; inert slots take any pair."""
+
+    def __init__(self, space: SupernetSpace, lo: int, hi: int):
+        self.space, self.lo, self.hi = space, lo, hi
+        md, depth_options = space.max_depth, space.depth_options
+        above, below = FeasibleSet(space, hi), FeasibleSet(space, lo - 1)
+        pairs = above._pairs
+
+        # a stage is drawn as ``(cumulative, by_depth)``: the depth is picked
+        # by ``cumulative``, and ``by_depth`` holds per depth ``(depth,
+        # firsts, options)``, the pair list of each slot being one of
+        # ``options``, picked by ``firsts`` when there is more than one
+        def plain(stage) -> tuple:
+            cumulative, F, I, _, _ = stage
+            slots = [F] + [I] * (md - 1)
+            return cumulative, [(d, (), [slots[:d] + [pairs] * (md - d)]) for d in depth_options]
+
+        def band(stage_a, stage_b) -> tuple:
+            # the first slot whose term reaches ``lo`` takes a pair of A that
+            # is not in B, the slots before it pairs of B, the later ones of A
+            (cum_a, F_a, I_a, _, _), (cum_b, F_b, I_b, first_b, inner_b) = stage_a, stage_b
+            slots_a, slots_b = [F_a] + [I_a] * (md - 1), [F_b] + [I_b] * (md - 1)
+            reach = [p for p in F_a if p not in first_b], [p for p in I_a if p not in inner_b]
+            slots_reach = [reach[0]] + [reach[1]] * (md - 1)
+            by_depth = [
+                (
+                    d,
+                    _first_reaching(list(map(len, slots_b[:d])), list(map(len, slots_a[:d]))),
+                    [
+                        slots_b[:t] + slots_reach[t : t + 1] + slots_a[t + 1 : d]
+                        + [pairs] * (md - d)
+                        for t in range(d)
+                    ],
+                )
+                for d in depth_options
+            ]
+            return [a - b for a, b in zip(cum_a, cum_b)], by_depth
+
+        self._strata, counts = [], []
+        for r, plan_a in above._strata:
+            stages_a = [plain(stage) for stage in plan_a]
+            counts_a = [stage[0][-1] for stage in plan_a]
+            if r not in below._by_resolution:
+                self._strata.append((r, (), [stages_a]))
+                counts.append(prod(counts_a))
+                continue
+            plan_b = below._by_resolution[r][1]
+            firsts = _first_reaching([stage[0][-1] for stage in plan_b], counts_a)
+            if firsts[-1] > 0:
+                stages_b = [plain(stage) for stage in plan_b]
+                by_first = [
+                    stages_b[:j] + [band(plan_a[j], plan_b[j])] + stages_a[j + 1 :]
+                    for j in range(len(plan_a))
+                ]
+                self._strata.append((r, firsts, by_first))
+                counts.append(firsts[-1])
+        self._cumulative = list(accumulate(counts))
+        self.count = sum(counts)
+
+    def sample(self, rng: random.Random) -> SubnetConfig:
+        """One member, each with the same probability."""
+        if not self.count:
+            raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
+
+        def pick(cumulative, options: list):
+            if not cumulative:  # one option, nothing to draw
+                return options[0]
+            return options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+
+        r, firsts, by_first = pick(self._cumulative, self._strata)
+        depths, kernels, expands = [], [], []
+        for cumulative, by_depth in pick(firsts, by_first):
+            d, slot_firsts, slot_options = pick(cumulative, by_depth)
+            genes = [rng.choice(slot) for slot in pick(slot_firsts, slot_options)]
             depths.append(d)
             kernels.append(tuple(k for k, _ in genes))
             expands.append(tuple(e for _, e in genes))

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,21 @@ class TestMalformedInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert "stages[0].kernels[0]: '7' not in options [3, 5, 7]" in done.stderr
+
+    def test_boolean_gene(self, tmp_path, space):
+        # with depth 1 in the space, a depth of true would pass validation as
+        # 1, yet the noisy oracle would hash it as "true" and score it apart
+        ones = replace(space, depth_options=(1, 2, 3, 4))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(ones.to_json_dict()))
+        config = maximal_config(ones).to_json_dict()
+        config["stages"][3]["depth"] = True
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        done = run_cli("profile", "--space", space_path, "--config", path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "stages[3].depth: expected a number, got True" in done.stderr
 
     def test_dataset_row_without_config(self, tmp_path, space):
         good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
@@ -727,6 +743,17 @@ class TestManifests:
         assert set(manifest["inputs"]) == input_keys
         for flag, path in manifest["inputs"].items():
             assert argv[argv.index("--" + flag.replace("_", "-")) + 1] == path
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_artifacts_take_the_umask(self, tmp_path, capsys, umask, mode):
+        out = tmp_path / "d.jsonl"
+        previous = os.umask(umask)
+        try:
+            assert main(["sample", "--n", "10", "--buckets", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, tmp_path / "d.jsonl.manifest.json"):
+            assert os.stat(path).st_mode & 0o777 == mode, path
 
     def test_plan_reads_no_space(self, tmp_path, space_file, capsys):
         # plan sizes a schedule from the reference settings alone

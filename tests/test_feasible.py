@@ -1,6 +1,7 @@
-"""The exact feasible set of a cap (``space.FeasibleSet``) against brute
-force on small spaces, its repair of configs over the cap, and the dataset
-sampler that draws from it."""
+"""The exact feasible set of a cap (``space.FeasibleSet``) and the exact
+peak band (``space.PeakBand``) against brute force on small spaces, the
+repair of configs over the cap, and the dataset sampler that draws from the
+bands."""
 
 import random
 from bisect import bisect_right
@@ -20,6 +21,7 @@ from memnas.planner import ChannelSchedule
 from memnas.predictor import balanced_sample, bucket_edges_from_pilot, bucket_index
 from memnas.space import (
     FeasibleSet,
+    PeakBand,
     SubnetConfig,
     SupernetSpace,
     _sample_with,
@@ -167,6 +169,45 @@ def test_draws_fit_and_validate(name, include_classifier):
             config = feasible.sample(rng)
             assert validate(config, space) == []
             assert config_peak_items(config, space, include_classifier=include_classifier) <= cap
+
+
+# a band gets 20 draws per member, up to this many; one that gets them all
+# must see every member drawn, a larger one is judged by its chi-square alone
+BAND_DRAWS = 30_000
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SPACES))
+def test_band_against_brute_force(name):
+    """Four bands per space: the whole peak range, its middle third, the top
+    two peaks and one peak value.  The count is the number of whole genomes
+    in the band; draws stay in it and, where the draws allow, reach every
+    member, with a chi-square that does not reject uniformity."""
+    space = SMALL_SPACES[name]
+    peaks = {c: config_peak_items(c, space) for c in whole_genomes(space)}
+    distinct = sorted(set(peaks.values()))
+    n = len(distinct)
+    bands = [
+        (distinct[0], distinct[-1]),
+        (distinct[n // 3], distinct[2 * n // 3]),
+        (distinct[-2], distinct[-1]),
+        (distinct[n // 2], distinct[n // 2]),
+    ]
+    rng = random.Random(5)
+    for lo, hi in bands:
+        members = [c for c, p in peaks.items() if lo <= p <= hi]
+        band = PeakBand(space, lo, hi)
+        assert band.count == len(members), (lo, hi)
+        draws = min(20 * len(members), BAND_DRAWS)
+        drawn = Counter(_sample_with(space, rng, band) for _ in range(draws))
+        assert all(lo <= peaks[c] <= hi for c in drawn), (lo, hi)
+        if draws == 20 * len(members):
+            assert len(drawn) == len(members), (lo, hi)
+        if len(members) > 1:
+            assert chisquare([drawn[c] for c in members]).pvalue > 0.001, (lo, hi)
+    empty = PeakBand(space, distinct[1], distinct[1] - 1)
+    assert empty.count == 0
+    with pytest.raises(InfeasibleError):
+        empty.sample(rng)
 
 
 @pytest.mark.parametrize("name", ["one-stage", "two-stages", "rational-expands"])

@@ -184,6 +184,17 @@ class TestBalancedSample:
             unbalanced[bucket_index(config_peak_items(c, space), ds.bucket_edges)] += 1
         assert occ[0] > unbalanced[0]
 
+    def test_one_draw_per_row(self, space, monkeypatch):
+        draws, sample_with = [], predictor_module._sample_with
+
+        def counted(*args):
+            draws.append(args)
+            return sample_with(*args)
+
+        monkeypatch.setattr(predictor_module, "_sample_with", counted)
+        ds = balanced_sample(space, 1000, 10, rng_seed=0, scorer=lambda c: 0.0)
+        assert len(ds.rows) == len(draws) == 1000
+
     def test_rows_carry_fresh_peaks(self, space):
         ds = balanced_sample(space, 50, 5, rng_seed=7, scorer=lambda c: 0.0)
         for r in ds.rows:
@@ -220,8 +231,8 @@ class TestBalancedSample:
         "buckets, noise_seed, digest",
         [
             # what ``memnas sample --n 1000 --buckets 2 --seed 0`` writes
-            (2, 0, "d97aa0e5929f44c8b74d108b02c86519022c07b48bbb0fbbc28d2a3e1d24bc09"),
-            (10, None, "e52eac06fff9ba23604143c14bd43482df0eb8bed9a1dbaa52514e7765483d32"),
+            (2, 0, "dcd7aa03657ae3a6de99d4ace9a19fa3e35183e5230e68f5108a54a97346af81"),
+            (10, None, "925846f4a1edf42dcdab0315dc39f6d7920970f64e68815d456b5232213055f2"),
         ],
     )
     def test_oracle_datasets_are_pinned(self, space, buckets, noise_seed, digest):

@@ -224,6 +224,11 @@ class TestSearch:
             (lambda d: d["best_config"].pop("stages"), "best_config.stages: missing"),
             (lambda d: d["history"][2].pop("mean_score"), "history[2].mean_score: missing"),
             (lambda d: d.update(history={}), "history: expected a list"),
+            (
+                # JSON true would pass as depth 1 and share that config's score
+                lambda d: d["best_config"]["stages"][1].update(depth=True),
+                "best_config.stages[1].depth: expected a number, got True",
+            ),
         ],
     )
     def test_malformed_result_names_the_field(self, space, mangle, message):

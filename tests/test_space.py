@@ -709,6 +709,15 @@ class TestJsonRoundTrip:
             (lambda d: d.update(stages={}), "stages: expected a list"),
             (lambda d: d["stages"][1].pop("kernels"), "stages[1].kernels: missing"),
             (lambda d: d["stages"].append(7), "stages[5]: expected an object"),
+            (lambda d: d.update(resolution=True), "resolution: expected a number, got True"),
+            (
+                lambda d: d["stages"][2].update(depth=True),
+                "stages[2].depth: expected a number, got True",
+            ),
+            (
+                lambda d: d["stages"][0]["expands"].__setitem__(3, False),
+                "stages[0].expands[3]: expected a number, got False",
+            ),
         ],
     )
     def test_malformed_config_names_the_field(self, space, mangle, message):
@@ -771,6 +780,12 @@ class TestInvariants:
         child = mutate(a, space, prob, random.Random(seeds[2]))
         assert validate(child, space) == []
         assert validate(crossover(a, b, random.Random(seeds[2])), space) == []
+
+    @given(space=spaces(), seed=SEEDS)
+    def test_canonical_json_is_sorted_compact_json(self, space, seed):
+        config = sample_uniform(space, seed)
+        expected = json.dumps(config.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert config.canonical_json() == expected
 
     @given(space=spaces(), seed=SEEDS)
     def test_json_round_trips(self, space, seed):
