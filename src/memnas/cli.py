@@ -49,7 +49,7 @@ from .search import (
     sweep,
     write_sweep_csv,
 )
-from .space import SubnetConfig, SupernetSpace, _stage_entry_sizes, default_space, resolve
+from .space import SubnetConfig, SupernetSpace, default_space, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,15 +119,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_space(path: str | None) -> SupernetSpace:
-    """The space in ``path``, or the default one; every subcommand refuses
-    a space listing a resolution that does not divide through its stride
-    stages (``ResolutionError``), whether or not it builds a peak table."""
+    """The space in ``path``, or the default one."""
     if path is None:
         return default_space()
-    space = SupernetSpace.from_json_dict(_load_json(path))
-    for resolution in space.resolution_options:
-        _stage_entry_sizes(resolution, space.num_stages)
-    return space
+    return SupernetSpace.from_json_dict(_load_json(path))
 
 
 def _load_config(path: str) -> SubnetConfig:
@@ -463,6 +458,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (ValidationError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:
+        # an input number so large that float arithmetic on it overflows
+        print(f"error: a number is too large: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InfeasibleError, PartialDatasetError) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)

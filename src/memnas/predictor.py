@@ -53,11 +53,7 @@ SIGMA = 0.05
 
 
 def feature_length(space: SupernetSpace) -> int:
-    per_slot = len(space.kernel_options) + len(space.expand_options)
-    return (
-        len(space.resolution_options)
-        + space.num_stages * (len(space.depth_options) + space.max_depth * per_slot)
-    )
+    return space.one_hot_positions[2]
 
 
 def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
@@ -139,9 +135,7 @@ def synthetic_score(
     With ``n`` layers the average is the integer sum over ``n``, as
     ``statistics.fmean`` gives it for sums below 2**53, so the score equals
     the one computed from ``profile_network`` and ``flops_estimate`` of the
-    resolved network bit for bit (tested).  A space listing a resolution
-    that does not divide through the stride stages raises the
-    ``ResolutionError`` of ``peak_table``.
+    resolved network bit for bit (tested).
     """
     require_valid(config, space)
     layer_sum, flops, peak, stages = _score_table(space)[config.resolution]

@@ -185,7 +185,10 @@ def search(
     def ok(config) -> bool:
         return config_peak_items(config, space, include_classifier=include_classifier) <= cap
 
-    feasible_set = FeasibleSet(space, cap, include_classifier)
+    # when the classifier counts, ``floor`` holds it, so it fits under the
+    # cap and the configurations under it are ``FeasibleSet``'s, which
+    # leaves it out
+    feasible_set = FeasibleSet(space, cap)
     rng = random.Random(params.seed)
     population = [
         _fresh_feasible(space, ok, rng, feasible_set) for _ in range(params.population)

@@ -33,6 +33,7 @@ from .memory import (
     NetworkSkeleton,
     block_memory,
     classifier_memory,
+    expanded_channels,
     profile_network,
 )
 from .planner import NUM_STAGES, ChannelSchedule, ReferenceConfig, plan_schedule
@@ -45,7 +46,13 @@ RESOLUTION_OPTIONS = (128, 160, 192, 224)
 
 @dataclass(frozen=True)
 class SupernetSpace:
-    """Option sets plus the channel schedule shared by every subnet."""
+    """Option sets plus the channel schedule shared by every subnet.
+
+    Construction is the one check of a space, so one that constructs
+    resolves every valid configuration: each resolution must divide by
+    ``2**num_stages``, each kernel must be odd, and each expand must give
+    at least one channel at the narrowest block input, the smallest of the
+    stem and stage widths."""
 
     schedule: ChannelSchedule
     num_stages: int = NUM_STAGES
@@ -64,11 +71,27 @@ class SupernetSpace:
                 require_number(f"{name}[{i}]", v, kind, "positive")
             if not opts or any(a >= b for a, b in zip(opts, opts[1:])):
                 raise ValidationError(f"{name} must be non-empty and strictly ascending")
-        if len(self.schedule.stage_widths) != self.num_stages:
+        widths = self.schedule.stage_widths
+        if len(widths) != self.num_stages:
             raise ValidationError(
-                f"schedule has {len(self.schedule.stage_widths)} stage widths for "
-                f"{self.num_stages} stages"
+                f"schedule has {len(widths)} stage widths for {self.num_stages} stages"
             )
+        for i, r in enumerate(self.resolution_options):
+            if r % 2 ** self.num_stages:
+                raise ResolutionError(
+                    f"resolution_options[{i}]: resolution {r} does not divide through the "
+                    f"stride stages; it must be a multiple of {2 ** self.num_stages}"
+                )
+        for i, k in enumerate(self.kernel_options):
+            if k % 2 == 0:
+                raise ValidationError(f"kernel_options[{i}]: kernel {k} is even, not odd")
+        narrowest = min(self.schedule.stem_width, *widths)
+        for i, e in enumerate(self.expand_options):
+            if expanded_channels(narrowest, e) < 1:
+                raise ValidationError(
+                    f"expand_options[{i}]: expand {e} of the narrowest block input, "
+                    f"{narrowest} channels wide, rounds to zero channels"
+                )
 
     @cached_property
     def max_depth(self) -> int:
@@ -98,8 +121,7 @@ class SupernetSpace:
     @cached_property
     def peak_table(self) -> dict:
         """Per-block peak terms of every listed resolution, built on first
-        use; see ``config_peak_items``.  Raises ``ResolutionError`` if a
-        resolution does not divide through the stride stages."""
+        use; see ``config_peak_items``."""
         return _build_peak_table(self)
 
     @cached_property
@@ -472,29 +494,13 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
 
 
-def _stage_entry_sizes(resolution: int, num_stages: int) -> list[int]:
-    sizes = []
-    size = resolution
-    for _ in range(num_stages):
-        if size % 2 != 0:
-            raise ResolutionError(
-                f"resolution {resolution} does not divide through the stride stages"
-            )
-        size //= 2
-        sizes.append(size)
-    return sizes
-
-
 def resolve(
-    config: SubnetConfig,
-    space: SupernetSpace,
-    num_classes: int = 1000,
-    include_classifier: bool = False,
+    config: SubnetConfig, space: SupernetSpace, include_classifier: bool = False
 ) -> NetworkSkeleton:
-    """Build the profilable skeleton for a valid configuration."""
+    """Build the profilable skeleton for a valid configuration, with the
+    1000-class classifier if ``include_classifier``."""
     require_valid(config, space)
     sched = space.schedule
-    entry_sizes = _stage_entry_sizes(config.resolution, space.num_stages)
     blocks: list[MBBlockShape] = []
     labels: list[str] = []
     prev_width = sched.stem_width
@@ -502,7 +508,7 @@ def resolve(
         width = sched.stage_widths[s]
         depth = config.stage_depths[s]
         downsample = s < space.num_stages - 1
-        entry = entry_sizes[s]
+        entry = config.resolution >> (s + 1)
         inner = entry // 2 if downsample else entry
         for j in range(depth):
             first = j == 0
@@ -524,15 +530,12 @@ def resolve(
         blocks=tuple(blocks),
         head_width=sched.head_width,
         include_classifier=include_classifier,
-        num_classes=num_classes,
         block_labels=tuple(labels),
     )
 
 
 def _build_peak_table(space: SupernetSpace) -> dict:
-    """Map each listed resolution to ``(base, tails, stages)``; a resolution
-    that does not divide through the stride stages raises ``resolve``'s
-    ``ResolutionError``.
+    """Map each listed resolution to ``(base, tails, stages)``.
 
     ``base`` is the larger of the stem and head totals, which depend only on
     the resolution; ``tails[depth]`` is the range of slots after the first
@@ -579,10 +582,7 @@ def _stage_terms(space: SupernetSpace, skeleton: NetworkSkeleton, term) -> tuple
 
 
 def config_peak_items(
-    config: SubnetConfig,
-    space: SupernetSpace,
-    include_classifier: bool = False,
-    num_classes: int = 1000,
+    config: SubnetConfig, space: SupernetSpace, include_classifier: bool = False
 ) -> int:
     """Peak items of a configuration, read from the space's table of
     per-block terms (``SupernetSpace.peak_table``), which is built once from
@@ -595,8 +595,7 @@ def config_peak_items(
     Used on hot paths such as the feasibility check of a search, it checks only
     the genes it reads: an out-of-space resolution, depth or active gene
     raises the ``ValidationError`` that ``resolve`` raises; inert genes are
-    not checked.  A space listing a resolution that does not divide through
-    the stride stages raises the ``ResolutionError`` of ``peak_table``.
+    not checked.
     """
     try:
         peak, tails, stages = space.peak_table[config.resolution]
@@ -616,10 +615,13 @@ def config_peak_items(
         resolve(config, space)
         raise
     if include_classifier:
-        t = classifier_memory(space.schedule.head_width, num_classes).total_items
-        if t > peak:
-            peak = t
+        peak = max(peak, _classifier_items(space))
     return peak
+
+
+def _classifier_items(space: SupernetSpace) -> int:
+    """Items of the 1000-class classifier, the term ``include_classifier`` adds."""
+    return classifier_memory(space.schedule.head_width, 1000).total_items
 
 
 def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> int:
@@ -631,10 +633,7 @@ def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> in
     of the stem and head term, each stage's cheapest transition term and,
     when the smallest depth keeps a later block active, each stage's
     cheapest inner term.  The result is the least of these over the
-    resolutions, raised to the classifier term (at ``config_peak_items``'s
-    default 1000 classes) if that counts.  Like ``peak_table``, it raises
-    ``ResolutionError`` for a space listing a resolution that does not
-    divide through the stride stages.
+    resolutions, raised to the classifier term if that counts.
     """
 
     def cheapest(terms: dict) -> int:
@@ -649,15 +648,14 @@ def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> in
         peaks.append(peak)
     peak = min(peaks)
     if include_classifier:
-        peak = max(peak, classifier_memory(space.schedule.head_width, 1000).total_items)
+        peak = max(peak, _classifier_items(space))
     return peak
 
 
 def max_peak_items(space: SupernetSpace) -> int:
     """The largest peak of any configuration of the space, exactly: the
     block terms are chosen independently (see ``min_peak_items``), so one
-    configuration reaches the largest term of the table at once.  Raises
-    ``ResolutionError`` as ``min_peak_items`` does."""
+    configuration reaches the largest term of the table at once."""
     return max(
         max([base] + [t for kinds in stages for by_kernel in kinds
                       for by_expand in by_kernel.values() for t in by_expand.values()])
@@ -682,16 +680,12 @@ class FeasibleSet:
     the exact number of whole genomes, inert genes included, under the cap.
     """
 
-    def __init__(self, space: SupernetSpace, cap: int, include_classifier: bool = False):
+    def __init__(self, space: SupernetSpace, cap: int):
         self.space, self.cap = space, cap
         md = space.max_depth
         pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
-        table = space.peak_table
-        classifier = classifier_memory(space.schedule.head_width, 1000).total_items
-        if include_classifier and classifier > cap:
-            table = {}
         self._strata, counts = [], []
-        for r, (base, _, stages) in table.items():
+        for r, (base, _, stages) in space.peak_table.items():
             if base > cap:
                 continue
             count, plan = 1, []

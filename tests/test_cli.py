@@ -1,6 +1,7 @@
 """Command-line surface: pipeline wiring, file formats, exit codes,
 manifests, and reproducibility."""
 
+import argparse
 import json
 import os
 import platform
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import memnas
-from memnas.cli import _spearman, main
+from memnas.cli import _spearman, build_parser, main
 from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
 from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
@@ -301,6 +302,14 @@ def mangled_model(mangle):
     return d
 
 
+def space_commands() -> dict:
+    """The subcommands of ``build_parser()`` that take ``--space``, by name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: p for name, p in sub.choices.items() if any(a.dest == "space" for a in p._actions)
+    }
+
+
 class TestMalformedInput:
     """Malformed input exits 2 with a message naming the field, never with
     a traceback."""
@@ -492,6 +501,63 @@ class TestMalformedInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert "resolution 136 does not divide through the stride stages" in done.stderr
+        assert not out.exists()
+
+    def test_space_commands_are_listed(self):
+        assert sorted(space_commands()) == [
+            "compare", "profile", "sample", "search", "sweep", "train-predictor"
+        ]
+
+    SPACE_DEFECTS = {
+        "resolution": (
+            dict(resolution_options=[128, 136]),
+            "resolution_options[1]: resolution 136 does not divide through the stride stages",
+        ),
+        "kernel": (dict(kernel_options=[3, 4, 7]), "kernel_options[1]: kernel 4 is even"),
+        "expand": (dict(expand_options=[0.01, 2, 4]), "expand_options[0]: expand 0.01 "),
+    }
+
+    @pytest.mark.parametrize("command", sorted(space_commands()))
+    @pytest.mark.parametrize("defect", sorted(SPACE_DEFECTS))
+    def test_refused_space(self, tmp_path, defect, command):
+        # every required option gets a number or a path that does not exist,
+        # so a command that read anything before the space would not exit 2
+        fields, message = self.SPACE_DEFECTS[defect]
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(mangled_space(lambda d: d.update(fields))))
+        args = []
+        for action in space_commands()[command]._actions:
+            if action.required:
+                value = "1" if action.type else tmp_path / action.dest
+                args += [action.option_strings[0], value]
+        done = run_cli(command, "--space", path, *args)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+        assert os.listdir(tmp_path) == ["space.json"]
+
+    @pytest.mark.parametrize(
+        "mangle, command",
+        [
+            (lambda d: d.update(expand_options=[2, 1e308]), "sample"),
+            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "profile"),
+            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "sample"),
+        ],
+        ids=["expand-sample", "width-profile", "width-sample"],
+    )
+    def test_number_too_large(self, tmp_path, space, mangle, command):
+        # float arithmetic overflows on these: 1e308 times the stem's 8
+        # channels, and the layer totals of a stage 10**300 channels wide
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(mangled_space(mangle)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(maximal_config(space).to_json_dict()))
+        out = tmp_path / "out"
+        args = {"sample": ["--n", "20", "--out"], "profile": ["--config", config, "--csv"]}[command]
+        done = run_cli(command, "--space", path, *args, out)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "error: a number is too large" in done.stderr
         assert not out.exists()
 
 

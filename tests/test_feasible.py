@@ -16,7 +16,6 @@ from scipy.stats import chisquare
 from test_space import SEEDS, spaces
 
 from memnas.errors import InfeasibleError, PartialDatasetError
-from memnas.memory import classifier_memory
 from memnas.planner import ChannelSchedule
 from memnas.predictor import balanced_sample, bucket_edges_from_pilot, bucket_index
 from memnas.space import (
@@ -79,10 +78,19 @@ def brute_force_peaks(space, include_classifier=False):
 
 
 def caps_around(peaks):
-    """Caps just below, at and between the distinct peaks."""
+    """Caps just below, at and between the distinct peaks, from the smallest
+    peak up: the caps ``search`` builds a set for."""
     distinct = sorted({p for p, _ in peaks})
     picked = distinct[:: max(1, len(distinct) // 25)] + [distinct[-1]]
-    return sorted({c for p in picked for c in (p - 1, p)} | {distinct[-1] + 1})
+    caps = {c for p in picked for c in (p - 1, p)} | {distinct[-1] + 1}
+    return sorted(c for c in caps if c >= distinct[0])
+
+
+# ``FeasibleSet`` counts peaks without the classifier.  ``search`` refuses a
+# cap below ``min_peak_items(space, include_classifier)`` before it builds a
+# set, so when the classifier counts it fits under every cap a set is built
+# for, and the set is the same; the ``include_classifier`` cases check this
+# against peaks counted with the classifier.
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SPACES))
@@ -91,19 +99,21 @@ def test_count_matches_brute_force(name, include_classifier):
     space = SMALL_SPACES[name]
     peaks = brute_force_peaks(space, include_classifier)
     for cap in caps_around(peaks):
-        expected = sum(m for p, m in peaks if p <= cap)
-        assert FeasibleSet(space, cap, include_classifier).count == expected, cap
+        assert FeasibleSet(space, cap).count == sum(m for p, m in peaks if p <= cap), cap
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SPACES))
 @pytest.mark.parametrize("include_classifier", [False, True])
 def test_count_is_zero_exactly_below_the_minimum_peak(name, include_classifier):
     space = SMALL_SPACES[name]
+    peaks = brute_force_peaks(space, include_classifier)
     floor = min_peak_items(space, include_classifier)
-    assert FeasibleSet(space, floor - 1, include_classifier).count == 0
-    assert FeasibleSet(space, floor, include_classifier).count > 0
+    assert min(p for p, _ in peaks) == floor
+    assert FeasibleSet(space, floor).count == sum(m for p, m in peaks if p == floor) > 0
+    below = min_peak_items(space) - 1  # the set leaves the classifier out
+    assert FeasibleSet(space, below).count == 0
     with pytest.raises(InfeasibleError):
-        FeasibleSet(space, floor - 1, include_classifier).sample(random.Random(0))
+        FeasibleSet(space, below).sample(random.Random(0))
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SPACES))
@@ -164,8 +174,8 @@ def test_draws_fit_and_validate(name, include_classifier):
     peaks = brute_force_peaks(space, include_classifier)
     rng = random.Random(1)
     for cap in caps_around(peaks):
-        feasible = FeasibleSet(space, cap, include_classifier)
-        for _ in range(20 if feasible.count else 0):
+        feasible = FeasibleSet(space, cap)
+        for _ in range(20):
             config = feasible.sample(rng)
             assert validate(config, space) == []
             assert config_peak_items(config, space, include_classifier=include_classifier) <= cap
@@ -232,7 +242,7 @@ def test_balanced_sample_rows_land_in_their_buckets(name, num_buckets):
         assert row.peak_items == config_peak_items(row.config, space)
 
 
-def assert_repaired(feasible, config, rng, include_classifier=False):
+def assert_repaired(feasible, config, rng):
     """``feasible.repair(config, rng)`` fits and validates; a config that
     fits comes back equal with ``rng`` unmoved; otherwise every gene that was
     redrawn had to be: put back alone, it takes the repaired config over the
@@ -241,7 +251,7 @@ def assert_repaired(feasible, config, rng, include_classifier=False):
     space, cap = feasible.space, feasible.cap
 
     def fits(c):
-        return config_peak_items(c, space, include_classifier=include_classifier) <= cap
+        return config_peak_items(c, space) <= cap
 
     state = rng.getstate()
     repaired = feasible.repair(config, rng)
@@ -291,15 +301,15 @@ def test_repair_against_brute_force(name):
 
 
 @settings(max_examples=150)
-@given(space=spaces(), seed=SEEDS, share=st.floats(0, 1), include_classifier=st.booleans())
-def test_repair_keeps_every_gene_that_fits(space, seed, share, include_classifier):
-    floor = min_peak_items(space, include_classifier)
+@given(space=spaces(), seed=SEEDS, share=st.floats(0, 1))
+def test_repair_keeps_every_gene_that_fits(space, seed, share):
+    floor = min_peak_items(space)
     cap = floor + int(share * max(0, max_peak_items(space) - floor))
-    feasible = FeasibleSet(space, cap, include_classifier)
+    feasible = FeasibleSet(space, cap)
     rng = random.Random(seed)
     for _ in range(5):
-        assert_repaired(feasible, _sample_with(space, rng), rng, include_classifier)
-        assert_repaired(feasible, feasible.sample(rng), rng, include_classifier)
+        assert_repaired(feasible, _sample_with(space, rng), rng)
+        assert_repaired(feasible, feasible.sample(rng), rng)
 
 
 class ReferenceFeasibleSet:
@@ -307,16 +317,12 @@ class ReferenceFeasibleSet:
     stage is rebuilt from its (kernel, expand) pairs, with list membership.
     The equivalence tests hold ``FeasibleSet`` to it."""
 
-    def __init__(self, space, cap, include_classifier=False):
+    def __init__(self, space, cap):
         self.space, self.cap = space, cap
         md = space.max_depth
         pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
-        table = space.peak_table
-        classifier = classifier_memory(space.schedule.head_width, 1000).total_items
-        if include_classifier and classifier > cap:
-            table = {}
         self._strata, counts = [], []
-        for r, (base, _, stages) in table.items():
+        for r, (base, _, stages) in space.peak_table.items():
             if base > cap:
                 continue
             count, plan = 1, []
@@ -366,17 +372,16 @@ class ReferenceFeasibleSet:
     space=spaces(),
     seed=SEEDS,
     share=st.floats(0, 1),
-    include_classifier=st.booleans(),
     prob=st.floats(0.05, 0.6),
 )
-def test_repair_equals_the_reference(space, seed, share, include_classifier, prob):
+def test_repair_equals_the_reference(space, seed, share, prob):
     """Same config and same generator state afterwards as the reference, on
     uniform draws (mostly far over the cap) and on mutated members (mostly a
     few genes over it), and for whole draws."""
-    floor = min_peak_items(space, include_classifier)
+    floor = min_peak_items(space)
     cap = floor + int(share * max(0, max_peak_items(space) - floor))
-    feasible = FeasibleSet(space, cap, include_classifier)
-    reference = ReferenceFeasibleSet(space, cap, include_classifier)
+    feasible = FeasibleSet(space, cap)
+    reference = ReferenceFeasibleSet(space, cap)
     assert feasible.count == reference.count
     rng = random.Random(seed)
     for _ in range(5):

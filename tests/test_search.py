@@ -72,8 +72,7 @@ def noiseless(space):
     return lambda cfg: synthetic_score(cfg, space)
 
 
-# 136 halves to 68, 34, 17, which the fourth stride stage cannot halve
-UNRESOLVABLE = replace(default_space(), resolution_options=(128, 136, 224))
+# entry points that read every listed resolution through the peak table
 UNRESOLVABLE_ENTRY_POINTS = {
     "peak_table": lambda space: space.peak_table,
     "min_peak_items": min_peak_items,
@@ -90,10 +89,13 @@ UNRESOLVABLE_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(UNRESOLVABLE_ENTRY_POINTS))
 def test_unresolvable_resolution_is_refused(entry):
-    # a space's peak table covers every listed resolution or raises, so no
-    # entry point skips 136 and goes on with the others
-    with pytest.raises(ResolutionError, match="resolution 136 does not divide"):
-        UNRESOLVABLE_ENTRY_POINTS[entry](UNRESOLVABLE)
+    # 136 halves to 68, 34, 17, which the fourth stride stage cannot halve:
+    # the space is refused when it is built, so no entry point is handed it,
+    # and each one works on the same space without it
+    message = "resolution_options[1]: resolution 136 does not divide through the stride stages"
+    with pytest.raises(ResolutionError, match=re.escape(message)):
+        replace(default_space(), resolution_options=(128, 136, 224))
+    UNRESOLVABLE_ENTRY_POINTS[entry](replace(default_space(), resolution_options=(128, 224)))
 
 
 def fits(config, space, constraint):
@@ -200,12 +202,12 @@ class TestSearch:
     @pytest.mark.parametrize("seed", range(6))
     def test_unresolvable_resolution_is_never_drawn(self, seed):
         # 136 does not divide through the stride stages: a space listing it
-        # is refused before any child is drawn, and the same space without
-        # it searches only the resolutions that remain
+        # is refused when it is built, so no search draws it, and the same
+        # space without it searches only the resolutions that remain
         params = SearchParams(population=20, generations=5, seed=seed)
         constraint = SearchConstraint(400_000)
         with pytest.raises(ResolutionError, match="resolution 136 does not divide"):
-            search(UNRESOLVABLE, constraint, noiseless(UNRESOLVABLE), params)
+            replace(default_space(), resolution_options=(128, 136, 224))
         space = replace(default_space(), resolution_options=(128, 224))
         result = search(space, constraint, noiseless(space), params)
         assert result.best_config.resolution in (128, 224)
@@ -412,7 +414,7 @@ def reference_search(space, constraint, scorer, params):
                 known[c] = scorer(c)
         return [known[c] for c in configs]
 
-    feasible_set = ReferenceFeasibleSet(space, cap, include_classifier)
+    feasible_set = ReferenceFeasibleSet(space, cap)
     rng = random.Random(params.seed)
     population = []
     for _ in range(params.population):

@@ -331,17 +331,11 @@ class TestResolve:
             resolve(bad, space)
 
     def test_indivisible_resolution_rejected(self):
-        # 20 -> 10 -> 5 -> cannot halve again for the third stage entry
-        sp = tiny_space(resolutions=(20,), stages=3, depths=(1,))
-        c = sample_uniform(sp, 0)
-        with pytest.raises(ResolutionError) as by_resolve:
-            resolve(c, sp)
-        with pytest.raises(ResolutionError) as by_peak:
-            config_peak_items(c, sp)
-        assert str(by_peak.value) == str(by_resolve.value)
-        with pytest.raises(ResolutionError) as by_score:
-            synthetic_score(c, sp)
-        assert str(by_score.value) == str(by_resolve.value)
+        # 20 -> 10 -> 5 -> cannot halve again for the third stage entry; the
+        # space is refused when it is built, before anything resolves
+        message = "resolution_options[0]: resolution 20 does not divide through the stride stages"
+        with pytest.raises(ResolutionError, match=re.escape(message)):
+            tiny_space(resolutions=(20,), stages=3, depths=(1,))
 
     def test_fast_peak_matches_profile(self, space):
         rng = random.Random(14)
@@ -477,8 +471,8 @@ class TestFastValidate:
 
     @pytest.mark.parametrize("big", [
         # 17**4 kernel tuples and 4**9 depth tuples: more than 65,536 each
-        tiny_space(depths=(1, 2, 3, 4), kernels=tuple(range(10, 27)), stages=2),
-        tiny_space(depths=(1, 2, 3, 4), stages=9),
+        tiny_space(depths=(1, 2, 3, 4), kernels=tuple(range(11, 45, 2)), stages=2),
+        tiny_space(depths=(1, 2, 3, 4), stages=9, resolutions=(512,)),
     ], ids=["kernels", "depths"])
     @settings(max_examples=50)
     @given(seed=SEEDS, how=st.sampled_from(HASHABLE), where=st.integers(0, 99))
@@ -514,11 +508,13 @@ class TestFeasibleSet:
     @settings(max_examples=150)
     @given(space=spaces(), seed=SEEDS, share=st.floats(0, 1), include_classifier=st.booleans())
     def test_draws_fit_under_the_cap_and_validate(self, space, seed, share, include_classifier):
+        # at a cap at or above the floor that counts the classifier, the
+        # classifier fits, so the set's members fit with it counted too
         floor = min_peak_items(space, include_classifier)
         cap = floor + int(share * max(0, max_peak_items(space) - floor))
-        feasible = FeasibleSet(space, cap, include_classifier)
+        feasible = FeasibleSet(space, cap)
         assert feasible.count > 0
-        assert FeasibleSet(space, floor - 1, include_classifier).count == 0
+        assert FeasibleSet(space, min_peak_items(space) - 1).count == 0
         rng = random.Random(seed)
         for _ in range(5):
             config = _sample_with(space, rng, feasible)
@@ -539,19 +535,12 @@ class TestPeakTable:
     reference it must agree with."""
 
     @settings(max_examples=300)
-    @given(
-        space=spaces(),
-        seed=SEEDS,
-        include_classifier=st.booleans(),
-        num_classes=st.integers(1, 5000),
-    )
-    def test_matches_profile(self, space, seed, include_classifier, num_classes):
+    @given(space=spaces(), seed=SEEDS, include_classifier=st.booleans())
+    def test_matches_profile(self, space, seed, include_classifier):
         c = sample_uniform(space, seed)
-        skeleton = resolve(
-            c, space, num_classes=num_classes, include_classifier=include_classifier
-        )
+        skeleton = resolve(c, space, include_classifier=include_classifier)
         assert config_peak_items(
-            c, space, include_classifier=include_classifier, num_classes=num_classes
+            c, space, include_classifier=include_classifier
         ) == profile_network(skeleton).peak_items
 
     @given(
@@ -684,8 +673,10 @@ class TestMinPeak:
         assert min_peak_items(space, include_classifier=True) == 345_344
 
     def test_no_resolution_resolves(self):
-        with pytest.raises(ResolutionError):
-            min_peak_items(tiny_space(resolutions=(6, 10)))
+        # neither 6 nor 10 divides by 4; the space is refused when it is
+        # built, so there is no peak range to ask for
+        with pytest.raises(ResolutionError, match=re.escape("resolution_options[0]: resolution 6")):
+            tiny_space(resolutions=(6, 10))
 
 
 class TestJsonRoundTrip:
@@ -792,3 +783,71 @@ class TestInvariants:
         config = sample_uniform(space, seed)
         assert SubnetConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
         assert SupernetSpace.from_json_dict(json.loads(json.dumps(space.to_json_dict()))) == space
+
+
+class TestSpaceCheck:
+    """Construction is the one check of a space: every way of building one
+    refuses the same defects, naming the field, and a space that constructs
+    resolves every valid configuration."""
+
+    DEFECTS = {
+        "resolution": (
+            dict(resolution_options=(128, 136)),
+            ResolutionError,
+            "resolution_options[1]: resolution 136 does not divide through the stride stages",
+        ),
+        "kernel": (dict(kernel_options=(3, 4, 7)), ValidationError, "kernel_options[1]: kernel 4"),
+        "expand": (dict(expand_options=(0.01, 2, 4)), ValidationError, "expand_options[0]: "),
+    }
+    ROUTES = {
+        "constructor": lambda space, fields: SupernetSpace(schedule=space.schedule, **fields),
+        "replace": lambda space, fields: replace(space, **fields),
+        "from_json_dict": lambda space, fields: SupernetSpace.from_json_dict(
+            {**space.to_json_dict(), **{k: list(v) for k, v in fields.items()}}
+        ),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_route_refuses_the_defect(self, space, route, defect):
+        fields, error, message = self.DEFECTS[defect]
+        with pytest.raises(error, match=re.escape(message)):
+            self.ROUTES[route](space, fields)
+
+    def test_expands_are_checked_at_the_narrowest_block_input(self, space):
+        # a stage narrower than the stem sets the bound; the head is no block
+        # input; 1/16 of 8 channels rounds up to one, 0.06 of them to zero
+        schedule = ChannelSchedule(
+            stem_width=16, stage_widths=(8, 32), head_width=4, divisor=4
+        )
+        narrow = replace(space, schedule=schedule, num_stages=2, resolution_options=(64,))
+        assert replace(narrow, expand_options=(0.0625,)).expand_options == (0.0625,)
+        message = "expand_options[0]: expand 0.06 of the narrowest block input, 8 channels"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            replace(narrow, expand_options=(0.06,))
+
+    @given(
+        space=spaces(),
+        seed=SEEDS,
+        field=st.sampled_from([None, "kernel_options", "expand_options", "resolution_options"]),
+        data=st.data(),
+    )
+    def test_a_space_that_constructs_resolves(self, space, seed, field, data):
+        # one option set may be redrawn from values the check refuses: even
+        # kernels, expands that round to zero channels, resolutions that do
+        # not divide through the stride stages
+        if field is not None:
+            pool = {
+                "kernel_options": range(1, 9),
+                "expand_options": (0.01, 0.04, 0.0625, 0.1, 0.5, 1, 2.5),
+                "resolution_options": range(2, 2 ** space.num_stages * 3 + 1, 2),
+            }[field]
+            try:
+                space = replace(space, **{field: data.draw(option_sets(tuple(pool)), label=field)})
+            except ValidationError:
+                return
+        assert set(space.peak_table) == set(space.resolution_options)
+        for config in (maximal_config(space), sample_uniform(space, seed)):
+            for include_classifier in (False, True):
+                profile_network(resolve(config, space, include_classifier=include_classifier))
+            synthetic_score(config, space)
