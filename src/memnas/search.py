@@ -118,11 +118,11 @@ class SearchResult:
         )
 
 
-def _fresh_feasible(space, ok, rng, feasible: FeasibleSet) -> SubnetConfig:
+def _fresh_feasible(space, rng, feasible: FeasibleSet) -> SubnetConfig:
     """One exact uniform draw from ``feasible``, the configurations under
-    the cap, checked with ``ok``."""
+    the cap, checked against ``feasible.cap``."""
     config = _sample_with(space, rng, feasible)
-    if not ok(config):
+    if config_peak_items(config, space) > feasible.cap:
         raise RuntimeError(f"a draw from the feasible set is over the cap: {config}")
     return config
 
@@ -182,17 +182,13 @@ def search(
             tightest_peak=floor,
         )
 
-    def ok(config) -> bool:
-        return config_peak_items(config, space, include_classifier=include_classifier) <= cap
-
     # when the classifier counts, ``floor`` holds it, so it fits under the
-    # cap and the configurations under it are ``FeasibleSet``'s, which
+    # cap: a config fits exactly when its peak without the classifier does,
+    # and the configurations under the cap are ``FeasibleSet``'s, which
     # leaves it out
     feasible_set = FeasibleSet(space, cap)
     rng = random.Random(params.seed)
-    population = [
-        _fresh_feasible(space, ok, rng, feasible_set) for _ in range(params.population)
-    ]
+    population = [_fresh_feasible(space, rng, feasible_set) for _ in range(params.population)]
     scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
@@ -226,7 +222,7 @@ def search(
                 child = crossover(a, b, rng)
             score = known.get(child)
             if score is None:
-                if not ok(child):
+                if config_peak_items(child, space) > cap:
                     child = feasible_set.repair(child, rng)
                     score = known.get(child)
                 if score is None:

@@ -772,71 +772,34 @@ class PeakBand:
     ``lo <= peak <= hi``, counted and drawn exactly.
 
     The band is ``A \\ B`` with ``A = FeasibleSet(space, hi)`` and ``B =
-    FeasibleSet(space, lo - 1)``, read from their per-stage ``F``/``I``
-    lists, so ``count`` is ``A.count - B.count`` (0 when ``lo > hi``).  A
-    draw picks the resolution in proportion to the members it holds.  Where
-    ``B`` holds none there (the base term reaches ``lo``, or some stage
-    always does), it draws every stage from ``A`` as ``FeasibleSet.sample``
-    does, consuming ``rng`` alike.  Otherwise it picks the first stage whose
-    term reaches ``lo`` (see ``_first_reaching``), draws the stages before
-    it from ``B`` and those after it from ``A``, and within that stage picks
+    FeasibleSet(space, lo - 1)``, so ``count`` is ``A.count - B.count`` (0
+    when ``lo > hi``).  A draw reads their stage plans directly.  It picks
+    the resolution in proportion to the members it holds.  Where ``B`` holds
+    none there (the base term reaches ``lo``, or some stage always does), it
+    draws every stage from ``A`` as ``FeasibleSet.sample`` does, consuming
+    ``rng`` alike.  Otherwise it picks the first stage ``j`` whose term
+    reaches ``lo`` (see ``_first_reaching``), draws the stages before it
+    from ``B`` and those after it from ``A``, and within stage ``j`` picks
     the depth in proportion to ``A``'s members less ``B``'s, then the first
-    slot that reaches ``lo`` in the same way; inert slots take any pair."""
+    slot that reaches ``lo`` in the same way: that slot takes a pair of
+    ``A`` that is not in ``B``, the slots before it pairs of ``B`` and the
+    later active ones pairs of ``A``.  Inert slots take any pair."""
 
     def __init__(self, space: SupernetSpace, lo: int, hi: int):
         self.space, self.lo, self.hi = space, lo, hi
-        md, depth_options = space.max_depth, space.depth_options
         above, below = FeasibleSet(space, hi), FeasibleSet(space, lo - 1)
-        pairs = above._pairs
-
-        # a stage is drawn as ``(cumulative, by_depth)``: the depth is picked
-        # by ``cumulative``, and ``by_depth`` holds per depth ``(depth,
-        # firsts, options)``, the pair list of each slot being one of
-        # ``options``, picked by ``firsts`` when there is more than one
-        def plain(stage) -> tuple:
-            cumulative, F, I, _, _ = stage
-            slots = [F] + [I] * (md - 1)
-            return cumulative, [(d, (), [slots[:d] + [pairs] * (md - d)]) for d in depth_options]
-
-        def band(stage_a, stage_b) -> tuple:
-            # the first slot whose term reaches ``lo`` takes a pair of A that
-            # is not in B, the slots before it pairs of B, the later ones of A
-            (cum_a, F_a, I_a, _, _), (cum_b, F_b, I_b, first_b, inner_b) = stage_a, stage_b
-            slots_a, slots_b = [F_a] + [I_a] * (md - 1), [F_b] + [I_b] * (md - 1)
-            reach = [p for p in F_a if p not in first_b], [p for p in I_a if p not in inner_b]
-            slots_reach = [reach[0]] + [reach[1]] * (md - 1)
-            by_depth = [
-                (
-                    d,
-                    _first_reaching(list(map(len, slots_b[:d])), list(map(len, slots_a[:d]))),
-                    [
-                        slots_b[:t] + slots_reach[t : t + 1] + slots_a[t + 1 : d]
-                        + [pairs] * (md - d)
-                        for t in range(d)
-                    ],
-                )
-                for d in depth_options
-            ]
-            return [a - b for a, b in zip(cum_a, cum_b)], by_depth
-
+        self._pairs = above._pairs
         self._strata, counts = [], []
         for r, plan_a in above._strata:
-            stages_a = [plain(stage) for stage in plan_a]
             counts_a = [stage[0][-1] for stage in plan_a]
-            if r not in below._by_resolution:
-                self._strata.append((r, (), [stages_a]))
-                counts.append(prod(counts_a))
-                continue
-            plan_b = below._by_resolution[r][1]
-            firsts = _first_reaching([stage[0][-1] for stage in plan_b], counts_a)
-            if firsts[-1] > 0:
-                stages_b = [plain(stage) for stage in plan_b]
-                by_first = [
-                    stages_b[:j] + [band(plan_a[j], plan_b[j])] + stages_a[j + 1 :]
-                    for j in range(len(plan_a))
-                ]
-                self._strata.append((r, firsts, by_first))
-                counts.append(firsts[-1])
+            plan_b, firsts, count = None, None, prod(counts_a)
+            if r in below._by_resolution:
+                plan_b = below._by_resolution[r][1]
+                firsts = _first_reaching([stage[0][-1] for stage in plan_b], counts_a)
+                count = firsts[-1]
+            if count > 0:
+                self._strata.append((r, plan_a, plan_b, firsts))
+                counts.append(count)
         self._cumulative = list(accumulate(counts))
         self.count = sum(counts)
 
@@ -844,17 +807,29 @@ class PeakBand:
         """One member, each with the same probability."""
         if not self.count:
             raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
+        randrange, choice = rng.randrange, rng.choice
 
-        def pick(cumulative, options: list):
-            if not cumulative:  # one option, nothing to draw
-                return options[0]
-            return options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+        def pick(cumulative: list) -> int:
+            return bisect_right(cumulative, randrange(cumulative[-1]))
 
-        r, firsts, by_first = pick(self._cumulative, self._strata)
+        r, plan_a, plan_b, firsts = self._strata[pick(self._cumulative)]
+        j = -1 if plan_b is None else pick(firsts)
+        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
         depths, kernels, expands = [], [], []
-        for cumulative, by_depth in pick(firsts, by_first):
-            d, slot_firsts, slot_options = pick(cumulative, by_depth)
-            genes = [rng.choice(slot) for slot in pick(slot_firsts, slot_options)]
+        for s, (cumulative, F, I, _, _) in enumerate(plan_a):
+            if s < j:
+                cumulative, F, I, _, _ = plan_b[s]
+            if s != j:
+                d = depth_options[pick(cumulative)]
+                slots = [F] + [I] * (d - 1)
+            else:
+                cum_b, F_b, I_b, first_b, inner_b = plan_b[s]
+                d = depth_options[pick([a - b for a, b in zip(cumulative, cum_b)])]
+                slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
+                t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
+                reach = [p for p in slots_a[t] if p not in (inner_b if t else first_b)]
+                slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
+            genes = [choice(slot) for slot in slots + [pairs] * (md - d)]
             depths.append(d)
             kernels.append(tuple(k for k, _ in genes))
             expands.append(tuple(e for _, e in genes))

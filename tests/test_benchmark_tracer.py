@@ -25,7 +25,8 @@ def test_traced_oracle_search_records_the_reference_layers():
     """A traced oracle search must record calls to ``resolve``,
     ``profile_network`` and ``flops_estimate`` through the scorer's module:
     the scorer calls them when it builds a space's table, and the benchmark
-    requires those layers on its oracle workloads."""
+    requires those layers on its oracle workloads, with the search's draws
+    (``_sample_with``) and peak checks (``config_peak_items``)."""
     from memnas import predictor
     from memnas.space import default_space, maximal_config
 
@@ -42,25 +43,33 @@ def test_traced_oracle_search_records_the_reference_layers():
     params = searching.SearchParams(population=4, generations=2)
     with tracer:
         searching.search(space, searching.SearchConstraint(400_000), scorer, params)
-    for layer in ("search", "predictor.score", "space.resolve", "memory.profile", "memory.flops"):
+    for layer in (
+        "search", "space.sample", "space.peak", "predictor.score", "space.resolve",
+        "memory.profile", "memory.flops",
+    ):
         assert tracer.stats(layer).calls, f"{layer} recorded no call"
 
 
 def test_traced_model_search_records_the_child_layers():
     """A traced search with a ridge model, as the benchmark's loose-cap
     workload runs it, must record ``encode`` through ``predict`` and both
-    genome operators: ``predict`` calls ``encode`` by its module name."""
+    genome operators: ``predict`` calls ``encode`` by its module name.  The
+    dataset, built as the pipeline's ``sample`` step builds it, must record
+    its draws and peaks through ``memnas.predictor``."""
     from memnas import predictor
     from memnas.space import default_space
 
     searching = importlib.import_module("memnas.search")
     space = default_space()
-    dataset = predictor.balanced_sample(
-        space, 40, 2, rng_seed=0, scorer=lambda c: predictor.synthetic_score(c, space)
-    )
+    tracer = runpy.run_path(str(TRACING))["Tracer"](cap=800_000)
+    with tracer:
+        dataset = predictor.balanced_sample(
+            space, 40, 2, rng_seed=0, scorer=lambda c: predictor.synthetic_score(c, space)
+        )
+    for layer in ("space.sample", "space.peak"):
+        assert tracer.stats(layer).calls, f"{layer} recorded no call in balanced_sample"
     model = predictor.train(dataset, space, l2=1.0)
     scorer = lambda c: predictor.predict(model, c, space)
-    tracer = runpy.run_path(str(TRACING))["Tracer"](cap=800_000)
     params = searching.SearchParams(population=8, generations=2)
     with tracer:
         searching.search(space, searching.SearchConstraint(800_000), scorer, params)

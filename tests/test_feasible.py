@@ -3,6 +3,7 @@ peak band (``space.PeakBand``) against brute force on small spaces, the
 repair of configs over the cap, and the dataset sampler that draws from the
 bands."""
 
+import hashlib
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -184,6 +185,14 @@ def test_draws_fit_and_validate(name, include_classifier):
 # a band gets 20 draws per member, up to this many; one that gets them all
 # must see every member drawn, a larger one is judged by its chi-square alone
 BAND_DRAWS = 30_000
+# digests of each space's draws and of the generator state after them: a
+# faster or simpler band must make the same draws in the same order
+BAND_DRAW_DIGESTS = {
+    "max-depth-1": "c620f098bdc71c86e388a0a20a0f3e98d38564409c5b6564d06d7214ded48139",
+    "one-stage": "a45905e8c3ff282a5f2e01fa7243e0fff4df6d7e0de9a57bd25e2b4c769cf68e",
+    "rational-expands": "278ddb0687631f1abe8519d43ab9136b4f4878e528e2c15f7264dfcff1af86ae",
+    "two-stages": "c717e0a95e7763fd04122b842890e2584b87237e5486128e6909c62a336a6f35",
+}
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_SPACES))
@@ -191,7 +200,8 @@ def test_band_against_brute_force(name):
     """Four bands per space: the whole peak range, its middle third, the top
     two peaks and one peak value.  The count is the number of whole genomes
     in the band; draws stay in it and, where the draws allow, reach every
-    member, with a chi-square that does not reject uniformity."""
+    member, with a chi-square that does not reject uniformity.  The draws
+    are pinned."""
     space = SMALL_SPACES[name]
     peaks = {c: config_peak_items(c, space) for c in whole_genomes(space)}
     distinct = sorted(set(peaks.values()))
@@ -203,17 +213,21 @@ def test_band_against_brute_force(name):
         (distinct[n // 2], distinct[n // 2]),
     ]
     rng = random.Random(5)
+    lines = []
     for lo, hi in bands:
         members = [c for c, p in peaks.items() if lo <= p <= hi]
         band = PeakBand(space, lo, hi)
         assert band.count == len(members), (lo, hi)
-        draws = min(20 * len(members), BAND_DRAWS)
-        drawn = Counter(_sample_with(space, rng, band) for _ in range(draws))
+        draws = [_sample_with(space, rng, band) for _ in range(min(20 * len(members), BAND_DRAWS))]
+        lines += [c.canonical_json() for c in draws]
+        drawn = Counter(draws)
         assert all(lo <= peaks[c] <= hi for c in drawn), (lo, hi)
-        if draws == 20 * len(members):
+        if len(draws) == 20 * len(members):
             assert len(drawn) == len(members), (lo, hi)
         if len(members) > 1:
             assert chisquare([drawn[c] for c in members]).pvalue > 0.001, (lo, hi)
+    lines.append(repr(rng.getstate()))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BAND_DRAW_DIGESTS[name]
     empty = PeakBand(space, distinct[1], distinct[1] - 1)
     assert empty.count == 0
     with pytest.raises(InfeasibleError):
