@@ -5,9 +5,7 @@ supernets."""
 from .errors import (
     ChainError,
     InfeasibleError,
-    PartialDatasetError,
     ResolutionError,
-    TrainingError,
     ValidationError,
 )
 from .memory import (

@@ -7,7 +7,8 @@ artifacts.  Outputs are written atomically and each artifact gets a
 ``<name>.manifest.json`` sibling recording the command, inputs, seed, tool
 and Python versions, the process's peak RSS, and wall time.
 
-Exit codes: 0 ok, 2 validation failure, 3 infeasible, 4 I/O failure.
+Exit codes: 0 ok, 2 validation failure (a ValidationError, malformed JSON
+included, or an OverflowError), 3 infeasible, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import InfeasibleError, PartialDatasetError, TrainingError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .memory import flops_estimate, flops_millions, items_to_bytes, profile_network
 from .planner import (
     REFERENCE_WIDTHS,
@@ -115,7 +116,10 @@ def _write_artifact(args, path: str, text: str) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _load_space(path: str | None) -> SupernetSpace:
@@ -453,17 +457,14 @@ def main(argv=None) -> int:
     args.started = time.time()
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValidationError, TrainingError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:
         # an input number so large that float arithmetic on it overflows
         print(f"error: a number is too large: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleError, PartialDatasetError) as exc:
+    except InfeasibleError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the readers of JSON fields
-and values that raise them."""
+and values that raise them.  The command line exits 2 on a ValidationError,
+malformed JSON included, and 3 on an InfeasibleError."""
 
 import math
 
@@ -21,7 +22,8 @@ class FieldError(ValidationError):
 
 
 class InfeasibleError(RuntimeError):
-    """No admissible value exists under the given constraint.
+    """No admissible value exists under the given constraint (a planner
+    stage, a search cap, a peak band, a dataset bucket).
 
     Attributes carry context for diagnostics: ``stage`` (planner stage
     index, if any) and ``tightest_peak`` (for a search, the exact smallest
@@ -32,22 +34,6 @@ class InfeasibleError(RuntimeError):
         super().__init__(message)
         self.stage = stage
         self.tightest_peak = tightest_peak
-
-
-class PartialDatasetError(RuntimeError):
-    """Balanced sampling cannot fill its buckets: some bucket's peak range
-    holds no configuration.
-
-    ``occupancy`` maps bucket index to the number of rows collected.
-    """
-
-    def __init__(self, message, occupancy):
-        super().__init__(message)
-        self.occupancy = dict(occupancy)
-
-
-class TrainingError(RuntimeError):
-    """The regression problem is degenerate (e.g. singular with l2=0)."""
 
 
 def json_field(d, key: str, kind: type | None = None, path: str = ""):

@@ -31,6 +31,9 @@ PRECISION_BYTES = {
     "int8": 1,
 }
 
+#: classes of the classifier a skeleton may end with
+NUM_CLASSES = 1000
+
 
 def expanded_channels(c_in: int, expand: float) -> int:
     """Channel count after the expansion layer: expand * c_in rounded to the
@@ -168,7 +171,7 @@ class NetworkSkeleton:
     blocks: tuple[MBBlockShape, ...]
     head_width: int
     include_classifier: bool = False
-    num_classes: int = 1000
+    num_classes: int = NUM_CLASSES
     block_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):

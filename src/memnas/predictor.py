@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from operator import getitem
 from typing import TYPE_CHECKING
 
-from .errors import PartialDatasetError, TrainingError, ValidationError, require_number
+from .errors import InfeasibleError, ValidationError, require_number
 from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
 from .space import (
     PeakBand,
@@ -202,15 +202,20 @@ class Dataset:
             fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
 
     @classmethod
-    def read_jsonl(cls, fh, bucket_edges=()) -> "Dataset":
+    def read_jsonl(cls, fh) -> "Dataset":
+        """The rows of a JSONL dataset; the file holds no bucket edges."""
         rows = []
         for number, line in enumerate(fh, start=1):
             if line.strip():
                 try:
                     rows.append(DatasetRow.from_json_dict(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(
+                        f"line {number}: malformed JSON: {exc.msg} at column {exc.colno}"
+                    ) from None
                 except ValidationError as exc:
                     raise ValidationError(f"line {number}: {exc}") from None
-        return cls(rows=tuple(rows), bucket_edges=tuple(bucket_edges))
+        return cls(rows=tuple(rows), bucket_edges=())
 
 
 def bucket_index(peak: float, edges: tuple[float, ...]) -> int:
@@ -242,7 +247,7 @@ def balanced_sample(
     the last bucket also holds the largest peak.  The buckets are filled in
     order, one exact uniform draw per row from the ``PeakBand`` of the
     integer peaks the bucket holds.  A bucket that no config reaches, by the
-    band's exact count, raises PartialDatasetError before anything is drawn.
+    band's exact count, raises InfeasibleError before anything is drawn.
     """
     if num_buckets < 1 or n < num_buckets:
         raise ValidationError("need n >= num_buckets >= 1")
@@ -258,10 +263,9 @@ def balanced_sample(
     bands = [PeakBand(space, lo, hi) for lo, hi in bounds]
     empty = [b for b, band in enumerate(bands) if not band.count]
     if empty:
-        raise PartialDatasetError(
+        raise InfeasibleError(
             f"no configuration has its peak in bucket(s) {empty} of edges "
-            f"{[round(e, 1) for e in edges]}",
-            occupancy={b: 0 for b in range(num_buckets)},
+            f"{[round(e, 1) for e in edges]}"
         )
     rng = random.Random(rng_seed)
     rows: list[DatasetRow] = []
@@ -336,7 +340,7 @@ def train(
     phi = np.stack([encode(row.config, space) for row in dataset.rows])
     y = np.array([row.score for row in dataset.rows])
     if l2 == 0 and len(dataset.rows) > 1 and np.ptp(phi, axis=0).max() == 0:
-        raise TrainingError(
+        raise ValidationError(
             "all rows encode identically and l2 is zero; the problem is singular"
         )
     n_feat = phi.shape[1]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import accumulate, product
 from math import prod
+from operator import mul
 
 from .errors import (
     FieldError,
@@ -29,6 +30,7 @@ from .errors import (
     require_number,
 )
 from .memory import (
+    NUM_CLASSES,
     MBBlockShape,
     NetworkSkeleton,
     block_memory,
@@ -498,7 +500,7 @@ def resolve(
     config: SubnetConfig, space: SupernetSpace, include_classifier: bool = False
 ) -> NetworkSkeleton:
     """Build the profilable skeleton for a valid configuration, with the
-    1000-class classifier if ``include_classifier``."""
+    ``NUM_CLASSES``-class classifier if ``include_classifier``."""
     require_valid(config, space)
     sched = space.schedule
     blocks: list[MBBlockShape] = []
@@ -620,8 +622,8 @@ def config_peak_items(
 
 
 def _classifier_items(space: SupernetSpace) -> int:
-    """Items of the 1000-class classifier, the term ``include_classifier`` adds."""
-    return classifier_memory(space.schedule.head_width, 1000).total_items
+    """Items of the classifier, the term ``include_classifier`` adds."""
+    return classifier_memory(space.schedule.head_width, NUM_CLASSES).total_items
 
 
 def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> int:
@@ -757,14 +759,12 @@ def _first_reaching(below: list[int], above: list[int]) -> list[int]:
     """Cumulative weights over ``j`` of the members of ``above`` that leave
     ``below`` first at term ``j``: ``prod(below[:j]) * (above[j] -
     below[j]) * prod(above[j + 1:])``, where each term chooses independently
-    among ``above[j]`` options, ``below[j]`` of them in ``below``.  The last
-    weight is ``prod(above) - prod(below)``."""
-    return list(
-        accumulate(
-            prod(below[:j]) * (above[j] - below[j]) * prod(above[j + 1 :])
-            for j in range(len(above))
-        )
-    )
+    among ``above[j]`` options, ``below[j]`` of them in ``below``.  The sum
+    telescopes, so the ``j``-th cumulative weight is ``prod(above) -
+    prod(below[:j + 1]) * prod(above[j + 1:])``, built from prefix and suffix
+    products; the last is ``prod(above) - prod(below)``."""
+    suffix = list(accumulate(reversed(above), mul, initial=1))[::-1]
+    return [suffix[0] - head * tail for head, tail in zip(accumulate(below, mul), suffix[1:])]
 
 
 class PeakBand:

@@ -400,6 +400,35 @@ class TestMalformedInput:
         assert "line 2: config: missing" in done.stderr
         assert not (tmp_path / "m.json").exists()
 
+    def test_dataset_line_not_json(self, tmp_path, space):
+        good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(good) + "\n{nope\n")
+        done = run_cli("train-predictor", "--dataset", data, "--out", tmp_path / "m.json")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "line 2: malformed JSON" in done.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, command",
+        [
+            ("--space", ["search", "--constraint", "800000", "--out", "{out}"]),
+            ("--model", ["search", "--constraint", "800000", "--out", "{out}"]),
+            ("--config", ["profile", "--csv", "{out}"]),
+            ("--config-a", ["compare", "--config-b", "{config}", "--out", "{out}"]),
+        ],
+    )
+    def test_file_not_json(self, tmp_path, config_file, flag, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        out = tmp_path / "out"
+        done = run_cli(*[arg.format(config=config_file, out=out) for arg in command], flag, bad)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"{bad}: malformed JSON" in done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -533,6 +562,40 @@ class TestMalformedInput:
         assert "Traceback" not in done.stderr
         assert "error: a number is too large" in done.stderr
         assert not out.exists()
+
+
+class TestRefusedWork:
+    """Well-formed input that no result can be made from: a dataset bucket
+    that no configuration reaches exits 3, a singular fit exits 2."""
+
+    def test_empty_bucket_exits_3(self, tmp_path, capsys):
+        # one option per gene: the two resolutions give the only two peaks,
+        # so the eight buckets between the lowest and the highest hold none
+        tiny = SupernetSpace(
+            schedule=ChannelSchedule(stem_width=8, stage_widths=(8, 8), head_width=8, divisor=8),
+            num_stages=2,
+            depth_options=(1,),
+            kernel_options=(3,),
+            expand_options=(2,),
+            resolution_options=(32, 64),
+        )
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(tiny.to_json_dict()))
+        code = main(["sample", "--n", "100", "--buckets", "10", "--space", str(path),
+                     "--out", str(tmp_path / "d.jsonl")])
+        assert code == 3
+        assert "bucket(s) [1, 2, 3, 4, 5, 6, 7, 8]" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["space.json"]
+
+    def test_singular_fit_exits_2(self, tmp_path, space, capsys):
+        row = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        data.write_text((json.dumps(row) + "\n") * 3)
+        model = tmp_path / "m.json"
+        code = main(["train-predictor", "--dataset", str(data), "--l2", "0", "--out", str(model)])
+        assert code == 2
+        assert "singular" in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestTrainHoldout:

@@ -9,6 +9,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from itertools import accumulate, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 from test_space import SEEDS, spaces
 
-from memnas.errors import InfeasibleError, PartialDatasetError
+from memnas.errors import InfeasibleError
 from memnas.planner import ChannelSchedule
 from memnas.predictor import balanced_sample, bucket_edges_from_pilot, bucket_index
 from memnas.space import (
@@ -24,6 +25,7 @@ from memnas.space import (
     PeakBand,
     SubnetConfig,
     SupernetSpace,
+    _first_reaching,
     _sample_with,
     config_peak_items,
     enumerate_subnets,
@@ -234,6 +236,27 @@ def test_band_against_brute_force(name):
         empty.sample(rng)
 
 
+def reference_first_reaching(below, above):
+    """``_first_reaching`` term by term, one product of slices per weight."""
+    return list(
+        accumulate(
+            prod(below[:j]) * (above[j] - below[j]) * prod(above[j + 1 :])
+            for j in range(len(above))
+        )
+    )
+
+
+@given(
+    terms=st.lists(
+        st.integers(0, 40).flatmap(lambda a: st.tuples(st.integers(0, a), st.just(a))),
+        max_size=8,
+    )
+)
+def test_first_reaching_equals_the_product_form(terms):
+    below, above = [b for b, _ in terms], [a for _, a in terms]
+    assert _first_reaching(below, above) == reference_first_reaching(below, above)
+
+
 @pytest.mark.parametrize("name", ["one-stage", "two-stages", "rational-expands"])
 @pytest.mark.parametrize("num_buckets", [1, 3, 10])
 def test_balanced_sample_rows_land_in_their_buckets(name, num_buckets):
@@ -244,7 +267,7 @@ def test_balanced_sample_rows_land_in_their_buckets(name, num_buckets):
     n = 5 * num_buckets + 2
     try:
         dataset = balanced_sample(space, n, num_buckets, rng_seed=4, scorer=lambda c: 0.0)
-    except PartialDatasetError:
+    except InfeasibleError:
         assert reached != set(range(num_buckets))
         return
     assert reached == set(range(num_buckets))
