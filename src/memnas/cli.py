@@ -7,8 +7,8 @@ artifacts.  Outputs are written atomically and each artifact gets a
 ``<name>.manifest.json`` sibling recording the command, inputs, seed, tool
 and Python versions, the process's peak RSS, and wall time.
 
-Exit codes: 0 ok, 2 validation failure (a ValidationError, malformed JSON
-included, or an OverflowError), 3 infeasible, 4 I/O failure.
+Exit codes: 0 ok, 2 validation failure (a ValidationError, malformed or
+non-UTF-8 JSON included, or an OverflowError), 3 infeasible, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -115,11 +115,13 @@ def _write_artifact(args, path: str, text: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: malformed JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _load_space(path: str | None) -> SupernetSpace:
@@ -242,7 +244,7 @@ def _spearman(a, b) -> float:
 
 def cmd_train(args) -> int:
     space = _load_space(args.space)
-    with open(args.dataset) as fh:
+    with open(args.dataset, encoding="utf-8") as fh:
         dataset = Dataset.read_jsonl(fh)
     if not dataset.rows:
         raise ValidationError(f"dataset {args.dataset} is empty")

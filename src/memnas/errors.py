@@ -36,19 +36,25 @@ class InfeasibleError(RuntimeError):
         self.tightest_peak = tightest_peak
 
 
-def json_field(d, key: str, kind: type | None = None, path: str = ""):
+def json_field(d, key: str, kind: type | None = None, path: str = "", index: int | None = None):
     """``d[key]`` from parsed JSON, checked to be a ``kind`` if given; a
     missing or mistyped field raises FieldError naming its path, with
-    ``path`` the path of ``d`` itself."""
-    where = f"{path}.{key}" if path else key
+    ``path`` the path of ``d`` itself or, given an ``index``, of the list
+    that holds ``d`` at that index.  The path is built only for an error."""
     if not isinstance(d, dict):
-        raise FieldError(f"{path or 'top level'}: expected an object, got {d!r}")
+        raise FieldError(f"{_path(path, index) or 'top level'}: expected an object, got {d!r}")
     if key not in d:
-        raise FieldError(f"{where}: missing")
+        raise FieldError(f"{_path(path, index, key)}: missing")
     value = d[key]
     if kind is not None and not isinstance(value, kind):
-        raise FieldError(f"{where}: expected a {kind.__name__}, got {value!r}")
+        raise FieldError(f"{_path(path, index, key)}: expected a {kind.__name__}, got {value!r}")
     return value
+
+
+def _path(path: str, index: int | None, key: str = "") -> str:
+    if index is not None:
+        path = f"{path}[{index}]"
+    return f"{path}.{key}" if path and key else path or key
 
 
 def require_number(

@@ -24,6 +24,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import getitem
 from typing import TYPE_CHECKING
 
@@ -61,13 +62,21 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     block followed by per-slot kernel and expand blocks.  Slots beyond the
     active depth encode as all-zero blocks, so inert genes never show.
 
-    The positions of the ones are read from the space's table
-    (``SupernetSpace.one_hot_positions``) and set in one assignment.
-    numpy is imported here, not with the module (see its docstring)."""
+    The ones are set at ``_hot_positions`` in one assignment.  numpy is
+    imported here, not with the module (see its docstring)."""
     import numpy as np
 
+    vec = np.zeros(space.one_hot_positions[2])
+    vec[_hot_positions(config, space)] = 1.0
+    return vec
+
+
+def _hot_positions(config: SubnetConfig, space: SupernetSpace) -> list[int]:
+    """The positions of the ones in ``encode(config, space)``, read from the
+    space's table (``SupernetSpace.one_hot_positions``); an invalid config
+    raises ValidationError."""
     require_valid(config, space)
-    resolution_at, stages, length = space.one_hot_positions
+    resolution_at, stages, _ = space.one_hot_positions
     hot = [resolution_at[config.resolution]]
     for (depth_at, kernel_at, expand_at), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
@@ -75,9 +84,21 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
         hot.append(depth_at[depth])
         hot += map(getitem, kernel_at[:depth], ks)
         hot += map(getitem, expand_at[:depth], es)
-    vec = np.zeros(length)
-    vec[hot] = 1.0
-    return vec
+    return hot
+
+
+def _hot_indices(configs, space: SupernetSpace) -> tuple:
+    """``(rows, columns)``: the positions of the ones in
+    ``np.stack([encode(c, space) for c in configs])``, as two index arrays,
+    so that one assignment sets them all."""
+    import numpy as np
+
+    hot = [_hot_positions(config, space) for config in configs]
+    counts = [len(h) for h in hot]
+    return (
+        np.repeat(np.arange(len(hot)), counts),
+        np.fromiter(chain.from_iterable(hot), np.intp, sum(counts)),
+    )
 
 
 @lru_cache(maxsize=16)
@@ -198,24 +219,51 @@ class Dataset:
     bucket_edges: tuple[float, ...]
 
     def write_jsonl(self, fh) -> None:
-        for row in self.rows:
-            fh.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
+        """One line per row, ``json.dumps(row.to_json_dict(), sort_keys=True)``,
+        built directly (property-tested): the config by
+        ``SubnetConfig.json_text`` and each number as ``json.dumps`` writes
+        it."""
+        fh.write(
+            "".join(
+                [
+                    f'{{"config": {row.config.json_text(", ", ": ")}, "peak_items": '
+                    f'{_json_number(row.peak_items)}, "score": {_json_number(row.score)}}}\n'
+                    for row in self.rows
+                ]
+            )
+        )
 
     @classmethod
     def read_jsonl(cls, fh) -> "Dataset":
         """The rows of a JSONL dataset; the file holds no bucket edges."""
         rows = []
-        for number, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    rows.append(DatasetRow.from_json_dict(json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(
-                        f"line {number}: malformed JSON: {exc.msg} at column {exc.colno}"
-                    ) from None
-                except ValidationError as exc:
-                    raise ValidationError(f"line {number}: {exc}") from None
+        number = 0
+        try:
+            for number, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        rows.append(DatasetRow.from_json_dict(json.loads(line)))
+                    except json.JSONDecodeError as exc:
+                        raise ValidationError(
+                            f"line {number}: malformed JSON: {exc.msg} at column {exc.colno}"
+                        ) from None
+                    except ValidationError as exc:
+                        raise ValidationError(f"line {number}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # a text file decodes a chunk at a time, and the failing chunk
+            # starts within the first line not yet read: the bad byte's line
+            # is that one plus the newlines before the byte
+            number += 1 + exc.object[: exc.start].count(b"\n")
+            raise ValidationError(
+                f"line {number}: not UTF-8: {exc.reason}, byte 0x{exc.object[exc.start]:02x}"
+            ) from None
         return cls(rows=tuple(rows), bucket_edges=())
+
+
+def _json_number(x) -> str:
+    """``json.dumps(x)`` for an int or a float: ``repr`` if finite, else
+    ``NaN``, ``Infinity`` or ``-Infinity``."""
+    return repr(x) if -math.inf < x < math.inf else json.dumps(x)
 
 
 def bucket_index(peak: float, edges: tuple[float, ...]) -> int:
@@ -330,25 +378,27 @@ def train(
 
     Solved as an augmented least-squares system (the one-hot blocks are
     collinear with the intercept, so plain normal equations would be
-    singular); the minimum-norm solution is deterministic.
+    singular); the minimum-norm solution is deterministic.  The system is
+    built in one array, with every row's ones set in one assignment.
     """
     import numpy as np
 
     if not dataset.rows:
         raise ValidationError("dataset is empty")
     require_number("l2", l2, sign="non-negative")
-    phi = np.stack([encode(row.config, space) for row in dataset.rows])
-    y = np.array([row.score for row in dataset.rows])
-    if l2 == 0 and len(dataset.rows) > 1 and np.ptp(phi, axis=0).max() == 0:
+    n, n_feat = len(dataset.rows), feature_length(space)
+    # the augmented system [phi, 1; sqrt(l2) * I, 0], each block set in place
+    design = np.zeros((n + n_feat if l2 > 0 else n, n_feat + 1))
+    design[_hot_indices([row.config for row in dataset.rows], space)] = 1.0
+    design[:n, n_feat] = 1.0
+    if l2 == 0 and n > 1 and np.ptp(design[:n, :n_feat], axis=0).max() == 0:
         raise ValidationError(
             "all rows encode identically and l2 is zero; the problem is singular"
         )
-    n_feat = phi.shape[1]
-    design = np.hstack([phi, np.ones((phi.shape[0], 1))])
+    y = np.array([row.score for row in dataset.rows])
     if l2 > 0:
-        reg = np.zeros((n_feat, n_feat + 1))
-        reg[:, :n_feat] = math.sqrt(l2) * np.eye(n_feat)
-        design = np.vstack([design, reg])
+        diagonal = np.arange(n_feat)
+        design[n + diagonal, diagonal] = math.sqrt(l2)
         y = np.concatenate([y, np.zeros(n_feat)])
     solution, *_ = np.linalg.lstsq(design, y, rcond=None)
     return PredictorModel(

@@ -108,9 +108,9 @@ class SearchResult:
             best_peak_items=json_field(d, "best_peak_items"),
             history=tuple(
                 GenerationStats(
-                    json_field(h, "generation", path=f"history[{i}]"),
-                    json_field(h, "best_score", path=f"history[{i}]"),
-                    json_field(h, "mean_score", path=f"history[{i}]"),
+                    json_field(h, "generation", path="history", index=i),
+                    json_field(h, "best_score", path="history", index=i),
+                    json_field(h, "mean_score", path="history", index=i),
                 )
                 for i, h in enumerate(json_field(d, "history", list))
             ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, reduce
 from itertools import accumulate, product
 from math import prod
@@ -94,6 +94,21 @@ class SupernetSpace:
                     f"expand_options[{i}]: expand {e} of the narrowest block input, "
                     f"{narrowest} channels wide, rounds to zero channels"
                 )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The frozen dataclass's hash, of the field tuple, computed once:
+        each ``synthetic_score`` looks its table up by space, in
+        ``_score_table``'s cache."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __getstate__(self) -> dict:
+        # the cached hash is not pickled: string hashes, the schedule's
+        # ``mode`` among them, differ from process to process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @cached_property
     def max_depth(self) -> int:
@@ -231,20 +246,28 @@ class SubnetConfig:
         FieldError naming its path, and so does a gene given as ``true`` or
         ``false``: it would pass an option check as 1 or 0, and equal the
         config holding that number, yet serialize, and so score under the
-        noisy oracle, differently."""
+        noisy oracle, differently.
 
-        def gene(value, path: str):
-            if isinstance(value, bool):
-                raise FieldError(f"{path}: expected a number, got {value!r}")
+        A path is built only for an error: each list of genes is checked for
+        a bool in one pass, and only a list that holds one is searched for
+        its position."""
+
+        def gene(value, path: str, *args):
+            """``value``, unless it is a bool; ``path.format(*args)`` names it"""
+            if type(value) is bool:
+                raise FieldError(f"{path.format(*args)}: expected a number, got {value!r}")
             return value
 
         def genes(s: dict, i: int, key: str) -> tuple:
-            values = json_field(s, key, list, f"stages[{i}]")
-            return tuple(gene(v, f"stages[{i}].{key}[{j}]") for j, v in enumerate(values))
+            values = json_field(s, key, list, "stages", i)
+            if bool in map(type, values):
+                j = [type(v) for v in values].index(bool)
+                gene(values[j], "stages[{}].{}[{}]", i, key, j)
+            return tuple(values)
 
         stages = [
             (
-                gene(json_field(s, "depth", path=f"stages[{i}]"), f"stages[{i}].depth"),
+                gene(json_field(s, "depth", path="stages", index=i), "stages[{}].depth", i),
                 genes(s, i, "kernels"),
                 genes(s, i, "expands"),
             )
@@ -259,17 +282,25 @@ class SubnetConfig:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",",
-        ":"))``, built directly: keys in sorted order and each gene as
-        ``repr`` writes it, which for an int or a finite float is what
-        ``json.dumps`` writes (property-tested)."""
-        stages = ",".join(
+        ":"))``; see ``json_text``."""
+        return self.json_text(",", ":")
+
+    def json_text(self, item_sep: str, key_sep: str) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True,
+        separators=(item_sep, key_sep))``, built directly: keys in sorted
+        order and each gene as ``repr`` writes it, which for an int or a
+        finite float is what ``json.dumps`` writes (property-tested)."""
+        stages = item_sep.join(
             [
-                f'{{"depth":{d!r},"expands":[{",".join(map(repr, es))}],'
-                f'"kernels":[{",".join(map(repr, ks))}]}}'
+                f'{{"depth"{key_sep}{d!r}{item_sep}'
+                f'"expands"{key_sep}[{item_sep.join(map(repr, es))}]{item_sep}'
+                f'"kernels"{key_sep}[{item_sep.join(map(repr, ks))}]}}'
                 for d, ks, es in zip(self.stage_depths, self.kernels, self.expands)
             ]
         )
-        return f'{{"resolution":{self.resolution!r},"stages":[{stages}]}}'
+        return (
+            f'{{"resolution"{key_sep}{self.resolution!r}{item_sep}"stages"{key_sep}[{stages}]}}'
+        )
 
 
 def maximal_config(space: SupernetSpace) -> SubnetConfig:
@@ -356,9 +387,12 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
 
 
 def require_valid(config: SubnetConfig, space: SupernetSpace) -> None:
-    violations = validate(config, space)
-    if violations:
-        raise ValidationError("; ".join(violations))
+    """Raise ValidationError naming every violation ``validate`` lists; a
+    valid config costs the set lookups alone (``_is_valid``)."""
+    if not _is_valid(config, space):
+        violations = _violations(config, space)
+        if violations:
+            raise ValidationError("; ".join(violations))
 
 
 def count_subnets(space: SupernetSpace) -> int:

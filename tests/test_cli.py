@@ -430,6 +430,36 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flag, command",
+        [
+            ("--config", ["profile", "--csv", "{out}"]),
+            ("--model", ["search", "--constraint", "800000", "--out", "{out}"]),
+            ("--space", ["search", "--constraint", "800000", "--out", "{out}"]),
+        ],
+    )
+    def test_file_not_utf8(self, tmp_path, flag, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        out = tmp_path / "out"
+        done = run_cli(*[arg.format(out=out) for arg in command], flag, bad)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"{bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0" in (
+            done.stderr
+        )
+        assert not out.exists()
+
+    def test_dataset_line_not_utf8(self, tmp_path, space):
+        good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        data = tmp_path / "data.jsonl"
+        data.write_bytes((json.dumps(good) + "\n").encode() * 2 + b'{"config": "\xff"}\n')
+        done = run_cli("train-predictor", "--dataset", data, "--out", tmp_path / "m.json")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "line 3: not UTF-8: invalid start byte, byte 0xff" in done.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("score", "abc", "line 4: score: expected a number, got 'abc'"),

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from memnas.predictor import (
     Dataset,
     DatasetRow,
     PredictorModel,
+    _hot_indices,
     balanced_sample,
     bucket_index,
     encode,
@@ -146,6 +148,64 @@ class TestEncode:
         assert vec[: len(space.resolution_options) - 1].sum() == 0
 
 
+def reference_train(dataset, space, l2):
+    """Ridge least squares on the stacked ``encode`` vectors, with the
+    intercept column and the ridge block joined by ``np.hstack`` and
+    ``np.vstack``: the reference for ``train``'s system built in place."""
+    phi = np.stack([encode(row.config, space) for row in dataset.rows])
+    y = np.array([row.score for row in dataset.rows])
+    n_feat = phi.shape[1]
+    design = np.hstack([phi, np.ones((phi.shape[0], 1))])
+    if l2 > 0:
+        reg = np.zeros((n_feat, n_feat + 1))
+        reg[:, :n_feat] = math.sqrt(l2) * np.eye(n_feat)
+        design = np.vstack([design, reg])
+        y = np.concatenate([y, np.zeros(n_feat)])
+    solution, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return tuple(float(w) for w in solution[:n_feat]), float(solution[n_feat])
+
+
+class TestHotIndices:
+    """``train``'s one-hot block, set in one assignment, against the stack
+    of per-row ``encode`` vectors it replaces."""
+
+    SPACES = {
+        "default": {},
+        "rational expands": dict(expand_options=(1.5, 2, 2.5)),
+        "depth 1": dict(depth_options=(1,), kernel_options=(3, 5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_equals_the_stacked_encodings(self, space, name):
+        small = replace(space, **self.SPACES[name])
+        rng = random.Random(3)
+        configs = [_sample_with(small, rng) for _ in range(300)] + [maximal_config(small)]
+        stacked = np.stack([encode(c, small) for c in configs])
+        phi = np.zeros(stacked.shape)
+        phi[_hot_indices(configs, small)] = 1.0
+        assert phi.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    @pytest.mark.parametrize("l2", [0.0, 0.3, 1.0])
+    def test_train_equals_the_reference(self, space, name, l2):
+        small = replace(space, **self.SPACES[name])
+        ds = balanced_sample(
+            small, 200, 2, rng_seed=5, scorer=lambda c: synthetic_score(c, small, noise_seed=5)
+        )
+        model = train(ds, small, l2=l2)
+        assert (model.weights, model.intercept) == reference_train(ds, small, l2)
+
+    def test_an_invalid_row_raises_encodes_error(self, space):
+        good = maximal_config(space)
+        bad = replace_gene(good, resolution=200)
+        with pytest.raises(ValidationError) as expected:
+            encode(bad, space)
+        with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+            _hot_indices([good, bad], space)
+        with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+            train(Dataset((DatasetRow(good, 0, 1.0), DatasetRow(bad, 0, 2.0)), ()), space, 1.0)
+
+
 class TestBalancedSample:
     def test_single_bucket_is_plain_uniform(self, space):
         ds = balanced_sample(space, 40, 1, rng_seed=3, scorer=lambda c: 1.5)
@@ -242,6 +302,56 @@ class TestBalancedSample:
         buf = io.StringIO()
         ds.write_jsonl(buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@st.composite
+def dataset_rows(draw):
+    """Rows of any space, rational expands included, with a resolution,
+    ``peak_items`` and a score up to 2**80 and a score that may be NaN or
+    infinite."""
+    config = sample_uniform(draw(spaces()), draw(SEEDS))
+    big = st.integers(-(2 ** 80), 2 ** 80)
+    config = replace(config, resolution=draw(st.one_of(st.just(config.resolution), big)))
+    score = draw(st.one_of(st.floats(), big, st.sampled_from([math.nan, math.inf, -math.inf])))
+    return DatasetRow(config, draw(st.integers(0, 2 ** 80)), score)
+
+
+class TestDatasetJsonl:
+    """``write_jsonl``, which builds each line directly, against the
+    ``json.dumps`` it replaces, and ``read_jsonl`` on undecodable bytes."""
+
+    @given(rows=st.lists(dataset_rows(), max_size=4))
+    def test_lines_are_json_dumps(self, rows):
+        buf = io.StringIO()
+        Dataset(tuple(rows), ()).write_jsonl(buf)
+        expected = [json.dumps(row.to_json_dict(), sort_keys=True) for row in rows]
+        assert buf.getvalue().split("\n") == expected + [""]
+
+    def test_training_on_the_round_trip_gives_the_same_model(self, space):
+        ds = balanced_sample(
+            space, 300, 3, rng_seed=4, scorer=lambda c: synthetic_score(c, space, noise_seed=4)
+        )
+        buf = io.StringIO()
+        ds.write_jsonl(buf)
+        buf.seek(0)
+        back = Dataset.read_jsonl(buf)
+        assert train(back, space, l2=1.0) == train(ds, space, l2=1.0)
+
+    @pytest.mark.parametrize("bad_line", [1, 3, 250, 300])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, space, bad_line):
+        # 300 rows span several of the text reader's 8 KiB chunks, so the
+        # line is found past the lines already read
+        ds = balanced_sample(space, 300, 1, rng_seed=0, scorer=lambda c: 0.5)
+        buf = io.StringIO()
+        ds.write_jsonl(buf)
+        lines = buf.getvalue().encode().splitlines(keepends=True)
+        lines[bad_line - 1] = lines[bad_line - 1][:20] + b"\xff" + lines[bad_line - 1][20:]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(lines))
+        message = f"line {bad_line}: not UTF-8: invalid start byte, byte 0xff"
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                Dataset.read_jsonl(fh)
 
 
 def linear_rows(space, n, seed):

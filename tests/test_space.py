@@ -4,6 +4,7 @@ and resolution into skeletons."""
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -688,6 +689,29 @@ class TestJsonRoundTrip:
         assert set(d["stages"][0]) == {"depth", "kernels", "expands"}
         assert SubnetConfig.from_json_dict(d) == c
 
+    def test_hash_is_the_field_tuples_computed_once(self, space, monkeypatch):
+        fields = (
+            space.schedule, space.num_stages, space.depth_options,
+            space.kernel_options, space.expand_options, space.resolution_options,
+        )
+        expected = hash(fields)
+        twin = SupernetSpace.from_json_dict(space.to_json_dict())
+        assert twin == space and twin is not space
+        assert hash(twin) == hash(space) == expected
+        # once computed, the hash is returned without hashing a field again
+        monkeypatch.setattr(ChannelSchedule, "__hash__", lambda self: 1 / 0)
+        assert hash(space) == hash(twin) == expected
+        assert {space: 1}[twin] == 1
+        with pytest.raises(ZeroDivisionError):
+            hash(replace(space))
+
+    def test_pickle_leaves_the_hash_behind(self, space):
+        hash(space)
+        back = pickle.loads(pickle.dumps(space))
+        # another process hashes the schedule's mode string differently
+        assert "_hash" not in vars(back)
+        assert back == space and hash(back) == hash(space)
+
     def test_space_roundtrip(self, space):
         d = space.to_json_dict()
         assert SupernetSpace.from_json_dict(d) == space
@@ -708,6 +732,18 @@ class TestJsonRoundTrip:
             (
                 lambda d: d["stages"][0]["expands"].__setitem__(3, False),
                 "stages[0].expands[3]: expected a number, got False",
+            ),
+            (
+                lambda d: d["stages"][4]["kernels"].__setitem__(3, True),
+                "stages[4].kernels[3]: expected a number, got True",
+            ),
+            (
+                lambda d: d["stages"][3].update(expands=4),
+                "stages[3].expands: expected a list, got 4",
+            ),
+            (
+                lambda d: d["stages"].__setitem__(2, [4, 7, 3]),
+                "stages[2]: expected an object, got [4, 7, 3]",
             ),
         ],
     )
