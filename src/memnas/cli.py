@@ -22,6 +22,7 @@ import resource
 import sys
 import tempfile
 import time
+from functools import cache
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -453,9 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call only: ``parse_args``
+    leaves a parser as it found it, so one serves every ``main`` call of a
+    process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.started = time.time()
     try:
         return args.func(args)

@@ -58,15 +58,29 @@ def _path(path: str, index: int | None, key: str = "") -> str:
 
 
 def require_number(
-    path: str, value, kind: type | tuple[type, ...] = (int, float), sign: str = ""
+    path: str,
+    value,
+    kind: type | tuple[type, ...] = (int, float),
+    sign: str = "",
+    limit: int | None = None,
 ) -> None:
     """Raise FieldError naming ``path`` unless ``value`` is a finite ``kind``
-    that is ``sign``: "positive", "non-negative" or, if empty, anything; a
-    bool, which JSON gives for true and false, is no number here."""
+    that is ``sign``: "positive", "non-negative" or, if empty, anything, and
+    at most ``limit`` if given; a bool, which JSON gives for true and false,
+    is no number here."""
     ok = not isinstance(value, bool) and isinstance(value, kind) and -math.inf < value < math.inf
     if ok and sign:
         ok = value > 0 if sign == "positive" else value >= 0
-    if not ok:
+    if not ok or limit is not None and value > limit:
         what = f"{sign} {'integer' if kind is int else 'number'}".strip()
         article = "an" if what[0] in "aeiou" else "a"
-        raise FieldError(f"{path}: expected {article} {what}, got {value!r}")
+        # the bound is named only when it is the one check the number fails
+        bound = f" of at most {limit}" if ok else ""
+        raise FieldError(f"{path}: expected {article} {what}{bound}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long to read."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)

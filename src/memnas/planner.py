@@ -21,7 +21,7 @@ within-stage blocks at half the transition's resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -33,6 +33,13 @@ from .memory import MBBlockShape, block_memory
 REFERENCE_WIDTHS = (8, 24, 96, 288, 360, 384, 392, 392)
 
 NUM_STAGES = 5
+
+#: the widest channel count the numeric planner balances to, and the bound on
+#: every width of a schedule and every kernel, expand and resolution of a
+#: space or a reference configuration: layer item counts then stay below
+#: 2**90, so float arithmetic on them (``math.fsum``, the mean and deviation
+#: of a profile, the closed-form roots) stays finite
+MAX_EXTENT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,10 @@ class ReferenceConfig:
     resolution: int = 224
 
     def __post_init__(self):
-        for name in ("depth", "kernel", "resolution"):
-            require_number(name, getattr(self, name), int, "positive")
-        require_number("expand", self.expand, sign="positive")
+        require_number("depth", self.depth, int, "positive")
+        for name in ("kernel", "resolution"):
+            require_number(name, getattr(self, name), int, "positive", MAX_EXTENT)
+        require_number("expand", self.expand, sign="positive", limit=MAX_EXTENT)
         if self.kernel % 2 == 0 or self.resolution < 2 ** (NUM_STAGES + 1):
             raise ValidationError(
                 f"kernel must be odd and resolution >= {2 ** (NUM_STAGES + 1)}, "
@@ -76,7 +84,7 @@ class ChannelSchedule:
             ("head_width", self.head_width),
         )
         for path, w in widths:
-            require_number(path, w, int, "positive")
+            require_number(path, w, int, "positive", MAX_EXTENT)
             if w % self.divisor != 0:
                 raise ValidationError(
                     f"width {w} is not a positive multiple of divisor {self.divisor}"
@@ -231,18 +239,19 @@ def stage_peak(blocks: Sequence[MBBlockShape]) -> int:
     return max(rec.total_items for b in blocks for rec in block_memory(b))
 
 
-_BALANCE_CAP = 1 << 22
-
-
 def numeric_balance(
     current_stage: Sequence[MBBlockShape], template: StageTemplate
 ) -> int:
     """Largest integer width whose instantiated next stage peaks at or below
-    the current stage's peak, found by monotone integer bisection."""
+    the current stage's peak, found by monotone integer bisection.
+
+    The within-stage blocks of ``template`` are identical, so the transition
+    block and one of them give the stage's peak; the rest are not built."""
     if not current_stage:
         raise ValidationError("current_stage is empty")
     target = stage_peak(current_stage)
     prev_width = current_stage[-1].c_out
+    template = replace(template, depth=min(template.depth, 2))
 
     def peak_at(width: int) -> int:
         return stage_peak(stage_blocks(prev_width, width, template))
@@ -254,9 +263,9 @@ def numeric_balance(
     lo, hi = 1, 2
     while peak_at(hi) <= target:
         hi *= 2
-        if hi > _BALANCE_CAP:
+        if hi > MAX_EXTENT:
             raise InfeasibleError(
-                f"balanced width exceeds the {_BALANCE_CAP} channel cap"
+                f"balanced width exceeds the {MAX_EXTENT} channel cap"
             )
     # invariant: peak(lo) <= target < peak(hi)
     while hi - lo > 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import mul
@@ -38,7 +38,7 @@ from .memory import (
     expanded_channels,
     profile_network,
 )
-from .planner import NUM_STAGES, ChannelSchedule, ReferenceConfig, plan_schedule
+from .planner import MAX_EXTENT, NUM_STAGES, ChannelSchedule, ReferenceConfig, plan_schedule
 
 DEPTH_OPTIONS = (2, 3, 4)
 KERNEL_OPTIONS = (3, 5, 7)
@@ -54,7 +54,9 @@ class SupernetSpace:
     resolves every valid configuration: each resolution must divide by
     ``2**num_stages``, each kernel must be odd, and each expand must give
     at least one channel at the narrowest block input, the smallest of the
-    stem and stage widths."""
+    stem and stage widths.  No kernel, expand or resolution, and no width of
+    the schedule, exceeds ``MAX_EXTENT``, so the memory model's float
+    arithmetic stays finite."""
 
     schedule: ChannelSchedule
     num_stages: int = NUM_STAGES
@@ -69,8 +71,9 @@ class SupernetSpace:
             opts = getattr(self, name)
             # expands may be rational (1.5, 2.5); the other options are integers
             kind = (int, float) if name == "expand_options" else int
+            limit = None if name == "depth_options" else MAX_EXTENT
             for i, v in enumerate(opts):
-                require_number(f"{name}[{i}]", v, kind, "positive")
+                require_number(f"{name}[{i}]", v, kind, "positive", limit)
             if not opts or any(a >= b for a, b in zip(opts, opts[1:])):
                 raise ValidationError(f"{name} must be non-empty and strictly ascending")
         widths = self.schedule.stage_widths
@@ -211,9 +214,14 @@ class SupernetSpace:
         )
 
 
+@cache
 def default_space() -> SupernetSpace:
     """The standard space: published option sets over the numerically
-    balanced schedule at the reference configuration."""
+    balanced schedule at the reference configuration.
+
+    Planned on the first call only: every call returns the same frozen
+    instance, so the tables it caches (``peak_table`` and the others) are
+    built once per process."""
     return SupernetSpace(schedule=plan_schedule(ReferenceConfig()))
 
 
@@ -783,9 +791,10 @@ class FeasibleSet:
                 + [g if g in inner_fits else rng.choice(I) for g in old[1:d]]
                 + [rng.choice(pairs) if g is None else g for g in old[d:]]
             )
+            ks, es = zip(*genes)
             depths.append(d)
-            kernels.append(tuple(k for k, _ in genes))
-            expands.append(tuple(e for _, e in genes))
+            kernels.append(ks)
+            expands.append(es)
         return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
 
 
@@ -863,8 +872,8 @@ class PeakBand:
                 t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
                 reach = [p for p in slots_a[t] if p not in (inner_b if t else first_b)]
                 slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
-            genes = [choice(slot) for slot in slots + [pairs] * (md - d)]
+            ks, es = zip(*[choice(slot) for slot in slots + [pairs] * (md - d)])
             depths.append(d)
-            kernels.append(tuple(k for k, _ in genes))
-            expands.append(tuple(e for _, e in genes))
+            kernels.append(ks)
+            expands.append(es)
         return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))

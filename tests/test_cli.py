@@ -2,6 +2,7 @@
 manifests, and reproducibility."""
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -210,6 +211,60 @@ class TestPipeline:
         assert len(edges) == 11 and len(rows) == 1000
         assert max(occupancy) - min(occupancy) <= 1
 
+    def test_default_space_and_parser_are_built_once(self, tmp_path, monkeypatch, capsys):
+        # a process that runs several commands plans the default space and
+        # builds the parser for its first command only
+        space_module = importlib.import_module("memnas.space")
+        cli_module = importlib.import_module("memnas.cli")
+        calls = {"plan_schedule": 0, "build_parser": 0}
+
+        def counted(module, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(space_module, "plan_schedule")
+        counted(cli_module, "build_parser")
+        default_space.cache_clear()
+        cli_module._parser.cache_clear()
+        data, result = tmp_path / "data.jsonl", tmp_path / "result.json"
+        assert main(["sample", "--n", "20", "--buckets", "2", "--out", str(data)]) == 0
+        assert main(["search", "--constraint", "400000", "--population", "4",
+                     "--generations", "2", "--out", str(result)]) == 0
+        assert calls == {"plan_schedule": 1, "build_parser": 1}
+
+    def test_warm_pass_writes_what_a_cold_run_writes(self, tmp_path, capsys):
+        # the shared default space and parser carry nothing from one command
+        # or pass to the next: a second pass in this process writes the
+        # bytes a fresh interpreter per command writes
+        results = ("data.jsonl", "model.json", "result.json", "profile.csv")
+
+        def run_pass(d: Path, run) -> None:
+            d.mkdir()
+            p = {name: str(d / name) for name in results + ("best.json",)}
+            run(["sample", "--n", "200", "--buckets", "2", "--out", p["data.jsonl"]])
+            run(["train-predictor", "--dataset", p["data.jsonl"], "--out", p["model.json"]])
+            run(["search", "--model", p["model.json"], "--constraint", "400000",
+                 "--population", "20", "--generations", "5", "--out", p["result.json"]])
+            best = json.loads((d / "result.json").read_text())["best_config"]
+            (d / "best.json").write_text(json.dumps(best))
+            run(["profile", "--config", p["best.json"], "--csv", p["profile.csv"]])
+
+        def in_process(argv):
+            assert main(argv) == 0
+
+        def cold(argv):
+            assert run_cli(*argv).returncode == 0
+
+        run_pass(tmp_path / "first", in_process)
+        run_pass(tmp_path / "warm", in_process)
+        run_pass(tmp_path / "cold", cold)
+        for name in results:
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
     def test_search_reruns_byte_identical(self, tmp_path, space_file):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -334,6 +389,7 @@ class TestMalformedInput:
             ("--divisor", "0", "divisor: expected a positive integer, got 0"),
             ("--expand", "nan", "expand: expected a positive number, got nan"),
             ("--expand", "inf", "expand: expected a positive number, got inf"),
+            ("--expand", "1e308", "expand: expected a positive number of at most 4194304, got 1e+308"),
         ],
     )
     def test_plan_number(self, tmp_path, flag, value, message):
@@ -570,17 +626,22 @@ class TestMalformedInput:
         assert os.listdir(tmp_path) == ["space.json"]
 
     @pytest.mark.parametrize(
-        "mangle, command",
+        "mangle, command, field",
         [
-            (lambda d: d.update(expand_options=[2, 1e308]), "sample"),
-            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "profile"),
-            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "sample"),
+            (lambda d: d.update(expand_options=[2, 1e308]), "sample", "expand_options[1]"),
+            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "profile",
+             "schedule.stage_widths[4]"),
+            (lambda d: d["schedule"]["stage_widths"].__setitem__(4, 10 ** 300), "sample",
+             "schedule.stage_widths[4]"),
+            (lambda d: d.update(resolution_options=[128, 2 ** 600]), "sample",
+             "resolution_options[1]"),
         ],
-        ids=["expand-sample", "width-profile", "width-sample"],
+        ids=["expand-sample", "width-profile", "width-sample", "resolution-sample"],
     )
-    def test_number_too_large(self, tmp_path, space, mangle, command):
-        # float arithmetic overflows on these: 1e308 times the stem's 8
-        # channels, and the layer totals of a stage 10**300 channels wide
+    def test_number_too_large(self, tmp_path, space, mangle, command, field):
+        # float arithmetic would overflow on these: 1e308 times the stem's 8
+        # channels, and the layer totals of a stage 10**300 channels wide or
+        # of a 2**600-pixel input; the space is refused when it is built
         path = tmp_path / "space.json"
         path.write_text(json.dumps(mangled_space(mangle)))
         config = tmp_path / "config.json"
@@ -590,7 +651,8 @@ class TestMalformedInput:
         done = run_cli(command, "--space", path, *args, out)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert "error: a number is too large" in done.stderr
+        assert f"error: {field}: expected a positive " in done.stderr
+        assert "of at most 4194304, got " in done.stderr
         assert not out.exists()
 
 

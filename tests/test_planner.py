@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from memnas.errors import InfeasibleError, ValidationError
 from memnas.memory import MBBlockShape, block_memory
@@ -188,6 +190,38 @@ class TestNumericBalance:
         template = StageTemplate(input_size=56, kernel=7, expand=4, depth=4)
         got = numeric_balance(current, template)
         assert got == scan_balance(current, template)
+
+    @given(
+        depth=st.integers(1, 6),
+        kernel=st.sampled_from((1, 3, 5, 7)),
+        expand=st.sampled_from((1, 2, 3, 4, 6, 1.5, 2.5, 3.75)),
+        downsample=st.booleans(),
+        input_size=st.sampled_from((2, 4, 8, 14, 28, 56)),
+        current=st.tuples(
+            st.integers(1, 128), st.sampled_from((4, 14, 28, 56)),
+            st.sampled_from((3, 7)), st.sampled_from((2, 4, 1.5)), st.integers(1, 4),
+        ),
+    )
+    def test_equals_the_full_depth_balance(
+        self, depth, kernel, expand, downsample, input_size, current
+    ):
+        # the balancer builds the transition and one inner block; the widest
+        # width whose whole stage, every inner block built, fits is the same
+        current = within_stage(*current)
+        template = StageTemplate(input_size, kernel, expand, depth, downsample)
+        prev, target = current[-1].c_out, stage_peak(current)
+
+        def full_peak(width):
+            blocks = stage_blocks(prev, width, template)
+            assert len(blocks) == depth
+            return stage_peak(blocks)
+
+        if full_peak(1) > target:
+            with pytest.raises(InfeasibleError):
+                numeric_balance(current, template)
+            return
+        got = numeric_balance(current, template)
+        assert full_peak(got) <= target < full_peak(got + 1)
 
     def test_infeasible_when_transition_overhead_exceeds_target(self):
         current = within_stage(2, 4, kernel=1, expand=1, depth=1)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memnas.errors import ResolutionError, ValidationError
+from memnas.errors import FieldError, ResolutionError, ValidationError
 from memnas.memory import block_flops, flops_estimate, profile_network
-from memnas.planner import ChannelSchedule, ReferenceConfig, plan_schedule
+from memnas.planner import MAX_EXTENT, ChannelSchedule, ReferenceConfig, plan_schedule
 from memnas.predictor import ALPHA, BETA, _score_table, synthetic_score
 from memnas.space import (
     FeasibleSet,
@@ -712,6 +712,11 @@ class TestJsonRoundTrip:
         assert "_hash" not in vars(back)
         assert back == space and hash(back) == hash(space)
 
+    def test_default_space_is_one_shared_instance(self):
+        # its cached tables are built once per process, not once per call
+        assert default_space() is default_space()
+        assert default_space().peak_table is default_space().peak_table
+
     def test_space_roundtrip(self, space):
         d = space.to_json_dict()
         assert SupernetSpace.from_json_dict(d) == space
@@ -834,6 +839,23 @@ class TestSpaceCheck:
         ),
         "kernel": (dict(kernel_options=(3, 4, 7)), ValidationError, "kernel_options[1]: kernel 4"),
         "expand": (dict(expand_options=(0.01, 2, 4)), ValidationError, "expand_options[0]: "),
+        # numbers whose layer totals would overflow float arithmetic
+        "huge-expand": (
+            dict(expand_options=(2, 1e308)),
+            FieldError,
+            "expand_options[1]: expected a positive number of at most 4194304, got 1e+308",
+        ),
+        "huge-kernel": (
+            dict(kernel_options=(3, MAX_EXTENT + 2)),
+            FieldError,
+            "kernel_options[1]: expected a positive integer of at most 4194304, got 4194306",
+        ),
+        "huge-resolution": (
+            dict(resolution_options=(128, 2 ** 600)),
+            FieldError,
+            "resolution_options[1]: expected a positive integer of at most 4194304, "
+            "got an integer of 601 bits",
+        ),
     }
     ROUTES = {
         "constructor": lambda space, fields: SupernetSpace(schedule=space.schedule, **fields),
@@ -849,6 +871,31 @@ class TestSpaceCheck:
         fields, error, message = self.DEFECTS[defect]
         with pytest.raises(error, match=re.escape(message)):
             self.ROUTES[route](space, fields)
+
+    def test_a_space_at_the_bounds_profiles_finitely(self):
+        wide = MAX_EXTENT
+        schedule = ChannelSchedule(
+            stem_width=wide, stage_widths=(wide, wide), head_width=wide, divisor=8
+        )
+        space = SupernetSpace(
+            schedule=schedule, num_stages=2, depth_options=(2,),
+            kernel_options=(wide - 1,), expand_options=(float(wide),),
+            resolution_options=(wide,),
+        )
+        profile = profile_network(resolve(maximal_config(space), space, include_classifier=True))
+        assert profile.peak_items < 2 ** 90
+        assert math.isfinite(profile.avg_items) and math.isfinite(profile.std_items)
+        assert math.isfinite(synthetic_score(maximal_config(space), space))
+
+    def test_schedule_widths_are_bounded(self, space):
+        message = "stage_widths[4]: expected a positive integer of at most 4194304, got 4194312"
+        with pytest.raises(FieldError, match=re.escape(message)):
+            replace(space.schedule, stage_widths=(24, 88, 272, 344, MAX_EXTENT + 8))
+        d = space.to_json_dict()
+        d["schedule"]["stage_widths"][4] = 10 ** 300
+        message = "schedule.stage_widths[4]: expected a positive integer of at most 4194304, got an"
+        with pytest.raises(FieldError, match=re.escape(message)):
+            SupernetSpace.from_json_dict(d)
 
     def test_expands_are_checked_at_the_narrowest_block_input(self, space):
         # a stage narrower than the stem sets the bound; the head is no block
