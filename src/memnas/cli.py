@@ -119,10 +119,12 @@ def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            # bad syntax, an integer of more than 4,300 digits or nesting
+            # deeper than the interpreter's recursion limit
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _load_space(path: str | None) -> SupernetSpace:

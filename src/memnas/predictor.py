@@ -23,7 +23,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import getitem
 from typing import TYPE_CHECKING
@@ -101,10 +101,9 @@ def _hot_indices(configs, space: SupernetSpace) -> tuple:
     )
 
 
-@lru_cache(maxsize=16)
 def _score_table(space: SupernetSpace) -> dict:
     """Map each resolution of ``space.peak_table``, every listed one, to
-    ``(layer_sum, flops, peak, stages)``, built once per space.
+    ``(layer_sum, flops, peak, stages)``; cached as ``space.score_table``.
 
     ``layer_sum`` is the stem total plus the head total, ``flops`` the FLOPs
     outside the blocks and ``peak`` the larger of the stem and head totals;
@@ -150,7 +149,7 @@ def synthetic_score(
     and constants.
 
     The noiseless part is read from the space's table of per-block terms
-    (``_score_table``) in one walk over the stem, the head and the active
+    (``space.score_table``) in one walk over the stem, the head and the active
     blocks: the FLOPs and the sum of the layer totals add up, and the peak
     is the largest of their peak terms, those of ``config_peak_items``.
     With ``n`` layers the average is the integer sum over ``n``, as
@@ -159,7 +158,7 @@ def synthetic_score(
     resolved network bit for bit (tested).
     """
     require_valid(config, space)
-    layer_sum, flops, peak, stages = _score_table(space)[config.resolution]
+    layer_sum, flops, peak, stages = space.score_table[config.resolution]
     for (first, inner), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
     ):
@@ -242,11 +241,17 @@ class Dataset:
             for number, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        rows.append(DatasetRow.from_json_dict(json.loads(line)))
+                        d = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise ValidationError(
                             f"line {number}: malformed JSON: {exc.msg} at column {exc.colno}"
                         ) from None
+                    except (ValueError, RecursionError) as exc:
+                        # an integer of more than 4,300 digits, or nesting
+                        # deeper than the interpreter's recursion limit
+                        raise ValidationError(f"line {number}: malformed JSON: {exc}") from None
+                    try:
+                        rows.append(DatasetRow.from_json_dict(d))
                     except ValidationError as exc:
                         raise ValidationError(f"line {number}: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import accumulate, product
 from math import prod
@@ -98,21 +98,6 @@ class SupernetSpace:
                     f"{narrowest} channels wide, rounds to zero channels"
                 )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The frozen dataclass's hash, of the field tuple, computed once:
-        each ``synthetic_score`` looks its table up by space, in
-        ``_score_table``'s cache."""
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
-
-    def __getstate__(self) -> dict:
-        # the cached hash is not pickled: string hashes, the schedule's
-        # ``mode`` among them, differ from process to process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @cached_property
     def max_depth(self) -> int:
         return max(self.depth_options)
@@ -143,6 +128,13 @@ class SupernetSpace:
         """Per-block peak terms of every listed resolution, built on first
         use; see ``config_peak_items``."""
         return _build_peak_table(self)
+
+    @cached_property
+    def score_table(self) -> dict:
+        """The synthetic oracle's per-block terms; see ``predictor._score_table``."""
+        from .predictor import _score_table
+
+        return _score_table(self)
 
     @cached_property
     def uniform_plan(self) -> tuple:

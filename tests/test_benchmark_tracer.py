@@ -5,6 +5,7 @@ break."""
 
 import importlib
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,8 @@ def test_traced_oracle_search_records_the_reference_layers():
     # ``memnas.search`` the attribute is the function; the tracer patches the
     # module's namespace
     searching = importlib.import_module("memnas.search")
-    predictor._score_table.cache_clear()
-    space = default_space()
+    # a fresh instance, whose score table is not built yet
+    space = replace(default_space())
     tracer = runpy.run_path(str(TRACING))["Tracer"](cap=400_000)
     with tracer:
         predictor.synthetic_score(maximal_config(space), space)

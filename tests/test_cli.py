@@ -10,12 +10,13 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
@@ -505,6 +506,40 @@ class TestMalformedInput:
         )
         assert not out.exists()
 
+    # valid JSON that Python's decoder refuses: an integer longer than the
+    # interpreter's 4,300-digit limit, and nesting beyond its recursion limit
+    UNDECODABLE = {
+        "huge-integer": ("1" * 5_000, "Exceeds the limit (4300 digits)"),
+        "deep-nesting": ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+    }
+
+    @pytest.mark.parametrize("value", sorted(UNDECODABLE))
+    @pytest.mark.parametrize(
+        "flag, command",
+        [
+            ("--space", ["search", "--constraint", "800000", "--out", "{out}"]),
+            ("--model", ["search", "--constraint", "800000", "--out", "{out}"]),
+            ("--config", ["profile", "--csv", "{out}"]),
+            ("--dataset", ["train-predictor", "--out", "{out}"]),
+        ],
+    )
+    def test_json_the_decoder_refuses(self, tmp_path, space, flag, command, value):
+        text, message = self.UNDECODABLE[value]
+        bad = tmp_path / "bad.json"
+        if flag == "--dataset":
+            good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+            bad.write_text(json.dumps(good) + '\n{"score": ' + text + "}\n")
+            where = "line 2"
+        else:
+            bad.write_text('{"resolution": ' + text + "}")
+            where = str(bad)
+        out = tmp_path / "out"
+        done = run_cli(*[arg.format(out=out) for arg in command], flag, bad)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"{where}: malformed JSON: {message}" in done.stderr
+        assert not out.exists()
+
     def test_dataset_line_not_utf8(self, tmp_path, space):
         good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
         data = tmp_path / "data.jsonl"
@@ -654,6 +689,76 @@ class TestMalformedInput:
         assert f"error: {field}: expected a positive " in done.stderr
         assert "of at most 4194304, got " in done.stderr
         assert not out.exists()
+
+
+#: tokens a fuzzed input swaps in for one number or key: past the decoder's
+#: limits, not finite, or of the wrong JSON type
+HOSTILE_TOKENS = (
+    "1" * 5_000, "1e999", "-1e999", "NaN", "true", "null", "[]", "{}", '"x"', "-1", "0",
+    "[" * 100_000 + "]" * 100_000,
+)
+#: a number, or an object key with its quotes
+JSON_TOKEN = re.compile(r'-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|"\w+"(?=:)')
+
+
+def fuzzed(text: str):
+    """``text`` with one number or key swapped for a hostile token, or with
+    one character deleted."""
+    spans = [m.span() for m in JSON_TOKEN.finditer(text)]
+    swapped = st.tuples(st.sampled_from(spans), st.sampled_from(HOSTILE_TOKENS)).map(
+        lambda t: text[: t[0][0]] + t[1] + text[t[0][1]:]
+    )
+    deleted = st.integers(0, len(text) - 1).map(lambda i: text[:i] + text[i + 1:])
+    return st.one_of(swapped, deleted)
+
+
+def compact(d) -> str:
+    return json.dumps(d, separators=(",", ":"))
+
+
+def fuzz_dataset() -> str:
+    space = default_space()
+    rows = [
+        {"config": sample_uniform(space, seed).to_json_dict(), "peak_items": 1000 * seed,
+         "score": seed / 3}
+        for seed in range(8)
+    ]
+    return "".join(compact(row) + "\n" for row in rows)
+
+
+class TestFuzzedInput:
+    """A valid input file, fuzzed by one hostile token or one deleted
+    character, ends in exit 0, 2, 3 or 4, never in an exception."""
+
+    SEARCH = ["search", "--constraint", "800000", "--population", "4", "--generations", "1",
+              "--out", "{dir}/r.json"]
+
+    def run(self, text: str, flag: str, command: list) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_text(text)
+            code = main([arg.format(dir=tmp) for arg in command] + [flag, str(path)])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=40)
+    @given(text=fuzzed(compact(default_space().to_json_dict())))
+    def test_space(self, text):
+        self.run(text, "--space", [*self.SEARCH, "--no-noise"])
+
+    @settings(max_examples=40)
+    @given(text=fuzzed(compact(maximal_config(default_space()).to_json_dict())))
+    def test_config(self, text):
+        self.run(text, "--config", ["profile"])
+
+    @settings(max_examples=40)
+    @given(text=fuzzed(compact(mangled_model(lambda d: None))))
+    def test_model(self, text):
+        self.run(text, "--model", self.SEARCH)
+
+    @settings(max_examples=40)
+    @given(text=fuzzed(fuzz_dataset()))
+    def test_dataset(self, text):
+        self.run(text, "--dataset", ["train-predictor", "--out", "{dir}/m.json"])
 
 
 class TestRefusedWork:

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memnas import predictor
 from memnas.errors import FieldError, ResolutionError, ValidationError
 from memnas.memory import block_flops, flops_estimate, profile_network
 from memnas.planner import MAX_EXTENT, ChannelSchedule, ReferenceConfig, plan_schedule
-from memnas.predictor import ALPHA, BETA, _score_table, synthetic_score
+from memnas.predictor import ALPHA, BETA, synthetic_score
 from memnas.space import (
     FeasibleSet,
     SubnetConfig,
@@ -606,7 +607,7 @@ class TestScoreTable:
     @given(space=spaces())
     def test_peak_terms_are_those_of_the_peak_table(self, space):
         # one source of peak terms: the score table carries peak_table's
-        table = _score_table(space)
+        table = space.score_table
         assert table.keys() == space.peak_table.keys()
         for r, (base, _, peak_stages) in space.peak_table.items():
             assert table[r][2] == base
@@ -620,8 +621,22 @@ class TestScoreTable:
     def test_flops_are_the_base_plus_the_blocks(self, space, seed):
         c = sample_uniform(space, seed)
         sk = resolve(c, space)
-        base_flops = _score_table(space)[c.resolution][1]
+        base_flops = space.score_table[c.resolution][1]
         assert flops_estimate(sk) == base_flops + sum(block_flops(b) for b in sk.blocks)
+
+    def test_built_once_per_space_instance(self, space, monkeypatch):
+        built = []
+        build = predictor._score_table
+        monkeypatch.setattr(predictor, "_score_table", lambda s: built.append(s) or build(s))
+        first = replace(space)
+        config = maximal_config(first)
+        assert synthetic_score(config, first) == synthetic_score(config, first)
+        assert len(built) == 1 and built[0] is first
+        # an equal space elsewhere builds its own table, the same one
+        second = replace(space)
+        synthetic_score(config, second)
+        assert len(built) == 2 and built[1] is second
+        assert second.score_table == first.score_table
 
 
 def brute_force_min_peak(space, **kwargs):
@@ -689,28 +704,17 @@ class TestJsonRoundTrip:
         assert set(d["stages"][0]) == {"depth", "kernels", "expands"}
         assert SubnetConfig.from_json_dict(d) == c
 
-    def test_hash_is_the_field_tuples_computed_once(self, space, monkeypatch):
-        fields = (
-            space.schedule, space.num_stages, space.depth_options,
-            space.kernel_options, space.expand_options, space.resolution_options,
-        )
-        expected = hash(fields)
-        twin = SupernetSpace.from_json_dict(space.to_json_dict())
-        assert twin == space and twin is not space
-        assert hash(twin) == hash(space) == expected
-        # once computed, the hash is returned without hashing a field again
-        monkeypatch.setattr(ChannelSchedule, "__hash__", lambda self: 1 / 0)
-        assert hash(space) == hash(twin) == expected
-        assert {space: 1}[twin] == 1
-        with pytest.raises(ZeroDivisionError):
-            hash(replace(space))
-
-    def test_pickle_leaves_the_hash_behind(self, space):
-        hash(space)
+    def test_pickle_round_trip(self, space):
+        # the cached tables travel in the pickle, and nothing in them
+        # depends on the process that built them
+        space = replace(space)
+        config = maximal_config(space)
+        score = synthetic_score(config, space)
+        assert space.peak_table and space.score_table
         back = pickle.loads(pickle.dumps(space))
-        # another process hashes the schedule's mode string differently
-        assert "_hash" not in vars(back)
+        assert vars(back).keys() == vars(space).keys()
         assert back == space and hash(back) == hash(space)
+        assert synthetic_score(config, back) == score
 
     def test_default_space_is_one_shared_instance(self):
         # its cached tables are built once per process, not once per call
