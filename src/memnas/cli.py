@@ -51,7 +51,7 @@ from .search import (
     sweep,
     write_sweep_csv,
 )
-from .space import SubnetConfig, SupernetSpace, default_space, resolve
+from .space import SubnetConfig, SupernetSpace, default_space, require_valid, resolve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -261,16 +261,28 @@ def cmd_train(args) -> int:
     )
     held = [dataset.rows[i] for i in order[:n_holdout]]
     kept = [dataset.rows[i] for i in order[n_holdout:]]
-    model = train(
-        Dataset(rows=tuple(kept), bucket_edges=dataset.bucket_edges),
-        space,
-        l2=args.l2,
-        seed=args.seed,
-    )
+    try:
+        model = train(
+            Dataset(rows=tuple(kept), bucket_edges=dataset.bucket_edges),
+            space,
+            l2=args.l2,
+            seed=args.seed,
+        )
+        preds = [predict(model, row.config, space) for row in held]
+    except ValidationError:
+        # train and predict check each row's fit to the space, once, where
+        # its line is no longer known: read again, the first row that does
+        # not fit is named by its line
+        with open(args.dataset, encoding="utf-8") as fh:
+            for number, row in Dataset.numbered_rows(fh):
+                try:
+                    require_valid(row.config, space)
+                except ValidationError as exc:
+                    raise ValidationError(f"line {number}: {exc}") from None
+        raise
     _write_artifact(args, args.out, _canonical_json(model.to_json_dict()))
     print(f"trained on {len(kept)} rows (l2={args.l2}), wrote {args.out}")
     if held:
-        preds = [predict(model, row.config, space) for row in held]
         rho = _spearman(preds, [row.score for row in held])
         print(f"held-out rank correlation (n={len(held)}): {rho:.4f}")
     return EXIT_OK

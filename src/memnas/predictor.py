@@ -235,7 +235,13 @@ class Dataset:
     @classmethod
     def read_jsonl(cls, fh) -> "Dataset":
         """The rows of a JSONL dataset; the file holds no bucket edges."""
-        rows = []
+        return cls(rows=tuple(row for _, row in cls.numbered_rows(fh)), bucket_edges=())
+
+    @staticmethod
+    def numbered_rows(fh):
+        """Each row of a JSONL dataset with its line number, counted from 1;
+        a blank line holds none.  A line that is not a row raises
+        ValidationError naming it."""
         number = 0
         try:
             for number, line in enumerate(fh, start=1):
@@ -251,9 +257,10 @@ class Dataset:
                         # deeper than the interpreter's recursion limit
                         raise ValidationError(f"line {number}: malformed JSON: {exc}") from None
                     try:
-                        rows.append(DatasetRow.from_json_dict(d))
+                        row = DatasetRow.from_json_dict(d)
                     except ValidationError as exc:
                         raise ValidationError(f"line {number}: {exc}") from None
+                    yield number, row
         except UnicodeDecodeError as exc:
             # a text file decodes a chunk at a time, and the failing chunk
             # starts within the first line not yet read: the bad byte's line
@@ -262,7 +269,6 @@ class Dataset:
             raise ValidationError(
                 f"line {number}: not UTF-8: {exc.reason}, byte 0x{exc.object[exc.start]:02x}"
             ) from None
-        return cls(rows=tuple(rows), bucket_edges=())
 
 
 def _json_number(x) -> str:

@@ -26,6 +26,7 @@ from .space import (
     _sample_with,
     config_peak_items,
     crossover,
+    max_peak_items,
     min_peak_items,
     mutate,
 )
@@ -157,12 +158,16 @@ def search(
     is repaired (``FeasibleSet.repair``): the genes that break the cap are
     redrawn from the configurations under it and the rest are kept.  A
     child equal to a config already in its generation, a parent or an
-    earlier child after repair, is known to fit and is not checked again.
-    The initial population is exactly uniform over the configurations under
-    the cap.  ``evaluations`` counts the initial draws plus the proposed
-    children, so at every cap it is ``population + generations *
-    (population - n_parents)``, where ``n_parents`` is the number of
-    parents kept.
+    earlier child after repair, is known to fit and is not checked again,
+    and is replaced by that config's object: each distinct config of a
+    generation is one object, so a crossover of two equal parents is one of
+    a parent with itself, which makes its draws and returns that parent.
+    At a cap of ``max_peak_items(space)`` or more every config fits, and no
+    child's peak is walked.  The initial population is exactly uniform over
+    the configurations under the cap.  ``evaluations`` counts the initial
+    draws plus the proposed children, so at every cap it is ``population +
+    generations * (population - n_parents)``, where ``n_parents`` is the
+    number of parents kept.
 
     A cap below the space's smallest achievable peak (``min_peak_items``)
     raises InfeasibleError before anything is drawn or scored, with that
@@ -187,8 +192,15 @@ def search(
     # and the configurations under the cap are ``FeasibleSet``'s, which
     # leaves it out
     feasible_set = FeasibleSet(space, cap)
+    # no configuration of the space peaks above max_peak_items, so at such a
+    # cap no child needs its peak walked
+    check_children = cap < max_peak_items(space)
     rng = random.Random(params.seed)
-    population = [_fresh_feasible(space, rng, feasible_set) for _ in range(params.population)]
+    draws = [_fresh_feasible(space, rng, feasible_set) for _ in range(params.population)]
+    # equal draws become one object, as equal configs do in every later
+    # generation
+    first: dict[SubnetConfig, SubnetConfig] = {}
+    population = [first.setdefault(c, c) for c in draws]
     scores = _score_all(population, scorer, {})
 
     n_parents = max(1, round(params.parent_fraction * params.population))
@@ -208,9 +220,10 @@ def search(
         )
         parents = [population[i] for i in order[:n_parents]]
         scores = [scores[i] for i in order[:n_parents]]
-        # the configs of this generation, all under the cap, and their
-        # scores; rebuilt each generation, so it holds at most one population
-        known = dict(zip(parents, scores))
+        # each config of this generation, all under the cap, mapped to its
+        # one object and its score; rebuilt each generation, so it holds at
+        # most one population
+        known = {p: (p, s) for p, s in zip(parents, scores)}
         population = parents.copy()
         for i in range(n_children):
             if i < n_mutation:
@@ -220,13 +233,14 @@ def search(
                 a = parents[rng.randrange(n_parents)]
                 b = parents[rng.randrange(n_parents)]
                 child = crossover(a, b, rng)
-            score = known.get(child)
-            if score is None:
-                if config_peak_items(child, space) > cap:
+            entry = known.get(child)
+            if entry is None:
+                if check_children and config_peak_items(child, space) > cap:
                     child = feasible_set.repair(child, rng)
-                    score = known.get(child)
-                if score is None:
-                    score = known[child] = scorer(child)
+                    entry = known.get(child)
+                if entry is None:
+                    entry = known[child] = (child, scorer(child))
+            child, score = entry
             population.append(child)
             scores.append(score)
 

@@ -506,7 +506,12 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
     """Gene-wise uniform crossover, each gene's parent drawn from ``rng``
     with one ``rng.random()``, in ``mutate``'s gene order; both parents must
     share one genome shape: stage count and per-stage kernel and expand
-    slot counts, with as many depths as kernel and expand stages."""
+    slot counts, with as many depths as kernel and expand stages.
+
+    A parent crossed with itself (``a is b``) makes the same draws and
+    returns ``a``, the child every draw would give.  The test is identity,
+    not equality: equal parents may hold genes that serialize differently
+    (``2`` and ``2.0``)."""
     shape_a, shape_b = _genome_shape(a), _genome_shape(b)
     if shape_a != shape_b:
         raise ValidationError(
@@ -519,6 +524,10 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
             f"and {len(expand_slots)} expand stages"
         )
     rnd = rng.random
+    if a is b:
+        for _ in range(1 + n_depths + sum(kernel_slots) + sum(expand_slots)):
+            rnd()
+        return a
     resolution = a.resolution if rnd() < 0.5 else b.resolution
     depths, kernels, expands = [], [], []
     for da, db, ka, kb, ea, eb in zip(

@@ -2,10 +2,14 @@
 manifests, and reproducibility."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import platform
+import random
 import re
 import resource
 import subprocess
@@ -22,7 +26,7 @@ from scipy.stats import spearmanr
 
 import memnas
 from memnas.cli import _spearman, build_parser, main
-from memnas.planner import ChannelSchedule, REFERENCE_WIDTHS
+from memnas.planner import MAX_EXTENT, ChannelSchedule, REFERENCE_WIDTHS
 from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
 
@@ -568,6 +572,33 @@ class TestMalformedInput:
         assert message in done.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("blank_line", [False, True], ids=["dense", "blank-line"])
+    @pytest.mark.parametrize("holdout", ["0", "0.9"], ids=["trained", "held-out"])
+    def test_dataset_row_that_does_not_fit_the_space(
+        self, tmp_path, space, capsys, holdout, blank_line
+    ):
+        good = {"config": sample_uniform(space, 1).to_json_dict(), "peak_items": 1, "score": 1.0}
+        short = json.loads(json.dumps(good))
+        short["config"]["stages"][1]["expands"].pop()
+        lines = [json.dumps(row) for row in [good] * 4 + [short, good]]
+        if blank_line:
+            lines.insert(1, "")
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(line + "\n" for line in lines))
+        # the short row is the fifth; at 0.9 the shuffle holds it out
+        order = list(range(6))
+        random.Random(0).shuffle(order)
+        assert (4 in order[: {"0": 0, "0.9": 5}[holdout]]) == (holdout == "0.9")
+        model = tmp_path / "m.json"
+        code = main(["train-predictor", "--dataset", str(data), "--holdout", holdout,
+                     "--out", str(model)])
+        assert code == 2
+        line = 6 if blank_line else 5
+        assert f"error: line {line}: stages[1].expands: expected 4 slots, got 3" in (
+            capsys.readouterr().err
+        )
+        assert not model.exists()
+
     @pytest.mark.parametrize(
         "flag, content, message",
         [
@@ -917,6 +948,119 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == expected
+
+
+#: the values each numeric flag of ``build_parser()`` accepts, as a test of
+#: the parsed number; the runs below give ``--n`` and ``--buckets`` each
+#: other's values 20 and 1
+FLAG_RANGES = {
+    "--seed": lambda x: True,
+    "--divisor": lambda x: x >= 1,
+    "--stem": lambda x: x >= 1,
+    "--depth": lambda x: x >= 1,
+    "--kernel": lambda x: 1 <= x <= MAX_EXTENT and x % 2 == 1,
+    "--expand": lambda x: 0 < x <= MAX_EXTENT,
+    "--resolution": lambda x: 2 ** 6 <= x <= MAX_EXTENT,
+    "--n": lambda x: x >= 1,
+    "--buckets": lambda x: 1 <= x <= 20,
+    "--l2": lambda x: 0 <= x < math.inf,
+    "--holdout": lambda x: 0 <= x < 1,
+    "--population": lambda x: x >= 2,
+    "--generations": lambda x: x >= 1,
+    "--parent-fraction": lambda x: 0 < x < 1,
+    "--mutation-prob": lambda x: 0 < x < 1,
+    "--mutation-fraction": lambda x: 0 < x < 1,
+    "--constraint": lambda x: x >= 1,
+    "--constraints": lambda x: x >= 1,
+}
+
+#: a small valid run of each subcommand, with ``{dir}`` for the output
+#: directory and ``{input}`` for the input files
+FLAG_RUNS = {
+    "profile": ["--config", "{input}/max.json"],
+    "plan": ["--out", "{dir}/plan.json"],
+    "sample": ["--no-noise", "--n", "20", "--buckets", "1", "--out", "{dir}/d.jsonl"],
+    "train-predictor": ["--dataset", "{input}/d.jsonl", "--out", "{dir}/m.json"],
+    "search": ["--no-noise", "--constraint", "800000", *SMALL_SEARCH, "--out", "{dir}/r.json"],
+    "sweep": ["--no-noise", "--constraints", "800000", *SMALL_SEARCH, "--out", "{dir}/c.csv"],
+    "compare": ["--config-a", "{input}/max.json", "--config-b", "{input}/max.json",
+                "--out", "{dir}/c.csv"],
+}
+
+
+def numeric_flags() -> dict:
+    """``(command, flag)`` to the type that parses the flag, for every flag
+    of every subcommand of ``build_parser()`` that takes a number."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        (name, action.option_strings[0]): action.type
+        for name, p in sub.choices.items()
+        for action in p._actions
+        if action.type not in (None, str)
+    }
+
+
+def accepts(flag: str, parse, text: str) -> bool:
+    """Whether ``flag`` takes ``text``: ``parse``, the flag's type, reads a
+    number, or a list of them, and each lies in the flag's range."""
+    try:
+        numbers = parse(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        return False
+    return all(map(FLAG_RANGES[flag], numbers if isinstance(numbers, list) else [numbers]))
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory, space):
+    path = tmp_path_factory.mktemp("inputs")
+    (path / "max.json").write_text(json.dumps(maximal_config(space).to_json_dict()))
+    (path / "d.jsonl").write_text(fuzz_dataset())
+    return path
+
+
+#: numbers, or text argparse may take for one, that a flag may refuse
+HOSTILE_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1.5", "1e308", "1e-320",
+                     str(MAX_EXTENT + 1), str(2 ** 64), "0x10", "", " "]),
+    st.integers(-(2 ** 70), 2 ** 70).map(str),
+    st.floats().map(repr),
+)
+
+
+class TestFuzzedFlags:
+    """Every numeric flag of every subcommand, given a value outside what it
+    accepts (zero, a negative, nan, inf, a fraction for an integer, or past
+    a bound), exits 2 with a message and no traceback, and writes nothing."""
+
+    def test_every_numeric_flag_has_a_range(self):
+        assert sorted({flag for _, flag in numeric_flags()}) == sorted(FLAG_RANGES)
+        assert sorted({command for command, _ in numeric_flags()}) == sorted(FLAG_RUNS)
+
+    @pytest.mark.parametrize("command, flag", sorted(numeric_flags()))
+    @settings(max_examples=20, deadline=None)
+    @example(text="0")
+    @example(text="-1")
+    @example(text="nan")
+    @example(text="inf")
+    @example(text="-inf")
+    @given(text=HOSTILE_NUMBERS)
+    def test_value_outside_the_range_exits_2(self, flag_inputs, command, flag, text):
+        if accepts(flag, numeric_flags()[command, flag], text):
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [arg.format(dir=tmp, input=flag_inputs) for arg in FLAG_RUNS[command]]
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main([command, *argv, f"{flag}={text}"])
+                except SystemExit as exc:  # argparse refuses the text
+                    code = exc.code
+            assert os.listdir(tmp) == []
+        assert code == 2
+        assert "error: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def paired_lists(elements):

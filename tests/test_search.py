@@ -1,6 +1,7 @@
 """Constrained evolutionary search."""
 
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_feasible import ReferenceFeasibleSet
-from test_space import SEEDS, spaces
+from test_space import SEEDS, spaces, tiny_space
 
 from memnas.errors import InfeasibleError, ResolutionError, ValidationError
 from memnas.memory import profile_network
@@ -43,6 +44,8 @@ from memnas.space import (
     sample_uniform,
 )
 
+# the module; the package's ``search`` attribute is the function
+searching = importlib.import_module("memnas.search")
 BOUNDS = Path(__file__).resolve().parents[1] / "perfbench" / "bounds.py"
 # run_path compiles the source without writing a bytecode cache next to it
 oracle_bound = runpy.run_path(str(BOUNDS))["oracle_bound"]
@@ -394,6 +397,75 @@ class TestScoreReuse:
         assert known == {base: 1.0, inert_variant: 2.0}
 
 
+class TestKnownWork:
+    """Work whose answer is known is skipped: equal configs of a generation
+    are one object, so equal parents cross as one, and no child's peak is
+    walked at a cap that every configuration meets."""
+
+    @staticmethod
+    def parent_calls(monkeypatch) -> list:
+        """The parents of each ``mutate`` and ``crossover`` call that
+        ``search`` makes, in call order."""
+        calls = []
+        mutate_, crossover_ = searching.mutate, searching.crossover
+
+        def mutating(config, *args):
+            calls.append((config,))
+            return mutate_(config, *args)
+
+        def crossing(a, b, rng):
+            calls.append((a, b))
+            return crossover_(a, b, rng)
+
+        monkeypatch.setattr(searching, "mutate", mutating)
+        monkeypatch.setattr(searching, "crossover", crossing)
+        return calls
+
+    @pytest.mark.parametrize("case", ["default-350k", "tiny"])
+    def test_each_generation_holds_one_object_per_config(self, space, monkeypatch, case):
+        if case == "tiny":
+            # 8 configurations, so initial draws and children repeat
+            space = tiny_space(kernels=(3, 5), resolutions=(64, 128))
+            cap = max_peak_items(space)
+            params = SearchParams(population=12, generations=6, parent_fraction=0.5)
+        else:
+            cap, params = 350_000, SearchParams(seed=0)
+        calls = self.parent_calls(monkeypatch)
+        search(space, SearchConstraint(cap), noiseless(space), params)
+        n_children = params.population - max(1, round(params.parent_fraction * params.population))
+        for g in range(params.generations):
+            parents = [p for call in calls[g * n_children:(g + 1) * n_children] for p in call]
+            assert len(set(map(id, parents))) == len(set(parents))
+        pairs = [call for call in calls if len(call) == 2]
+        assert all((a is b) == (a == b) for a, b in pairs)
+        # in these searches over a third of the crossovers cross a parent with itself
+        assert sum(a is b for a, b in pairs) > len(pairs) / 3
+
+    @pytest.mark.parametrize("cap, walks_children", [
+        (800_000, False), (606_816, False), (606_815, True),
+    ])
+    def test_child_peaks_are_walked_only_below_the_largest_peak(
+        self, space, monkeypatch, cap, walks_children
+    ):
+        assert max_peak_items(space) == 606_816
+        walked = []
+        peak = searching.config_peak_items
+
+        def counting(config, *args, **kwargs):
+            walked.append(config)
+            return peak(config, *args, **kwargs)
+
+        monkeypatch.setattr(searching, "config_peak_items", counting)
+        params = SearchParams(seed=0)
+        search(space, SearchConstraint(cap), noiseless(space), params)
+        # one walk per initial draw and one for the answer's peak, plus one
+        # per new child when a child may break the cap
+        if walks_children:
+            assert len(walked) > params.population + 1
+        else:
+            assert len(walked) == params.population + 1
+
+
 def reference_search(space, constraint, scorer, params):
     """The search loop without shortcuts, for the equivalence test: every
     child's peak is checked, one over the cap is repaired by
@@ -460,7 +532,8 @@ def reference_search(space, constraint, scorer, params):
 @given(
     space=spaces(),
     seed=SEEDS,
-    share=st.floats(0, 1),
+    # shares above 1 give caps above every configuration's peak
+    share=st.floats(0, 1.5),
     exclude_classifier=st.booleans(),
     population=st.integers(2, 10),
     generations=st.integers(1, 4),

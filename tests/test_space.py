@@ -256,6 +256,34 @@ class TestCrossover:
         with pytest.raises(ValidationError, match=f"{n_depths} depths, 5 kernel and 5 expand"):
             crossover(a, b, random.Random(0))
 
+    @pytest.mark.parametrize("rational", [False, True], ids=["default", "rational"])
+    def test_self_crossover_returns_the_parent_after_the_same_draws(self, space, rational):
+        if rational:
+            space = rational_space()
+        for seed in range(20):
+            a = sample_uniform(space, seed)
+            copy = replace(a)
+            assert copy == a and copy is not a
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert crossover(a, a, rng) is a
+            assert crossover(a, copy, reference) == a
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n_depths", [4, 6])
+    def test_self_crossover_checks_the_shape(self, space, n_depths):
+        c = sample_uniform(space, 3)
+        a = replace(c, stage_depths=(c.stage_depths * 2)[:n_depths])
+        with pytest.raises(ValidationError, match=f"{n_depths} depths, 5 kernel and 5 expand"):
+            crossover(a, a, random.Random(0))
+
+
+def rational_space() -> SupernetSpace:
+    """A planned space whose expand options include non-integers."""
+    return SupernetSpace(
+        schedule=plan_schedule(ReferenceConfig(depth=3, kernel=5, expand=2.5, resolution=160)),
+        expand_options=(1.5, 2.5, 3, 4, 6),
+    )
+
 
 @pytest.mark.parametrize(
     "rational, children, state",
@@ -270,10 +298,7 @@ def test_mutate_and_crossover_draw_streams_are_pinned(space, rational, children,
     # digests of 800 children and of the generator state after them: a
     # faster mutate or crossover must make the same draws in the same order
     if rational:
-        space = SupernetSpace(
-            schedule=plan_schedule(ReferenceConfig(depth=3, kernel=5, expand=2.5, resolution=160)),
-            expand_options=(1.5, 2.5, 3, 4, 6),
-        )
+        space = rational_space()
     parents = [sample_uniform(space, s) for s in range(8)]
     rng = random.Random(0)
     lines = []
