@@ -248,22 +248,23 @@ def _spearman(a, b) -> float:
 def cmd_train(args) -> int:
     space = _load_space(args.space)
     with open(args.dataset, encoding="utf-8") as fh:
-        dataset = Dataset.read_jsonl(fh)
-    if not dataset.rows:
+        numbered = list(Dataset.numbered_rows(fh))
+    rows = [row for _, row in numbered]
+    if not rows:
         raise ValidationError(f"dataset {args.dataset} is empty")
     if not 0 <= args.holdout < 1:
         raise ValidationError(f"--holdout must lie in [0, 1), got {args.holdout}")
-    order = list(range(len(dataset.rows)))
+    order = list(range(len(rows)))
     random.Random(args.seed).shuffle(order)
     # any positive fraction holds out at least one row when there are two
     n_holdout = (
         max(1, int(len(order) * args.holdout)) if args.holdout > 0 and len(order) > 1 else 0
     )
-    held = [dataset.rows[i] for i in order[:n_holdout]]
-    kept = [dataset.rows[i] for i in order[n_holdout:]]
+    held = [rows[i] for i in order[:n_holdout]]
+    kept = [rows[i] for i in order[n_holdout:]]
     try:
         model = train(
-            Dataset(rows=tuple(kept), bucket_edges=dataset.bucket_edges),
+            Dataset(rows=tuple(kept), bucket_edges=()),
             space,
             l2=args.l2,
             seed=args.seed,
@@ -271,14 +272,13 @@ def cmd_train(args) -> int:
         preds = [predict(model, row.config, space) for row in held]
     except ValidationError:
         # train and predict check each row's fit to the space, once, where
-        # its line is no longer known: read again, the first row that does
-        # not fit is named by its line
-        with open(args.dataset, encoding="utf-8") as fh:
-            for number, row in Dataset.numbered_rows(fh):
-                try:
-                    require_valid(row.config, space)
-                except ValidationError as exc:
-                    raise ValidationError(f"line {number}: {exc}") from None
+        # its line is no longer known: the first row that does not fit is
+        # named by the line it was read from
+        for number, row in numbered:
+            try:
+                require_valid(row.config, space)
+            except ValidationError as exc:
+                raise ValidationError(f"line {number}: {exc}") from None
         raise
     _write_artifact(args, args.out, _canonical_json(model.to_json_dict()))
     print(f"trained on {len(kept)} rows (l2={args.l2}), wrote {args.out}")

@@ -13,17 +13,19 @@ Two planning routes are provided:
   below the previous stage's peak.  This is the self-consistent route and
   the one used to build the default search space.
 
-A stage is instantiated for balancing as its entering transition block
-(stride 2 for the four downsampling boundaries) followed by identical
-within-stage blocks at half the transition's resolution.
+A stage is laid out by ``stage_shapes``, the one stage builder that
+``space.resolve`` also uses.  Its within-stage blocks are identical, so a
+planned stage is its transition block and at most one of them: a plan costs
+the same at any depth.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
 from .memory import MBBlockShape, block_memory
@@ -203,35 +205,29 @@ class StageTemplate:
             raise ValidationError(f"depth must be >= 1, got {self.depth}")
 
 
+def stage_shapes(
+    prev_width: int, width: int, input_size: int, downsample: bool, genes: Iterable[tuple]
+) -> list[MBBlockShape]:
+    """The layout of one stage, shared by the planner and ``space.resolve``:
+    one block per ``(kernel, expand)`` of ``genes``, the transition block
+    from ``prev_width`` at ``input_size`` (stride 2 if ``downsample``), then
+    the rest at ``width`` and the strided size."""
+    stride = 2 if downsample else 1
+    blocks = []
+    c_in, s, size = prev_width, stride, input_size
+    for kernel, expand in genes:
+        blocks.append(MBBlockShape(c_in, width, expand, kernel, s, size))
+        c_in, s, size = width, 1, input_size // stride
+    return blocks
+
+
 def stage_blocks(
     prev_width: int, width: int, template: StageTemplate
 ) -> list[MBBlockShape]:
     """Instantiate a stage at ``width``: the transition block from
     ``prev_width`` at the entry size, then identical within-stage blocks."""
-    stride = 2 if template.downsample else 1
-    inner = template.input_size // stride
-    blocks = [
-        MBBlockShape(
-            c_in=prev_width,
-            c_out=width,
-            expand=template.expand,
-            kernel=template.kernel,
-            stride=stride,
-            input_size=template.input_size,
-        )
-    ]
-    blocks.extend(
-        MBBlockShape(
-            c_in=width,
-            c_out=width,
-            expand=template.expand,
-            kernel=template.kernel,
-            stride=1,
-            input_size=inner,
-        )
-        for _ in range(template.depth - 1)
-    )
-    return blocks
+    genes = [(template.kernel, template.expand)] * template.depth
+    return stage_shapes(prev_width, width, template.input_size, template.downsample, genes)
 
 
 def stage_peak(blocks: Sequence[MBBlockShape]) -> int:
@@ -243,7 +239,8 @@ def numeric_balance(
     current_stage: Sequence[MBBlockShape], template: StageTemplate
 ) -> int:
     """Largest integer width whose instantiated next stage peaks at or below
-    the current stage's peak, found by monotone integer bisection.
+    the current stage's peak, found by one bisection over
+    ``1..MAX_EXTENT``.
 
     The within-stage blocks of ``template`` are identical, so the transition
     block and one of them give the stage's peak; the rest are not built."""
@@ -256,25 +253,15 @@ def numeric_balance(
     def peak_at(width: int) -> int:
         return stage_peak(stage_blocks(prev_width, width, template))
 
-    if peak_at(1) > target:
+    # the peak grows with the width, so the widths that fit are 1..fits
+    fits = bisect_right(range(1, MAX_EXTENT + 1), target, key=peak_at)
+    if fits == 0:
         raise InfeasibleError(
             f"no width >= 1 fits under the current stage peak of {target} items"
         )
-    lo, hi = 1, 2
-    while peak_at(hi) <= target:
-        hi *= 2
-        if hi > MAX_EXTENT:
-            raise InfeasibleError(
-                f"balanced width exceeds the {MAX_EXTENT} channel cap"
-            )
-    # invariant: peak(lo) <= target < peak(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if peak_at(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if fits == MAX_EXTENT:
+        raise InfeasibleError(f"balanced width exceeds the {MAX_EXTENT} channel cap")
+    return fits
 
 
 def quantize(x: float, divisor: int) -> int:
@@ -287,12 +274,13 @@ def quantize(x: float, divisor: int) -> int:
 
 def _stage_template(ref: ReferenceConfig, stage: int) -> StageTemplate:
     """Template of stage 1..5: entry size halves per stage; the last stage
-    keeps its resolution."""
+    keeps its resolution.  Its within-stage blocks are identical, so the
+    transition block and one of them stand for the stage: at most two."""
     return StageTemplate(
         input_size=ref.resolution // 2 ** stage,
         kernel=ref.kernel,
         expand=ref.expand,
-        depth=ref.depth,
+        depth=min(ref.depth, 2),
         downsample=stage < NUM_STAGES,
     )
 
@@ -300,17 +288,8 @@ def _stage_template(ref: ReferenceConfig, stage: int) -> StageTemplate:
 def _seed_stage(ref: ReferenceConfig, stem_width: int) -> list[MBBlockShape]:
     # planning anchor: a hypothetical stage at the stem's width operating at
     # the stem's output resolution
-    return [
-        MBBlockShape(
-            c_in=stem_width,
-            c_out=stem_width,
-            expand=ref.expand,
-            kernel=ref.kernel,
-            stride=1,
-            input_size=ref.resolution // 2,
-        )
-        for _ in range(ref.depth)
-    ]
+    genes = [(ref.kernel, ref.expand)] * min(ref.depth, 2)
+    return stage_shapes(stem_width, stem_width, ref.resolution // 2, False, genes)
 
 
 def _peak_block(blocks: Sequence[MBBlockShape]) -> MBBlockShape:
@@ -367,7 +346,7 @@ def plan_schedule(
 
 def schedule_stage_peaks(ref: ReferenceConfig, schedule: ChannelSchedule) -> list[int]:
     """Per-stage instantiated peaks of a schedule under the reference
-    configuration (transition block plus within blocks per stage)."""
+    configuration (transition block plus a within-stage block per stage)."""
     peaks = []
     prev = schedule.stem_width
     for stage, width in enumerate(schedule.stage_widths, start=1):

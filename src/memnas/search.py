@@ -128,20 +128,6 @@ def _fresh_feasible(space, rng, feasible: FeasibleSet) -> SubnetConfig:
     return config
 
 
-def _score_all(configs, scorer: Scorer, known: dict) -> list[float]:
-    """Score each config, calling ``scorer`` once per distinct config;
-    ``known`` maps configs already scored to their scores and gains the new
-    ones.  Keys are whole configs, inert genes included, since a scorer may
-    read them (the noisy oracle hashes them)."""
-    scores = []
-    for c in configs:
-        score = known.get(c)
-        if score is None:
-            score = known[c] = scorer(c)
-        scores.append(score)
-    return scores
-
-
 def search(
     space: SupernetSpace,
     constraint: SearchConstraint,
@@ -173,9 +159,10 @@ def search(
     raises InfeasibleError before anything is drawn or scored, with that
     exact minimum as ``tightest_peak``; any other cap is feasible.
 
-    ``scorer`` must be pure, a function of the config alone: a child equal
-    to one of its generation's parents or to an earlier child of the same
-    generation reuses that score instead of being scored again.
+    ``scorer`` must be pure, a function of the config alone: a draw or a
+    child equal to a config already in its generation (an earlier draw, a
+    parent or an earlier child) reuses that score instead of being scored
+    again.
     """
     cap = constraint.max_peak_items
     include_classifier = not constraint.exclude_classifier
@@ -196,12 +183,19 @@ def search(
     # cap no child needs its peak walked
     check_children = cap < max_peak_items(space)
     rng = random.Random(params.seed)
-    draws = [_fresh_feasible(space, rng, feasible_set) for _ in range(params.population)]
-    # equal draws become one object, as equal configs do in every later
-    # generation
-    first: dict[SubnetConfig, SubnetConfig] = {}
-    population = [first.setdefault(c, c) for c in draws]
-    scores = _score_all(population, scorer, {})
+    # each config of a generation, all under the cap, mapped to its one
+    # object and its score; keys are whole configs, inert genes included,
+    # since a scorer may read them (the noisy oracle hashes them)
+    known: dict[SubnetConfig, tuple[SubnetConfig, float]] = {}
+    population, scores = [], []
+    for _ in range(params.population):
+        config = _fresh_feasible(space, rng, feasible_set)
+        entry = known.get(config)
+        if entry is None:
+            entry = known[config] = (config, scorer(config))
+        config, score = entry
+        population.append(config)
+        scores.append(score)
 
     n_parents = max(1, round(params.parent_fraction * params.population))
     n_children = params.population - n_parents
@@ -220,9 +214,7 @@ def search(
         )
         parents = [population[i] for i in order[:n_parents]]
         scores = [scores[i] for i in order[:n_parents]]
-        # each config of this generation, all under the cap, mapped to its
-        # one object and its score; rebuilt each generation, so it holds at
-        # most one population
+        # rebuilt each generation, so it holds at most one population
         known = {p: (p, s) for p, s in zip(parents, scores)}
         population = parents.copy()
         for i in range(n_children):

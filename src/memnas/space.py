@@ -6,9 +6,8 @@ the maximum depth; entries beyond a stage's active depth are inert genes
 that survive sampling and mutation but never affect the resolved network.
 
 Resolving a configuration yields a profilable skeleton: stem (stride 2),
-then per stage a transition block at the stage's entry resolution (stride 2
-for the four downsampling boundaries, stride 1 for the last stage) followed
-by the remaining active blocks at the halved resolution, then the head.
+then each stage's active blocks laid out by ``planner.stage_shapes``, the
+stage builder the planner balances with, then the head.
 """
 
 from __future__ import annotations
@@ -38,7 +37,14 @@ from .memory import (
     expanded_channels,
     profile_network,
 )
-from .planner import MAX_EXTENT, NUM_STAGES, ChannelSchedule, ReferenceConfig, plan_schedule
+from .planner import (
+    MAX_EXTENT,
+    NUM_STAGES,
+    ChannelSchedule,
+    ReferenceConfig,
+    plan_schedule,
+    stage_shapes,
+)
 
 DEPTH_OPTIONS = (2, 3, 4)
 KERNEL_OPTIONS = (3, 5, 7)
@@ -549,25 +555,11 @@ def resolve(
     blocks: list[MBBlockShape] = []
     labels: list[str] = []
     prev_width = sched.stem_width
-    for s in range(space.num_stages):
-        width = sched.stage_widths[s]
-        depth = config.stage_depths[s]
+    for s, (width, depth) in enumerate(zip(sched.stage_widths, config.stage_depths)):
+        genes = zip(config.kernels[s][:depth], config.expands[s][:depth])
         downsample = s < space.num_stages - 1
-        entry = config.resolution >> (s + 1)
-        inner = entry // 2 if downsample else entry
-        for j in range(depth):
-            first = j == 0
-            blocks.append(
-                MBBlockShape(
-                    c_in=prev_width if first else width,
-                    c_out=width,
-                    expand=config.expands[s][j],
-                    kernel=config.kernels[s][j],
-                    stride=2 if (first and downsample) else 1,
-                    input_size=entry if first else inner,
-                )
-            )
-            labels.append(f"stage{s + 1}.block{j + 1}")
+        blocks += stage_shapes(prev_width, width, config.resolution >> (s + 1), downsample, genes)
+        labels += [f"stage{s + 1}.block{j}" for j in range(1, depth + 1)]
         prev_width = width
     return NetworkSkeleton(
         resolution=config.resolution,

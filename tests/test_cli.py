@@ -15,6 +15,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -146,6 +147,16 @@ class TestPlanCommand:
         code = main(["plan", "--mode", "closed-form", "--stem", "64", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["stage_widths"] == [40, 72, 48, 64, 56]
+
+    def test_plan_cost_does_not_grow_with_depth(self, tmp_path, capsys):
+        # a planned stage is its transition and at most one inner block, so
+        # any depth past 2 plans as fast as 4, to the same schedule
+        outs = {d: tmp_path / f"depth{d}.json" for d in (4, 4_194_305)}
+        start = time.perf_counter()
+        assert main(["plan", "--depth", "4194305", "--out", str(outs[4_194_305])]) == 0
+        assert time.perf_counter() - start < 10
+        assert main(["plan", "--depth", "4", "--out", str(outs[4])]) == 0
+        assert outs[4_194_305].read_bytes() == outs[4].read_bytes()
 
     def test_divisor_one_unquantized(self, tmp_path):
         out = tmp_path / "d1.json"
@@ -575,7 +586,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("blank_line", [False, True], ids=["dense", "blank-line"])
     @pytest.mark.parametrize("holdout", ["0", "0.9"], ids=["trained", "held-out"])
     def test_dataset_row_that_does_not_fit_the_space(
-        self, tmp_path, space, capsys, holdout, blank_line
+        self, tmp_path, space, capsys, monkeypatch, holdout, blank_line
     ):
         good = {"config": sample_uniform(space, 1).to_json_dict(), "peak_items": 1, "score": 1.0}
         short = json.loads(json.dumps(good))
@@ -590,9 +601,21 @@ class TestMalformedInput:
         random.Random(0).shuffle(order)
         assert (4 in order[: {"0": 0, "0.9": 5}[holdout]]) == (holdout == "0.9")
         model = tmp_path / "m.json"
+        # the line is named from the one read of the dataset: a second read
+        # could see a file replaced in between
+        opens = []
+        builtin_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opens.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
         code = main(["train-predictor", "--dataset", str(data), "--holdout", holdout,
                      "--out", str(model)])
+        monkeypatch.undo()
         assert code == 2
+        assert opens.count(str(data)) == 1
         line = 6 if blank_line else 5
         assert f"error: line {line}: stages[1].expands: expected 4 slots, got 3" in (
             capsys.readouterr().err

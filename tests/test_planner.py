@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from memnas import planner
 from memnas.errors import InfeasibleError, ValidationError
 from memnas.memory import MBBlockShape, block_memory
 from memnas.planner import (
@@ -15,6 +16,7 @@ from memnas.planner import (
     DominantLayer,
     ReferenceConfig,
     StageTemplate,
+    _stage_template,
     cout_depthwise_dominated,
     cout_dw_to_exp,
     cout_exp_dominated,
@@ -28,6 +30,7 @@ from memnas.planner import (
     stage_blocks,
     stage_peak,
 )
+from memnas.space import default_space, maximal_config, resolve
 
 
 class TestClosedForms:
@@ -260,14 +263,46 @@ class TestPlanSchedule:
         for s in range(1, len(peaks)):
             assert peaks[s] <= peaks[s - 1]
         # one divisor step more would overshoot the previous stage's peak
-        from memnas.planner import _stage_template
-
         prev = sched.stem_width
         for s, width in enumerate(sched.stage_widths, start=1):
             if s >= 2:
                 template = _stage_template(ref, s)
                 bumped = stage_peak(stage_blocks(prev, width + sched.divisor, template))
                 assert bumped > peaks[s - 2]
+            prev = width
+
+    @pytest.mark.parametrize("mode, stem", [("numeric", 8), ("closed-form", 64)])
+    @pytest.mark.parametrize("depth", [2, 3, 1000])
+    def test_planning_builds_at_most_two_blocks_per_stage(self, monkeypatch, mode, stem, depth):
+        # within-stage blocks are identical, so a planned stage is its
+        # transition and at most one inner block, whatever the depth
+        built = []
+        shapes = planner.stage_shapes
+
+        def recording(*args):
+            blocks = shapes(*args)
+            built.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(planner, "stage_shapes", recording)
+        ref = ReferenceConfig(depth=depth)
+        schedule_stage_peaks(ref, plan_schedule(ref, stem_width=stem, mode=mode))
+        assert built and max(built) == 2
+
+    def test_planner_and_space_lay_out_stages_alike(self):
+        # the widest config of the default space is the reference config,
+        # so each resolved stage opens with the planner's two blocks
+        space, ref = default_space(), ReferenceConfig()
+        skeleton = resolve(maximal_config(space), space)
+        assert skeleton.resolution == ref.resolution
+        stages: dict[str, list] = {}
+        for label, block in zip(skeleton.block_labels, skeleton.blocks):
+            stages.setdefault(label.split(".")[0], []).append(block)
+        prev = space.schedule.stem_width
+        for s, width in enumerate(space.schedule.stage_widths, start=1):
+            planned = stage_blocks(prev, width, _stage_template(ref, s))
+            assert len(planned) == 2
+            assert stages[f"stage{s}"][:2] == planned
             prev = width
 
     def test_closed_form_shrinks_and_reports_stage_on_failure(self):

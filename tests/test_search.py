@@ -24,7 +24,6 @@ from memnas.search import (
     SearchConstraint,
     SearchParams,
     SearchResult,
-    _score_all,
     search,
     sweep,
     write_sweep_csv,
@@ -378,23 +377,33 @@ class TestScoreReuse:
             "5a7a11165aa9594f4e9b8c69b5a2479cd98e979a93c9c004f4da79c49b830267"
         )
 
-    def test_reuse_keys_on_the_whole_config_inert_genes_included(self, space):
-        base = sample_uniform(space, 3)
-        depth = base.stage_depths[0]
-        assert depth < space.max_depth
-        kernels = list(base.kernels[0])
-        kernels[depth] = next(k for k in space.kernel_options if k != kernels[depth])
-        inert_variant = replace(base, kernels=(tuple(kernels),) + base.kernels[1:])
-        calls = []
-        known = {base: 1.0}
-        scores = _score_all(
-            [base, inert_variant, inert_variant],
-            lambda c: calls.append(c) or 2.0,
-            known,
+    def test_reuse_keys_on_the_whole_config_inert_genes_included(self, monkeypatch):
+        # eight genomes, four of them depth 1 with an inert second kernel:
+        # 32 initial draws repeat configs, each scored once, and configs
+        # that differ only in an inert gene resolve alike but are scored
+        # separately; the draws are scored before any child
+        space = tiny_space(depths=(1, 2), kernels=(3, 5), stages=1)
+        draws, calls = [], []
+        fresh = searching._fresh_feasible
+        monkeypatch.setattr(
+            searching,
+            "_fresh_feasible",
+            lambda *args: draws.append(fresh(*args)) or draws[-1],
         )
-        assert scores == [1.0, 2.0, 2.0]
-        assert calls == [inert_variant]
-        assert known == {base: 1.0, inert_variant: 2.0}
+        search(
+            space,
+            SearchConstraint(max_peak_items(space)),
+            lambda c: calls.append(c) or len(calls),
+            SearchParams(population=32, generations=1, seed=0),
+        )
+        assert len(draws) == 32
+        distinct = list(dict.fromkeys(draws))
+        assert calls[: len(distinct)] == distinct
+        inert_twins = [
+            (a, b) for a in distinct for b in distinct
+            if a != b and resolve(a, space) == resolve(b, space)
+        ]
+        assert inert_twins
 
 
 class TestKnownWork:
