@@ -10,6 +10,11 @@ An MB block is the expansion (1x1) / depthwise (KxK) / projection (1x1)
 convolution triple.  The depthwise layer applies the block's stride, so the
 expansion layer sees the full input resolution and the projection layer the
 strided one.
+
+Shapes and skeletons are checked once, when they are built: a stride-2
+``MBBlockShape`` needs an even ``input_size`` and a ``NetworkSkeleton`` a
+chained stem and blocks.  ``profile_network`` and ``flops_estimate`` take them
+as valid, so memory and FLOPs are counted for the same networks.
 """
 
 from __future__ import annotations
@@ -69,10 +74,8 @@ class MBBlockShape:
             raise ValidationError(f"stride must be 1 or 2, got {self.stride!r}")
         if self.kernel % 2 == 0:
             raise ValidationError(f"kernel must be odd, got {self.kernel}")
-        if self.stride == 2 and self.input_size < 2:
-            raise ValidationError(
-                f"input_size must be >= 2 for stride-2 blocks, got {self.input_size}"
-            )
+        if self.stride == 2 and self.input_size % 2:
+            raise ResolutionError(f"input_size {self.input_size} is not divisible by stride 2")
         if expanded_channels(self.c_in, self.expand) < 1:
             raise ValidationError(
                 f"expand {self.expand} * c_in {self.c_in} rounds to zero channels"
@@ -101,14 +104,6 @@ class LayerMemory:
         return self.input_items + self.weight_items + self.output_items
 
 
-def _strided_size(shape: MBBlockShape) -> int:
-    if shape.stride == 2 and shape.input_size % 2 != 0:
-        raise ResolutionError(
-            f"input_size {shape.input_size} is not divisible by stride 2"
-        )
-    return shape.input_size // shape.stride
-
-
 def expansion_memory(shape: MBBlockShape, label: str = "exp") -> LayerMemory:
     """Pointwise expansion: c_in -> expanded channels at full resolution."""
     i2 = shape.input_size * shape.input_size
@@ -124,7 +119,7 @@ def expansion_memory(shape: MBBlockShape, label: str = "exp") -> LayerMemory:
 def depthwise_memory(shape: MBBlockShape, label: str = "dw") -> LayerMemory:
     """Depthwise KxK convolution; applies the block stride."""
     i2 = shape.input_size * shape.input_size
-    o = _strided_size(shape)
+    o = shape.output_size
     e_ch = shape.expanded
     return LayerMemory(
         label=label,
@@ -136,7 +131,7 @@ def depthwise_memory(shape: MBBlockShape, label: str = "dw") -> LayerMemory:
 
 def projection_memory(shape: MBBlockShape, label: str = "proj") -> LayerMemory:
     """Pointwise projection: expanded channels -> c_out at strided resolution."""
-    o = _strided_size(shape)
+    o = shape.output_size
     o2 = o * o
     e_ch = shape.expanded
     return LayerMemory(
@@ -187,33 +182,25 @@ class NetworkSkeleton:
             raise ValidationError("skeleton has no blocks")
         if self.block_labels is not None and len(self.block_labels) != len(self.blocks):
             raise ValidationError("block_labels length does not match blocks")
-
-
-def validate_skeleton(skeleton: NetworkSkeleton) -> None:
-    """Check channel and spatial chaining; raises ChainError at the first
-    broken boundary."""
-    stem_out = skeleton.resolution // 2
-    first = skeleton.blocks[0]
-    if first.c_in != skeleton.stem_width:
-        raise ChainError(
-            f"stem->block0: stem_width {skeleton.stem_width} != block c_in {first.c_in}"
-        )
-    if first.input_size != stem_out:
-        raise ChainError(
-            f"stem->block0: stem output size {stem_out} != block input_size "
-            f"{first.input_size}"
-        )
-    for i in range(len(skeleton.blocks) - 1):
-        cur, nxt = skeleton.blocks[i], skeleton.blocks[i + 1]
-        if cur.c_out != nxt.c_in:
+        # channel and spatial chaining: a ChainError names the first broken boundary
+        first = self.blocks[0]
+        if first.c_in != self.stem_width:
             raise ChainError(
-                f"block{i}->block{i + 1}: c_out {cur.c_out} != c_in {nxt.c_in}"
+                f"stem->block0: stem_width {self.stem_width} != block c_in {first.c_in}"
             )
-        if cur.output_size != nxt.input_size:
+        if first.input_size != self.resolution // 2:
             raise ChainError(
-                f"block{i}->block{i + 1}: output size {cur.output_size} != "
-                f"input_size {nxt.input_size}"
+                f"stem->block0: stem output size {self.resolution // 2} != block "
+                f"input_size {first.input_size}"
             )
+        for i, (cur, nxt) in enumerate(zip(self.blocks, self.blocks[1:])):
+            if cur.c_out != nxt.c_in:
+                raise ChainError(f"block{i}->block{i + 1}: c_out {cur.c_out} != c_in {nxt.c_in}")
+            if cur.output_size != nxt.input_size:
+                raise ChainError(
+                    f"block{i}->block{i + 1}: output size {cur.output_size} != "
+                    f"input_size {nxt.input_size}"
+                )
 
 
 @dataclass(frozen=True)
@@ -328,7 +315,6 @@ def profile_network(skeleton: NetworkSkeleton) -> MemoryProfile:
     when the skeleton includes a classifier; by convention constrained
     comparisons leave it out.
     """
-    validate_skeleton(skeleton)
     records = [_stem_memory(skeleton)]
     labels = skeleton.block_labels or tuple(
         f"block{i + 1}" for i in range(len(skeleton.blocks))
@@ -362,7 +348,6 @@ def flops_estimate(skeleton: NetworkSkeleton) -> int:
     MACs, depthwise ones K^2 * C * H_out * W_out.  The classifier counts only
     if the skeleton includes it.
     """
-    validate_skeleton(skeleton)
     half = skeleton.resolution // 2
     macs = 9 * 3 * skeleton.stem_width * half * half
     last = skeleton.blocks[-1]

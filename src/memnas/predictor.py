@@ -28,7 +28,7 @@ from itertools import chain
 from operator import getitem
 from typing import TYPE_CHECKING
 
-from .errors import InfeasibleError, ValidationError, require_number
+from .errors import InfeasibleError, ValidationError, json_field, require_number
 from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
 from .space import (
     PeakBand,
@@ -37,7 +37,6 @@ from .space import (
     _sample_with,
     _stage_terms,
     config_peak_items,
-    json_field,
     max_peak_items,
     maximal_config,
     min_peak_items,

@@ -631,8 +631,8 @@ def config_peak_items(
     expand); so this agrees with profiling the resolved skeleton (tested).
     Used on hot paths such as the feasibility check of a search, it checks only
     the genes it reads: an out-of-space resolution, depth or active gene
-    raises the ``ValidationError`` that ``resolve`` raises; inert genes are
-    not checked.
+    raises the ``ValidationError`` of ``require_valid``; inert genes are not
+    checked.
     """
     try:
         peak, tails, stages = space.peak_table[config.resolution]
@@ -647,9 +647,9 @@ def config_peak_items(
                 if t > peak:
                     peak = t
     except (KeyError, IndexError, TypeError, ValueError):
-        # a table miss means the config is outside the space; resolve names
-        # the offending field
-        resolve(config, space)
+        # a table miss means the config is outside the space; require_valid
+        # names the offending field
+        require_valid(config, space)
         raise
     if include_classifier:
         peak = max(peak, _classifier_items(space))

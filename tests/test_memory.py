@@ -70,9 +70,8 @@ class TestDepthwiseMemory:
         assert rec.total_items == 656
 
     def test_odd_input_with_stride2_rejected(self):
-        bad = shape(stride=2, input_size=7)
-        with pytest.raises(ResolutionError):
-            depthwise_memory(bad)
+        with pytest.raises(ResolutionError, match="input_size 7 is not divisible by stride 2"):
+            shape(stride=2, input_size=7)
 
 
 class TestProjectionMemory:
@@ -223,20 +222,12 @@ class TestProfileNetwork:
 
     def test_chain_errors_name_the_boundary(self):
         good = unit_skeleton()
-        broken = NetworkSkeleton(
-            resolution=4,
-            stem_width=5,
-            blocks=good.blocks,
-            head_width=6,
-        )
         with pytest.raises(ChainError, match="stem->block0"):
-            profile_network(broken)
+            NetworkSkeleton(resolution=4, stem_width=5, blocks=good.blocks, head_width=6)
         b1 = MBBlockShape(4, 4, 1, 1, 1, 2)
         b2 = MBBlockShape(8, 8, 1, 1, 1, 2)
         with pytest.raises(ChainError, match="block0->block1"):
-            profile_network(
-                NetworkSkeleton(resolution=4, stem_width=4, blocks=(b1, b2), head_width=6)
-            )
+            NetworkSkeleton(resolution=4, stem_width=4, blocks=(b1, b2), head_width=6)
 
 
 class TestSerialization:
@@ -309,6 +300,30 @@ class TestFlops:
         with_cls = flops_estimate(unit_skeleton(include_classifier=True, num_classes=10))
         without = flops_estimate(unit_skeleton())
         assert with_cls - without == 2 * 6 * 10
+
+    @given(
+        c_in=st.integers(1, 64),
+        c_out=st.integers(1, 64),
+        kernel=st.sampled_from([1, 3, 5, 7]),
+        expand=st.sampled_from([1, 2, 3, 4, 6, 0.75, 1.5, 2.5]),
+        stride=st.sampled_from([1, 2]),
+        input_size=st.integers(1, 64),
+    )
+    def test_flops_and_memory_accept_the_same_blocks(
+        self, c_in, c_out, kernel, expand, stride, input_size
+    ):
+        # a block either fails when it is built or is counted by both models
+        args = (c_in, c_out, expand, kernel, stride, input_size)
+        if stride == 2 and input_size % 2:
+            message = f"input_size {input_size} is not divisible by stride 2"
+            with pytest.raises(ResolutionError, match=message):
+                MBBlockShape(*args)
+            return
+        block = MBBlockShape(*args)
+        assert block.output_size * stride == input_size
+        assert len(block_memory(block)) == 3 and block_flops(block) > 0
+        sk = NetworkSkeleton(2 * input_size, c_in, (block,), head_width=8)
+        assert profile_network(sk).peak_items > 0 and flops_estimate(sk) > block_flops(block)
 
     def test_doubling_widths_quadruples_pointwise_flops(self):
         base = MBBlockShape(8, 8, 2, 3, 1, 8)
