@@ -68,8 +68,9 @@ class MBBlockShape:
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if self.expand <= 0:
-            raise ValidationError(f"expand must be positive, got {self.expand!r}")
+        if not 0 < self.expand < math.inf:
+            # NaN fails both comparisons; rounding would raise on it or on inf
+            raise ValidationError(f"expand must be a positive finite number, got {self.expand!r}")
         if self.stride not in (1, 2):
             raise ValidationError(f"stride must be 1 or 2, got {self.stride!r}")
         if self.kernel % 2 == 0:

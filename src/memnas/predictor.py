@@ -25,7 +25,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from operator import getitem
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
@@ -61,28 +60,31 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
     block followed by per-slot kernel and expand blocks.  Slots beyond the
     active depth encode as all-zero blocks, so inert genes never show.
 
-    The ones are set at ``_hot_positions`` in one assignment.  numpy is
-    imported here, not with the module (see its docstring)."""
+    The ones are set at ``_hot_positions`` with one ``ndarray.put``.  numpy
+    is imported here, not with the module (see its docstring)."""
     import numpy as np
 
     vec = np.zeros(space.one_hot_positions[2])
-    vec[_hot_positions(config, space)] = 1.0
+    vec.put(_hot_positions(config, space), 1.0)
     return vec
 
 
 def _hot_positions(config: SubnetConfig, space: SupernetSpace) -> list[int]:
     """The positions of the ones in ``encode(config, space)``, read from the
-    space's table (``SupernetSpace.one_hot_positions``); an invalid config
-    raises ValidationError."""
+    space's tables (``SupernetSpace.one_hot_positions``): the resolution's,
+    then per stage the depth's and one entry each of the stage's kernel and
+    expand slot tables at that depth, keyed by the whole slot tuple.  An
+    invalid config raises ValidationError before any table is read."""
     require_valid(config, space)
     resolution_at, stages, _ = space.one_hot_positions
     hot = [resolution_at[config.resolution]]
-    for (depth_at, kernel_at, expand_at), depth, ks, es in zip(
+    for (depth_at, _, _, slot_tables), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
     ):
+        kernel_table, expand_table = slot_tables[depth]
         hot.append(depth_at[depth])
-        hot += map(getitem, kernel_at[:depth], ks)
-        hot += map(getitem, expand_at[:depth], es)
+        hot += kernel_table[ks]
+        hot += expand_table[es]
     return hot
 
 

@@ -23,6 +23,7 @@ from .space import (
     FeasibleSet,
     SubnetConfig,
     SupernetSpace,
+    _below,
     _sample_with,
     config_peak_items,
     crossover,
@@ -183,6 +184,8 @@ def search(
     # cap no child needs its peak walked
     check_children = cap < max_peak_items(space)
     rng = random.Random(params.seed)
+    # parent picks are drawn as ``rng.randrange`` draws them (``_below``)
+    bits = rng.getrandbits
     # each config of a generation, all under the cap, mapped to its one
     # object and its score; keys are whole configs, inert genes included,
     # since a scorer may read them (the noisy oracle hashes them)
@@ -219,11 +222,11 @@ def search(
         population = parents.copy()
         for i in range(n_children):
             if i < n_mutation:
-                parent = parents[rng.randrange(n_parents)]
+                parent = parents[_below(bits, n_parents)]
                 child = mutate(parent, space, params.mutation_prob, rng)
             else:
-                a = parents[rng.randrange(n_parents)]
-                b = parents[rng.randrange(n_parents)]
+                a = parents[_below(bits, n_parents)]
+                b = parents[_below(bits, n_parents)]
                 child = crossover(a, b, rng)
             entry = known.get(child)
             if entry is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import accumulate, product
 from math import prod
-from operator import mul
+from operator import getitem, mul
 
 from .errors import (
     FieldError,
@@ -163,8 +163,13 @@ class SupernetSpace:
 
         ``resolution_at`` maps each resolution option to its position in the
         feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
-        expand_at)``, a map for the depth block and one map per slot for the
-        kernel and the expand blocks; ``length`` is the vector's length."""
+        expand_at, slot_tables)``: a map for the depth block, one map per
+        slot for the kernel and the expand blocks, and per depth ``d`` a pair
+        of ``_SlotTable``s that map a whole kernel and a whole expand slot
+        tuple to the positions its first ``d`` slots set.  The slot tables
+        fill as tuples are looked up, each up to ``|options|**max_depth``
+        entries; a kind whose slot-tuple set ``_valid_genes`` leaves empty
+        (too many tuples) stores none.  ``length`` is the vector's length."""
         end = 0
 
         def block(options) -> dict:
@@ -172,6 +177,7 @@ class SupernetSpace:
             start, end = end, end + len(options)
             return {v: start + i for i, v in enumerate(options)}
 
+        _, _, kernel_tuples, expand_tuples = self._valid_genes
         resolution_at = block(self.resolution_options)
         stages = []
         for _ in range(self.num_stages):
@@ -180,7 +186,14 @@ class SupernetSpace:
             for _ in range(self.max_depth):
                 kernel_at.append(block(self.kernel_options))
                 expand_at.append(block(self.expand_options))
-            stages.append((depth_at, tuple(kernel_at), tuple(expand_at)))
+            slot_tables = {
+                d: (
+                    _SlotTable(kernel_at[:d], bool(kernel_tuples)),
+                    _SlotTable(expand_at[:d], bool(expand_tuples)),
+                )
+                for d in self.depth_options
+            }
+            stages.append((depth_at, tuple(kernel_at), tuple(expand_at), slot_tables))
         return resolution_at, tuple(stages), end
 
     def to_json_dict(self) -> dict:
@@ -210,6 +223,22 @@ class SupernetSpace:
             expand_options=tuple(json_field(d, "expand_options", list)),
             resolution_options=tuple(json_field(d, "resolution_options", list)),
         )
+
+
+class _SlotTable(dict):
+    """Maps a whole slot tuple to the positions its first ``len(slot_at)``
+    slots set, one map of ``slot_at`` per slot; a tuple looked up for the
+    first time is mapped slot by slot and kept if ``store``."""
+
+    def __init__(self, slot_at: list[dict], store: bool):
+        super().__init__()
+        self.slot_at, self.store = slot_at, store
+
+    def __missing__(self, slots: tuple) -> tuple:
+        positions = tuple(map(getitem, self.slot_at, slots))
+        if self.store:
+            self[slots] = positions
+        return positions
 
 
 @cache
@@ -462,6 +491,22 @@ def _sample_with(
     )
 
 
+def _below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` from ``getrandbits = rng.getrandbits``: the same
+    value from the same words, ``getrandbits(n.bit_length())`` until one is
+    below ``n``, as CPython 3.10-3.13 draw it; so ``options[_below(
+    getrandbits, len(options))]`` is ``rng.choice(options)``.  One frame in
+    place of ``randrange``'s or ``choice``'s two.  ``n`` below 1 raises
+    ValueError before any draw: ``getrandbits(0)`` is 0, never below ``n``."""
+    if n < 1:
+        raise ValueError(f"empty range for _below({n})")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_uniform(space: SupernetSpace, seed: int) -> SubnetConfig:
     """Draw each gene uniformly from its option set; deterministic in the
     seed.  Inert slots are drawn too so later depth growth can use them."""
@@ -477,8 +522,9 @@ def mutate(
     """Resample each gene independently with probability ``prob``, drawing
     from ``rng`` and from the space's options.  Draw order: the resolution,
     then per stage its depth, its kernel slots and its expand slots; each
-    gene takes one ``rng.random()`` and, when it is resampled, one
-    ``rng.choice``."""
+    gene takes one ``rng.random()`` and, when it is resampled, its option
+    drawn as ``rng.choice`` draws it, from ``rng.getrandbits`` words
+    (``_below``)."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
     n = space.num_stages
@@ -487,16 +533,18 @@ def mutate(
             f"config has {len(config.stage_depths)} depths, {len(config.kernels)} kernel "
             f"and {len(config.expands)} expand stages; the space has {n} stages"
         )
-    rnd, choice = rng.random, rng.choice
-    d_opts, k_opts, e_opts = space.depth_options, space.kernel_options, space.expand_options
+    rnd, bits = rng.random, rng.getrandbits
+    r_opts, d_opts = space.resolution_options, space.depth_options
+    k_opts, e_opts = space.kernel_options, space.expand_options
+    n_d, n_k, n_e = len(d_opts), len(k_opts), len(e_opts)
     resolution = config.resolution
     if rnd() < prob:
-        resolution = choice(space.resolution_options)
+        resolution = r_opts[_below(bits, len(r_opts))]
     depths, kernels, expands = [], [], []
     for d, ks, es in zip(config.stage_depths, config.kernels, config.expands):
-        depths.append(choice(d_opts) if rnd() < prob else d)
-        kernels.append(tuple([choice(k_opts) if rnd() < prob else k for k in ks]))
-        expands.append(tuple([choice(e_opts) if rnd() < prob else e for e in es]))
+        depths.append(d_opts[_below(bits, n_d)] if rnd() < prob else d)
+        kernels.append(tuple([k_opts[_below(bits, n_k)] if rnd() < prob else k for k in ks]))
+        expands.append(tuple([e_opts[_below(bits, n_e)] if rnd() < prob else e for e in es]))
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
 
 
@@ -514,10 +562,11 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
     share one genome shape: stage count and per-stage kernel and expand
     slot counts, with as many depths as kernel and expand stages.
 
-    A parent crossed with itself (``a is b``) makes the same draws and
-    returns ``a``, the child every draw would give.  The test is identity,
-    not equality: equal parents may hold genes that serialize differently
-    (``2`` and ``2.0``)."""
+    A parent crossed with itself (``a is b``) returns ``a``, the child every
+    draw would give, and takes the same generator words: the two 32-bit
+    words of each gene's ``random()``, all in one ``rng.getrandbits``.  The
+    test is identity, not equality: equal parents may hold genes that
+    serialize differently (``2`` and ``2.0``)."""
     shape_a, shape_b = _genome_shape(a), _genome_shape(b)
     if shape_a != shape_b:
         raise ValidationError(
@@ -529,11 +578,10 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
             f"parents have {n_depths} depths, {len(kernel_slots)} kernel "
             f"and {len(expand_slots)} expand stages"
         )
-    rnd = rng.random
     if a is b:
-        for _ in range(1 + n_depths + sum(kernel_slots) + sum(expand_slots)):
-            rnd()
+        rng.getrandbits(64 * (1 + n_depths + sum(kernel_slots) + sum(expand_slots)))
         return a
+    rnd = rng.random
     resolution = a.resolution if rnd() < 0.5 else b.resolution
     depths, kernels, expands = [], [], []
     for da, db, ka, kb, ea, eb in zip(
@@ -757,11 +805,14 @@ class FeasibleSet:
         ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
         slots are kept, and so are the kernel and expand tuples of a stage
         that keeps its depth and every active pair.  A member comes back
-        equal, with ``rng`` unused."""
+        equal, with ``rng`` unused.  Each pick is drawn as
+        ``rng.randrange`` or ``rng.choice`` draws it, from
+        ``rng.getrandbits`` words (``_below``)."""
         if not self.count:
             raise InfeasibleError(f"no configuration fits under {self.cap} items")
+        bits = rng.getrandbits
         kept = None if config is None else self._by_resolution.get(config.resolution)
-        r, plan = kept or self._strata[bisect_right(self._cumulative, rng.randrange(self.count))]
+        r, plan = kept or self._strata[bisect_right(self._cumulative, _below(bits, self.count))]
         depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
         depths, kernels, expands = [], [], []
         for s, (cumulative, F, I, first_fits, inner_fits) in enumerate(plan):
@@ -778,11 +829,11 @@ class FeasibleSet:
                     continue
                 old = list(zip(ks, es))
             if d is None or (d > 1 and not I):
-                d = depth_options[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
+                d = depth_options[bisect_right(cumulative, _below(bits, cumulative[-1]))]
             genes = (
-                [old[0] if old[0] in first_fits else rng.choice(F)]
-                + [g if g in inner_fits else rng.choice(I) for g in old[1:d]]
-                + [rng.choice(pairs) if g is None else g for g in old[d:]]
+                [old[0] if old[0] in first_fits else F[_below(bits, len(F))]]
+                + [g if g in inner_fits else I[_below(bits, len(I))] for g in old[1:d]]
+                + [pairs[_below(bits, len(pairs))] if g is None else g for g in old[d:]]
             )
             ks, es = zip(*genes)
             depths.append(d)
@@ -840,13 +891,15 @@ class PeakBand:
         self.count = sum(counts)
 
     def sample(self, rng: random.Random) -> SubnetConfig:
-        """One member, each with the same probability."""
+        """One member, each with the same probability; each pick is drawn
+        as ``rng.randrange`` or ``rng.choice`` draws it, from
+        ``rng.getrandbits`` words (``_below``)."""
         if not self.count:
             raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
-        randrange, choice = rng.randrange, rng.choice
+        bits = rng.getrandbits
 
         def pick(cumulative: list) -> int:
-            return bisect_right(cumulative, randrange(cumulative[-1]))
+            return bisect_right(cumulative, _below(bits, cumulative[-1]))
 
         r, plan_a, plan_b, firsts = self._strata[pick(self._cumulative)]
         j = -1 if plan_b is None else pick(firsts)
@@ -865,7 +918,7 @@ class PeakBand:
                 t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
                 reach = [p for p in slots_a[t] if p not in (inner_b if t else first_b)]
                 slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
-            ks, es = zip(*[choice(slot) for slot in slots + [pairs] * (md - d)])
+            ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
             depths.append(d)
             kernels.append(ks)
             expands.append(es)

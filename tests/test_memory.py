@@ -1,6 +1,7 @@
 """Layer and network memory accounting."""
 
 import io
+import math
 import random
 import statistics
 
@@ -49,8 +50,13 @@ class TestExpansionMemory:
     def test_invalid_dimension_names_field(self):
         with pytest.raises(ValidationError, match="c_in"):
             shape(c_in=0)
-        with pytest.raises(ValidationError, match="expand"):
-            shape(expand=-1)
+        # a NaN or infinite expand used to escape from expanded_channels as
+        # ValueError or OverflowError
+        for expand in (-1, 0, math.nan, math.inf, -math.inf):
+            with pytest.raises(
+                ValidationError, match=f"expand must be a positive finite number, got {expand!r}"
+            ):
+                shape(expand=expand)
 
 
 class TestDepthwiseMemory:

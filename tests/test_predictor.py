@@ -8,13 +8,14 @@ import math
 import random
 import re
 from dataclasses import replace
+from operator import getitem
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
-from test_space import SEEDS, spaces
+from test_space import SEEDS, spaces, tiny_space
 
 import memnas.predictor as predictor_module
 from memnas.errors import InfeasibleError, ValidationError
@@ -25,6 +26,7 @@ from memnas.predictor import (
     DatasetRow,
     PredictorModel,
     _hot_indices,
+    _hot_positions,
     balanced_sample,
     bucket_index,
     encode,
@@ -42,6 +44,7 @@ from memnas.space import (
     default_space,
     max_peak_items,
     maximal_config,
+    require_valid,
     sample_uniform,
     _sample_with,
 )
@@ -204,6 +207,80 @@ class TestHotIndices:
             _hot_indices([good, bad], space)
         with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
             train(Dataset((DatasetRow(good, 0, 1.0), DatasetRow(bad, 0, 2.0)), ()), space, 1.0)
+
+
+def reference_hot_positions(config, space):
+    """Every active gene mapped through its own slot's map of
+    ``one_hot_positions``, gene by gene: the reference for the slot tables."""
+    require_valid(config, space)
+    resolution_at, stages, _ = space.one_hot_positions
+    hot = [resolution_at[config.resolution]]
+    for (depth_at, kernel_at, expand_at, _), depth, ks, es in zip(
+        stages, config.stage_depths, config.kernels, config.expands
+    ):
+        hot.append(depth_at[depth])
+        hot += map(getitem, kernel_at[:depth], ks)
+        hot += map(getitem, expand_at[:depth], es)
+    return hot
+
+
+def slot_tables(space):
+    """Each slot table of ``space`` with the option count of its kind."""
+    for _, _, _, by_depth in space.one_hot_positions[1]:
+        for kernel_table, expand_table in by_depth.values():
+            yield kernel_table, len(space.kernel_options)
+            yield expand_table, len(space.expand_options)
+
+
+class TestSlotTables:
+    """``_hot_positions`` reads whole slot tuples from per-stage tables that
+    fill on first use; the gene-by-gene walk is the reference."""
+
+    @given(space=spaces(), seed=SEEDS)
+    def test_a_miss_and_a_hit_equal_the_walk(self, space, seed):
+        config = _sample_with(space, random.Random(seed))
+        reference = reference_hot_positions(config, space)
+        assert not any(table for table, _ in slot_tables(space))  # so the first call misses
+        assert _hot_positions(config, space) == reference
+        for (_, _, _, by_depth), depth, ks, es in zip(
+            space.one_hot_positions[1], config.stage_depths, config.kernels, config.expands
+        ):
+            kernel_table, expand_table = by_depth[depth]
+            assert ks in kernel_table and es in expand_table
+        assert _hot_positions(config, space) == reference  # a hit
+
+    @pytest.mark.parametrize("name", sorted(TestHotIndices.SPACES))
+    def test_tables_stay_within_their_bound(self, space, name):
+        small = replace(space, **TestHotIndices.SPACES[name])
+        rng = random.Random(7)
+        for _ in range(3000):
+            config = _sample_with(small, rng)
+            assert _hot_positions(config, small) == reference_hot_positions(config, small)
+        for table, options in slot_tables(small):
+            assert 0 < len(table) <= options ** small.max_depth
+
+    def test_an_out_of_space_inert_gene_raises_after_a_hit(self, space):
+        config = replace_gene(maximal_config(space), depths=(2,) * space.num_stages)
+        encode(config, space)  # fills the tables for its slot tuples
+        inert = tuple((*ks[:-1], 9) for ks in config.kernels)
+        bad = replace_gene(config, kernels=inert)
+        with pytest.raises(ValidationError, match=re.escape("stages[0].kernels[3]: 9 not in")):
+            _hot_positions(bad, space)
+        with pytest.raises(ValidationError, match=re.escape("stages[0].kernels[3]: 9 not in")):
+            encode(bad, space)
+
+    def test_an_oversized_slot_tuple_set_stores_nothing(self):
+        # 17 kernel options at max depth 4 make 83,521 kernel slot tuples,
+        # past the 65,536 that ``_valid_genes`` holds; one expand option
+        # makes one expand slot tuple
+        big = tiny_space(depths=(1, 2, 3, 4), kernels=tuple(range(11, 45, 2)), stages=2)
+        assert not big._valid_genes[2] and big._valid_genes[3]
+        rng = random.Random(11)
+        for _ in range(200):
+            config = _sample_with(big, rng)
+            assert _hot_positions(config, big) == reference_hot_positions(config, big)
+        for table, options in slot_tables(big):
+            assert len(table) == (0 if options == 17 else 1)
 
 
 class TestBalancedSample:

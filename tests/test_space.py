@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from memnas.space import (
     FeasibleSet,
     SubnetConfig,
     SupernetSpace,
+    _below,
     _is_valid,
     _sample_with,
     _violations,
@@ -275,6 +277,46 @@ class TestCrossover:
         a = replace(c, stage_depths=(c.stage_depths * 2)[:n_depths])
         with pytest.raises(ValidationError, match=f"{n_depths} depths, 5 kernel and 5 expand"):
             crossover(a, a, random.Random(0))
+
+
+# bounds for ``_below``: every small one, and each power of two with its
+# neighbours, where the rejection loop rejects most and least often
+BELOW_BOUNDS = sorted(set(range(1, 300)) | {2 ** k + d for k in range(1, 131) for d in (-1, 0, 1)})
+
+
+class TestBelow:
+    """``_below`` against the interpreter's own ``randrange`` and ``choice``."""
+
+    def test_draws_as_randrange_and_choice(self):
+        for n in BELOW_BOUNDS:
+            fast, reference = random.Random(n), random.Random(n)
+            assert [_below(fast.getrandbits, n) for _ in range(5)] == [
+                reference.randrange(n) for _ in range(5)
+            ]
+            assert fast.getstate() == reference.getstate()
+            if n <= sys.maxsize:  # a sequence's length is at most that
+                options = range(10, 10 + n)
+                assert [options[_below(fast.getrandbits, n)] for _ in range(5)] == [
+                    reference.choice(options) for _ in range(5)
+                ]
+                assert fast.getstate() == reference.getstate()
+
+    def test_one_getrandbits_takes_the_words_of_random_calls(self):
+        # crossover of a parent with itself replaces m ``random()`` calls
+        for m in range(1, 60):
+            fast, reference = random.Random(m), random.Random(m)
+            fast.getrandbits(64 * m)
+            for _ in range(m):
+                reference.random()
+            assert fast.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -(2 ** 70)])
+    def test_an_empty_range_raises_before_any_draw(self, n):
+        def getrandbits(k):
+            raise AssertionError(f"drew {k} bits for an empty range")
+
+        with pytest.raises(ValueError, match="empty range"):
+            _below(getrandbits, n)
 
 
 def rational_space() -> SupernetSpace:
