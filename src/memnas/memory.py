@@ -14,7 +14,9 @@ strided one.
 Shapes and skeletons are checked once, when they are built: a stride-2
 ``MBBlockShape`` needs an even ``input_size`` and a ``NetworkSkeleton`` a
 chained stem and blocks.  ``profile_network`` and ``flops_estimate`` take them
-as valid, so memory and FLOPs are counted for the same networks.
+as valid, so memory and FLOPs are counted for the same networks.  A space
+builds each of its block shapes once (``SupernetSpace.block_table``), and
+``resolve`` shares them between skeletons, so a shape counts its FLOPs once.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class MBBlockShape:
     """A fully resolved MB block: the unit of memory accounting.
 
     ``input_size`` is the side length of the (square) input feature map.
+    Frozen and checked when built, so one shape may appear in many
+    skeletons, as those of a space's ``block_table`` do; ``flops`` is
+    counted on first use and kept.
     """
 
     c_in: int
@@ -85,6 +90,12 @@ class MBBlockShape:
     @property
     def expanded(self) -> int:
         return expanded_channels(self.c_in, self.expand)
+
+    @cached_property
+    def flops(self) -> int:
+        """``block_flops(self)``, counted on first use and kept on the
+        instance.  Not a field: equality, hash and repr are the fields'."""
+        return block_flops(self)
 
     @property
     def output_size(self) -> int:
@@ -194,14 +205,18 @@ class NetworkSkeleton:
                 f"stem->block0: stem output size {self.resolution // 2} != block "
                 f"input_size {first.input_size}"
             )
-        for i, (cur, nxt) in enumerate(zip(self.blocks, self.blocks[1:])):
+        # indexed, not ``blocks.index``: equal shapes are often one object
+        blocks, cur = self.blocks, first
+        for i in range(1, len(blocks)):
+            nxt = blocks[i]
             if cur.c_out != nxt.c_in:
-                raise ChainError(f"block{i}->block{i + 1}: c_out {cur.c_out} != c_in {nxt.c_in}")
-            if cur.output_size != nxt.input_size:
+                raise ChainError(f"block{i - 1}->block{i}: c_out {cur.c_out} != c_in {nxt.c_in}")
+            if cur.input_size // cur.stride != nxt.input_size:
                 raise ChainError(
-                    f"block{i}->block{i + 1}: output size {cur.output_size} != "
+                    f"block{i - 1}->block{i}: output size {cur.output_size} != "
                     f"input_size {nxt.input_size}"
                 )
+            cur = nxt
 
 
 @dataclass(frozen=True)
@@ -347,7 +362,9 @@ def flops_estimate(skeleton: NetworkSkeleton) -> int:
 
     Pointwise/full convolutions contribute K^2 * C_in * C_out * H_out * W_out
     MACs, depthwise ones K^2 * C * H_out * W_out.  The classifier counts only
-    if the skeleton includes it.
+    if the skeleton includes it.  Each block adds its ``flops``, which
+    ``block_flops`` counts once per shape: a skeleton from ``resolve`` sums
+    counts its space's shapes already hold.
     """
     half = skeleton.resolution // 2
     macs = 9 * 3 * skeleton.stem_width * half * half
@@ -356,7 +373,7 @@ def flops_estimate(skeleton: NetworkSkeleton) -> int:
     macs += last.c_out * skeleton.head_width * o * o
     if skeleton.include_classifier:
         macs += skeleton.head_width * skeleton.num_classes
-    return 2 * macs + sum(block_flops(b) for b in skeleton.blocks)
+    return 2 * macs + sum([b.flops for b in skeleton.blocks])
 
 
 def block_flops(shape: MBBlockShape) -> int:

@@ -13,10 +13,10 @@ Two planning routes are provided:
   below the previous stage's peak.  This is the self-consistent route and
   the one used to build the default search space.
 
-A stage is laid out by ``stage_shapes``, the one stage builder that
-``space.resolve`` also uses.  Its within-stage blocks are identical, so a
-planned stage is its transition block and at most one of them: a plan costs
-the same at any depth.
+A stage is laid out by ``stage_shapes``, the one stage builder, which also
+lays out the block shapes a space caches for ``space.resolve``.  Its
+within-stage blocks are identical, so a planned stage is its transition
+block and at most one of them: a plan costs the same at any depth.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ class StageTemplate:
 def stage_shapes(
     prev_width: int, width: int, input_size: int, downsample: bool, genes: Iterable[tuple]
 ) -> list[MBBlockShape]:
-    """The layout of one stage, shared by the planner and ``space.resolve``:
+    """The layout of one stage, shared by the planner and the block shapes
+    that ``space.resolve`` reads (``SupernetSpace.block_table``):
     one block per ``(kernel, expand)`` of ``genes``, the transition block
     from ``prev_width`` at ``input_size`` (stride 2 if ``downsample``), then
     the rest at ``width`` and the strided size."""

@@ -28,13 +28,13 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
-from .memory import MBBlockShape, block_flops, block_memory, flops_estimate, profile_network
+from .memory import MBBlockShape, block_memory, flops_estimate, profile_network
 from .space import (
     PeakBand,
     SubnetConfig,
     SupernetSpace,
+    _block_terms,
     _sample_with,
-    _stage_terms,
     config_peak_items,
     max_peak_items,
     maximal_config,
@@ -111,15 +111,15 @@ def _score_table(space: SupernetSpace) -> dict:
     ``stages`` holds per stage ``(first, inner)``, where ``first[k][e]`` and
     ``inner[k][e]`` are the layer-total sum, the FLOPs and the peak term of
     the transition block and of a later block with kernel ``k`` and expand
-    ``e``.  The sums and FLOPs come from profiling and counting a resolved
-    maximal configuration, on the block shapes ``peak_table`` uses
-    (``_stage_terms``), so a network's sums are those of
+    ``e``.  The stem and head terms come from profiling and counting a
+    resolved maximal configuration, and the block terms from the shapes of
+    ``block_table`` that ``resolve`` reads, so a network's sums are those of
     ``profile_network`` and ``flops_estimate``; the peak terms are
     ``peak_table``'s own.
     """
 
     def sums(shape: MBBlockShape) -> tuple[int, int]:
-        return sum(m.total_items for m in block_memory(shape)), block_flops(shape)
+        return sum(m.total_items for m in block_memory(shape)), shape.flops
 
     def with_peaks(terms: dict, peaks: dict) -> dict:
         return {
@@ -132,11 +132,11 @@ def _score_table(space: SupernetSpace) -> dict:
     for r, (peak, _, peak_stages) in space.peak_table.items():
         skeleton = resolve(replace(widest, resolution=r), space)
         records = profile_network(skeleton).records
-        flops = flops_estimate(skeleton) - sum(block_flops(b) for b in skeleton.blocks)
+        flops = flops_estimate(skeleton) - sum(b.flops for b in skeleton.blocks)
         stages = tuple(
             (with_peaks(first, peak_first), with_peaks(inner, peak_inner))
             for (first, inner), (peak_first, peak_inner) in zip(
-                _stage_terms(space, skeleton, sums), peak_stages
+                _block_terms(space.block_table[r], sums), peak_stages
             )
         )
         table[r] = (records[0].total_items + records[-1].total_items, flops, peak, stages)

@@ -6,8 +6,10 @@ the maximum depth; entries beyond a stage's active depth are inert genes
 that survive sampling and mutation but never affect the resolved network.
 
 Resolving a configuration yields a profilable skeleton: stem (stride 2),
-then each stage's active blocks laid out by ``planner.stage_shapes``, the
-stage builder the planner balances with, then the head.
+then each stage's active blocks, then the head.  The blocks are read from
+the space's table of block shapes (``SupernetSpace.block_table``), laid out
+once by ``planner.stage_shapes``, the stage builder the planner balances
+with.
 """
 
 from __future__ import annotations
@@ -128,6 +130,12 @@ class SupernetSpace:
             tuples(self.kernel_options, slots),
             tuples(self.expand_options, slots),
         )
+
+    @cached_property
+    def block_table(self) -> dict:
+        """The shape of every block a valid config can hold, built on first
+        use; see ``_build_block_table``."""
+        return _build_block_table(self)
 
     @cached_property
     def peak_table(self) -> dict:
@@ -369,6 +377,8 @@ def _is_valid(config: SubnetConfig, space: SupernetSpace) -> bool:
         return (
             config.resolution in resolutions
             and config.stage_depths in depths
+            and isinstance(config.kernels, tuple)
+            and isinstance(config.expands, tuple)
             and len(config.kernels) == n
             and len(config.expands) == n
             and kernels.issuperset(config.kernels)
@@ -376,6 +386,15 @@ def _is_valid(config: SubnetConfig, space: SupernetSpace) -> bool:
         )
     except TypeError:  # an unhashable value; the walk names it if it is invalid
         return False
+
+
+def _not_tuple(path: str, genes) -> str | None:
+    """The violation of a gene container that is not a tuple, or None.  The
+    tables of a space and the search's reuse table key whole slot tuples and
+    whole configs, so a list there would raise TypeError, not name itself."""
+    if not isinstance(genes, tuple):
+        return f"{path}: expected a tuple, got {type(genes).__name__}"
+    return None
 
 
 def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
@@ -386,10 +405,15 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
             f"{list(space.resolution_options)}"
         )
     for name, lists in (("kernels", config.kernels), ("expands", config.expands)):
-        if len(lists) != space.num_stages:
+        if message := _not_tuple(name, lists):
+            violations.append(message)
+        elif len(lists) != space.num_stages:
             violations.append(
                 f"{name}: expected {space.num_stages} stages, got {len(lists)}"
             )
+    if message := _not_tuple("stage_depths", config.stage_depths):
+        violations.append(message)
+        return violations
     if len(config.stage_depths) != space.num_stages:
         violations.append(
             f"stage_depths: expected {space.num_stages} stages, got "
@@ -407,6 +431,9 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
         ("expands", config.expands, space.expand_options),
     ):
         for s, inner in enumerate(lists[: space.num_stages]):
+            if message := _not_tuple(f"stages[{s}].{name}", inner):
+                violations.append(message)
+                continue
             if len(inner) != space.max_depth:
                 violations.append(
                     f"stages[{s}].{name}: expected {space.max_depth} slots, "
@@ -597,18 +624,23 @@ def resolve(
     config: SubnetConfig, space: SupernetSpace, include_classifier: bool = False
 ) -> NetworkSkeleton:
     """Build the profilable skeleton for a valid configuration, with the
-    ``NUM_CLASSES``-class classifier if ``include_classifier``."""
+    ``NUM_CLASSES``-class classifier if ``include_classifier``.
+
+    An invalid config raises the ``ValidationError`` of ``require_valid``;
+    a valid one takes each active block's shape, and each stage's labels,
+    from the space's ``block_table``, so equal blocks share one checked
+    shape.  The skeleton still checks its chain."""
     require_valid(config, space)
-    sched = space.schedule
     blocks: list[MBBlockShape] = []
     labels: list[str] = []
-    prev_width = sched.stem_width
-    for s, (width, depth) in enumerate(zip(sched.stage_widths, config.stage_depths)):
-        genes = zip(config.kernels[s][:depth], config.expands[s][:depth])
-        downsample = s < space.num_stages - 1
-        blocks += stage_shapes(prev_width, width, config.resolution >> (s + 1), downsample, genes)
-        labels += [f"stage{s + 1}.block{j}" for j in range(1, depth + 1)]
-        prev_width = width
+    for (first, inner, names), depth, ks, es in zip(
+        space.block_table[config.resolution], config.stage_depths, config.kernels, config.expands
+    ):
+        blocks.append(first[ks[0]][es[0]])
+        for j in range(1, depth):
+            blocks.append(inner[ks[j]][es[j]])
+        labels += names[depth]
+    sched = space.schedule
     return NetworkSkeleton(
         resolution=config.resolution,
         stem_width=sched.stem_width,
@@ -619,6 +651,52 @@ def resolve(
     )
 
 
+def _build_block_table(space: SupernetSpace) -> dict:
+    """Map each listed resolution to per stage ``(first, inner, labels)``.
+
+    ``first[k][e]`` and ``inner[k][e]`` are the shapes of the stage's
+    transition block and of a later block with kernel ``k`` and expand ``e``
+    (``inner`` is empty when the largest depth is 1), as
+    ``planner.stage_shapes`` lays them out; ``labels[d]`` names the stage's
+    first ``d`` blocks.  A block's shape depends only on the resolution, the
+    stage, whether the block is the stage's first and its own (kernel,
+    expand), so these shapes are every block a valid config can hold."""
+    sched = space.schedule
+    # the transition block and, if a stage can hold more, one later block:
+    # the later blocks of a stage with equal genes are equal
+    laid_out = min(space.max_depth, 2)
+    labels = [
+        {d: tuple(f"stage{s + 1}.block{j}" for j in range(1, d + 1)) for d in space.depth_options}
+        for s in range(space.num_stages)
+    ]
+    table = {}
+    for r in space.resolution_options:
+        stages, prev_width = [], sched.stem_width
+        for s, width in enumerate(sched.stage_widths):
+            downsample = s < space.num_stages - 1
+            first, inner = {}, {}
+            for k, e in product(space.kernel_options, space.expand_options):
+                genes = [(k, e)] * laid_out
+                blocks = stage_shapes(prev_width, width, r >> (s + 1), downsample, genes)
+                for shapes, shape in zip((first, inner), blocks):
+                    shapes.setdefault(k, {})[e] = shape
+            stages.append((first, inner, labels[s]))
+            prev_width = width
+        table[r] = tuple(stages)
+    return table
+
+
+def _block_terms(stages: tuple, term) -> tuple:
+    """Per stage of ``stages``, one resolution's entry of
+    ``SupernetSpace.block_table``, ``(first, inner)`` with ``term`` of each
+    shape in its place."""
+
+    def by_gene(shapes: dict) -> dict:
+        return {k: {e: term(b) for e, b in by_expand.items()} for k, by_expand in shapes.items()}
+
+    return tuple((by_gene(first), by_gene(inner)) for first, inner, _ in stages)
+
+
 def _build_peak_table(space: SupernetSpace) -> dict:
     """Map each listed resolution to ``(base, tails, stages)``.
 
@@ -627,43 +705,21 @@ def _build_peak_table(space: SupernetSpace) -> dict:
     that a depth makes active; ``stages`` holds per stage ``(first, inner)``,
     where ``first[k][e]`` and ``inner[k][e]`` are the largest layer total of
     the transition block and of a later block with kernel ``k`` and expand
-    ``e``.  Every term comes from ``block_memory`` on the block shapes of a
-    resolved maximal configuration, so rational expands round as they do in
-    ``profile_network``.
+    ``e``.  The stem and head totals come from profiling a resolved maximal
+    configuration and every block term from ``block_memory`` on a shape of
+    ``block_table``, so they are those of ``profile_network``.
     """
 
     tails = {d: range(1, d) for d in space.depth_options}
     widest = maximal_config(space)
     table = {}
     for r in space.resolution_options:
-        skeleton = resolve(replace(widest, resolution=r), space)
-        records = profile_network(skeleton).records
-        stages = _stage_terms(
-            space, skeleton, lambda b: max(m.total_items for m in block_memory(b))
+        records = profile_network(resolve(replace(widest, resolution=r), space)).records
+        stages = _block_terms(
+            space.block_table[r], lambda b: max(m.total_items for m in block_memory(b))
         )
         table[r] = (max(records[0].total_items, records[-1].total_items), tails, stages)
     return table
-
-
-def _stage_terms(space: SupernetSpace, skeleton: NetworkSkeleton, term) -> tuple:
-    """Per stage of ``skeleton``, a resolved maximal configuration, ``(first,
-    inner)``: ``first[k][e]`` and ``inner[k][e]`` are ``term`` of the
-    stage's transition block and of its second block with kernel ``k`` and
-    expand ``e`` (``inner`` is empty when the largest depth is 1).  A block
-    takes its shape from ``replace`` on the resolved one, so rational
-    expands round as they do in ``profile_network``."""
-
-    def by_gene(shape: MBBlockShape) -> dict:
-        return {
-            k: {e: term(replace(shape, kernel=k, expand=e)) for e in space.expand_options}
-            for k in space.kernel_options
-        }
-
-    md = space.max_depth
-    return tuple(
-        (by_gene(skeleton.blocks[s * md]), by_gene(skeleton.blocks[s * md + 1]) if md > 1 else {})
-        for s in range(space.num_stages)
-    )
 
 
 def config_peak_items(

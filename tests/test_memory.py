@@ -235,6 +235,31 @@ class TestProfileNetwork:
         with pytest.raises(ChainError, match="block0->block1"):
             NetworkSkeleton(resolution=4, stem_width=4, blocks=(b1, b2), head_width=6)
 
+    # ``a`` chains to itself (4 channels, 2x2), ``wide`` takes 8 channels,
+    # ``big`` a 4x4 input, and ``down`` halves 4x4 to 2x2
+    a = MBBlockShape(4, 4, 1, 1, 1, 2)
+    wide = MBBlockShape(8, 8, 1, 1, 1, 2)
+    big = MBBlockShape(4, 4, 1, 1, 1, 4)
+    down = MBBlockShape(4, 4, 1, 1, 2, 4)
+
+    @pytest.mark.parametrize("resolution, stem_width, blocks, message", [
+        (4, 5, (a,), "stem->block0: stem_width 5 != block c_in 4"),
+        (8, 4, (a,), "stem->block0: stem output size 4 != block input_size 2"),
+        (4, 4, (a, wide), "block0->block1: c_out 4 != c_in 8"),
+        (4, 4, (a, a, a, wide), "block2->block3: c_out 4 != c_in 8"),
+        (4, 4, (a, big), "block0->block1: output size 2 != input_size 4"),
+        (8, 4, (down, a, a, big), "block2->block3: output size 2 != input_size 4"),
+    ], ids=["stem-channels", "stem-size", "channels-first", "channels-later", "size-first",
+            "size-later"])
+    def test_each_chain_break_is_named_by_its_position(
+        self, resolution, stem_width, blocks, message
+    ):
+        # the later breaks follow one shape object repeated, so the index
+        # must come from the position, not from the shape
+        with pytest.raises(ChainError) as exc:
+            NetworkSkeleton(resolution, stem_width, blocks, head_width=6)
+        assert str(exc.value) == message
+
 
 class TestSerialization:
     def test_csv_columns(self):

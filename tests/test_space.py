@@ -16,9 +16,21 @@ from hypothesis import strategies as st
 
 from memnas import predictor
 from memnas.errors import FieldError, ResolutionError, ValidationError
-from memnas.memory import block_flops, flops_estimate, profile_network
-from memnas.planner import MAX_EXTENT, ChannelSchedule, ReferenceConfig, plan_schedule
-from memnas.predictor import ALPHA, BETA, synthetic_score
+from memnas.memory import (
+    MBBlockShape,
+    NetworkSkeleton,
+    block_flops,
+    flops_estimate,
+    profile_network,
+)
+from memnas.planner import (
+    MAX_EXTENT,
+    ChannelSchedule,
+    ReferenceConfig,
+    plan_schedule,
+    stage_shapes,
+)
+from memnas.predictor import ALPHA, BETA, PredictorModel, feature_length, synthetic_score
 from memnas.space import (
     FeasibleSet,
     SubnetConfig,
@@ -36,6 +48,7 @@ from memnas.space import (
     maximal_config,
     min_peak_items,
     mutate,
+    require_valid,
     resolve,
     sample_uniform,
     validate,
@@ -512,6 +525,10 @@ def corrupt(config, space, how, where):
         return replace(config, stage_depths=config.stage_depths[:-1])
     if how == "list-slots":
         return replace(config, kernels=at_stage(config.kernels, list(config.kernels[s])))
+    if how == "list-stages":
+        return replace(config, expands=list(config.expands))
+    if how == "list-depths":
+        return replace(config, stage_depths=list(config.stage_depths))
     if how == "list-resolution":
         return replace(config, resolution=[config.resolution])
     return config
@@ -531,12 +548,44 @@ class TestFastValidate:
         assert _is_valid(config, space) == (_violations(config, space) == [])
         assert validate(config, space) == _violations(config, space)
 
-    @given(space=spaces(), seed=SEEDS, how=st.sampled_from(("list-slots", "list-resolution")),
-           where=st.integers(0, 99))
+    UNHASHABLE = ("list-slots", "list-stages", "list-depths", "list-resolution")
+
+    @given(space=spaces(), seed=SEEDS, how=st.sampled_from(UNHASHABLE), where=st.integers(0, 99))
     def test_unhashable_values_are_walked(self, space, seed, how, where):
         config = corrupt(sample_uniform(space, seed), space, how, where)
         assert not _is_valid(config, space)
         assert validate(config, space) == _violations(config, space)
+        violation = {
+            "list-slots": f"stages[{where % space.num_stages}].kernels: expected a tuple, got list",
+            "list-stages": "expands: expected a tuple, got list",
+            "list-depths": "stage_depths: expected a tuple, got list",
+            "list-resolution": f"resolution: {config.resolution!r} not in resolution_options "
+            f"{list(space.resolution_options)}",
+        }[how]
+        assert violation in validate(config, space)
+
+    @pytest.mark.parametrize("field", ["kernels", "expands", "stage_depths", "slots"])
+    @pytest.mark.parametrize("call", ["encode", "predict", "resolve", "synthetic_score"])
+    def test_lists_in_place_of_tuples_raise_validation_error(self, space, field, call):
+        # each caller of require_valid names the list, where a table lookup
+        # or a search's reuse table would raise TypeError
+        c = maximal_config(space)
+        if field == "slots":
+            bad = replace(c, kernels=(c.kernels[0], list(c.kernels[1])) + c.kernels[2:])
+            message = "stages[1].kernels: expected a tuple, got list"
+        else:
+            bad = replace(c, **{field: list(getattr(c, field))})
+            message = f"{field}: expected a tuple, got list"
+        model = PredictorModel((0.0,) * feature_length(space), 0.0, 0.0, 0, 0)
+        run = {
+            "encode": lambda: predictor.encode(bad, space),
+            "predict": lambda: predictor.predict(model, bad, space),
+            "resolve": lambda: resolve(bad, space),
+            "synthetic_score": lambda: synthetic_score(bad, space),
+        }[call]
+        with pytest.raises(ValidationError) as exc:
+            run()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("big", [
         # 17**4 kernel tuples and 4**9 depth tuples: more than 65,536 each
@@ -568,6 +617,115 @@ class TestFastValidate:
             "stages[0].depth: 5 not in depth_options [2, 3, 4]",
             "stages[0].kernels: expected 4 slots, got 3",
         ]
+
+
+def reference_resolve(config, space, include_classifier=False):
+    """``resolve`` laid out afresh on every call, each stage by
+    ``planner.stage_shapes``: the reference for the shapes ``resolve``
+    reads from ``block_table``."""
+    require_valid(config, space)
+    sched = space.schedule
+    blocks, labels = [], []
+    prev_width = sched.stem_width
+    for s, (width, depth) in enumerate(zip(sched.stage_widths, config.stage_depths)):
+        genes = zip(config.kernels[s][:depth], config.expands[s][:depth])
+        downsample = s < space.num_stages - 1
+        blocks += stage_shapes(prev_width, width, config.resolution >> (s + 1), downsample, genes)
+        labels += [f"stage{s + 1}.block{j}" for j in range(1, depth + 1)]
+        prev_width = width
+    return NetworkSkeleton(
+        resolution=config.resolution,
+        stem_width=sched.stem_width,
+        blocks=tuple(blocks),
+        head_width=sched.head_width,
+        include_classifier=include_classifier,
+        block_labels=tuple(labels),
+    )
+
+
+def reference_flops(skeleton):
+    """The FLOPs formula of ``flops_estimate``, each block counted afresh
+    by ``block_flops``."""
+    half = skeleton.resolution // 2
+    last = skeleton.blocks[-1]
+    o = last.output_size
+    macs = 9 * 3 * skeleton.stem_width * half * half + last.c_out * skeleton.head_width * o * o
+    if skeleton.include_classifier:
+        macs += skeleton.head_width * skeleton.num_classes
+    return 2 * macs + sum(block_flops(b) for b in skeleton.blocks)
+
+
+def table_shapes(space):
+    """Every shape of the space's block table."""
+    return [
+        shape
+        for stages in space.block_table.values()
+        for first, inner, _ in stages
+        for shapes in (first, inner)
+        for by_expand in shapes.values()
+        for shape in by_expand.values()
+    ]
+
+
+class TestBlockTable:
+    """``resolve`` reads shared shapes from ``SupernetSpace.block_table``;
+    laying the stages out on every call is the reference."""
+
+    @settings(max_examples=300)
+    @given(space=spaces(), seed=SEEDS, include_classifier=st.booleans())
+    def test_resolve_equals_the_per_call_layout(self, space, seed, include_classifier):
+        config = sample_uniform(space, seed)
+        fast = resolve(config, space, include_classifier)
+        slow = reference_resolve(config, space, include_classifier)
+        assert fast == slow
+        assert profile_network(fast) == profile_network(slow)
+        # the reference's shapes are built afresh, so their FLOPs are counted
+        # on this call, by the formula
+        assert flops_estimate(fast) == flops_estimate(slow) == reference_flops(slow)
+
+    INVALID = [h for h in TestFastValidate.HASHABLE if h != "valid"]
+
+    @given(space=spaces(), seed=SEEDS,
+           how=st.sampled_from(INVALID + list(TestFastValidate.UNHASHABLE)),
+           where=st.integers(0, 99))
+    def test_an_invalid_config_raises_the_reference_error(self, space, seed, how, where):
+        config = corrupt(sample_uniform(space, seed), space, how, where)
+        with pytest.raises(ValidationError) as by_reference:
+            reference_resolve(config, space)
+        with pytest.raises(ValidationError) as by_table:
+            resolve(config, space)
+        assert str(by_table.value) == str(by_reference.value)
+
+    def test_a_space_of_depth_one_has_no_inner_shapes(self):
+        space = tiny_space(depths=(1,), kernels=(3, 5), expands=(2, 3))
+        for s, (first, inner, labels) in enumerate(space.block_table[64]):
+            assert inner == {} and labels == {1: (f"stage{s + 1}.block1",)}
+            assert [list(by_expand) for by_expand in first.values()] == [[2, 3], [2, 3]]
+
+    @given(space=spaces())
+    def test_a_cached_count_leaves_the_shape_as_it_was(self, space):
+        for shape in table_shapes(space):
+            fresh = MBBlockShape(
+                shape.c_in, shape.c_out, shape.expand, shape.kernel, shape.stride,
+                shape.input_size,
+            )
+            assert shape.flops == block_flops(fresh)
+            assert "flops" in vars(shape) and "flops" not in vars(fresh)
+            copy = pickle.loads(pickle.dumps(shape))
+            for twin in (shape, replace(shape), copy):
+                assert twin == fresh
+                assert (hash(twin), repr(twin)) == (hash(fresh), repr(fresh))
+            assert "flops" not in vars(replace(shape))
+            assert copy.flops == fresh.flops
+
+    def test_equal_blocks_share_one_shape(self, space):
+        # the maximal config's later blocks in a stage are all one object
+        skeleton = resolve(maximal_config(space), space)
+        md = space.max_depth
+        for s in range(space.num_stages):
+            inner = skeleton.blocks[s * md + 1 : (s + 1) * md]
+            assert all(b is inner[0] for b in inner)
+        assert resolve(maximal_config(space), space).blocks[0] is skeleton.blocks[0]
 
 
 class TestFeasibleSet:

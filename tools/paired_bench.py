@@ -3,6 +3,7 @@
 Usage, from the repository root::
 
     python3 tools/paired_bench.py PARENT_REF --workload search-loose --pairs 10 --seconds 10
+    python3 tools/paired_bench.py PARENT_REF --workload search-tight --pairs 20 --setup-only
 
 Exports ``PARENT_REF`` and the working tree (tracked and untracked files
 that ``.gitignore`` does not list, through a temporary index) with
@@ -12,6 +13,13 @@ Pair ``i`` runs the parent first when ``i`` is odd and the change first
 when it is even.  Every run's last JSON line is written, with its pair,
 seed and side, to ``runs.jsonl`` in the work directory (``--workdir``, by
 default a new temporary directory).
+
+With ``--setup-only`` each run is one set-up-only worker, started through
+the export's own ``perfbench/run.py`` (``_worker(..., setup_only=True)``),
+so its ``setup_s`` is scaled to a fixed core speed exactly as ``run.py``
+scales it; ``setup_wall_s`` is its wall time.  A full run takes the median
+of five such set-ups instead, so pairs of single set-ups show a set-up
+change with less time per pair.
 
 The summary gives, per end-to-end metric, each side's median and quartiles
 (``statistics.quantiles(values, n=4)``) and the number of pairs the change
@@ -25,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import runpy
 import statistics
 import subprocess
 import sys
@@ -69,6 +78,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def setup_once(run: dict, workload: str, seed: int) -> dict:
+    """One set-up-only worker, started by ``run["_worker"]``, a checkout's
+    own ``perfbench/run.py`` loaded with ``runpy``, as a result line with
+    ``setup_s`` and ``setup_wall_s``, or ``{"error": ...}``."""
+    try:
+        (wall, scaled), _ = run["_worker"](workload, seed, 0, 0, setup_only=True)
+    except run["WorkerFailed"] as exc:
+        return {"error": str(exc)}
+    return {"metrics": {"setup_s": {"value": scaled, "unit": "s"},
+                        "setup_wall_s": {"value": wall, "unit": "s"}}}
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -93,9 +114,12 @@ def summarize(runs: list[dict], workload: str, better: dict) -> None:
             f"{sides['change']['metrics'][name]['value']:.6g}"
             for name in sides["parent"]["metrics"]
         ]
-        attempted = "/".join(str(sides[side]["attempted"]) for side in SIDES)
-        failures = "/".join(str(sides[side]["failed"]) for side in SIDES)
-        print(f"  pair {p}: {', '.join(cells)}; attempted {attempted}, failed {failures}")
+        counts = ""
+        if "attempted" in sides["parent"]:
+            attempted = "/".join(str(sides[side]["attempted"]) for side in SIDES)
+            failures = "/".join(str(sides[side]["failed"]) for side in SIDES)
+            counts = f"; attempted {attempted}, failed {failures}"
+        print(f"  pair {p}: {', '.join(cells)}{counts}")
     print(f"  {'metric':12s} {'side':6s} {'median':>12s} {'q1':>12s} {'q3':>12s}")
     for name, unit in ((n, m["unit"]) for n, m in complete[0][1]["parent"]["metrics"].items()):
         values = {
@@ -119,15 +143,20 @@ def main(argv=None) -> int:
     ap.add_argument("parent", metavar="PARENT_REF")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seconds", type=float, help="length of each run; not with --setup-only")
+    ap.add_argument("--setup-only", action="store_true",
+                    help="time one set-up-only worker per run instead of a whole run")
     ap.add_argument("--workdir", type=Path, help="a new directory for the exports and runs.jsonl")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if (args.seconds is None) != args.setup_only:
+        ap.error("give --seconds for whole runs, and not with --setup-only")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="paired_bench-"))
     out = workdir / "runs.jsonl"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better["setup_wall_s"] = "lower"
     parent = subprocess.run(
         ["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"], cwd=ROOT, check=True,
         stdout=subprocess.PIPE, text=True,
@@ -135,20 +164,27 @@ def main(argv=None) -> int:
     checkouts = {"parent": workdir / "parent", "change": workdir / "change"}
     export(parent, checkouts["parent"])
     export(working_tree(), checkouts["change"])
+    runners = {side: runpy.run_path(str(path / "perfbench" / "run.py"))
+               for side, path in checkouts.items()}
     print(f"parent {parent}; exports in {workdir}, raw lines in {out}", flush=True)
     runs = []
     with open(out, "w") as fh:
         for pair in range(1, args.pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                result = run_once(checkouts[side], args.workload, pair, args.seconds)
+                if args.setup_only:
+                    result = setup_once(runners[side], args.workload, pair)
+                else:
+                    result = run_once(checkouts[side], args.workload, pair, args.seconds)
                 run = {"workload": args.workload, "pair": pair, "seed": pair, "side": side,
-                       "first": order[0], "seconds": args.seconds, "result": result}
+                       "first": order[0], "seconds": args.seconds,
+                       "setup_only": args.setup_only, "result": result}
                 runs.append(run)
                 fh.write(json.dumps(run) + "\n")
                 fh.flush()
-                op_cal = result.get("metrics", {}).get("op_cal", {}).get("value")
-                print(f"pair {pair} {side}: op_cal {op_cal or result.get('error')}", flush=True)
+                shown = "setup_s" if args.setup_only else "op_cal"
+                value = result.get("metrics", {}).get(shown, {}).get("value")
+                print(f"pair {pair} {side}: {shown} {value or result.get('error')}", flush=True)
     summarize(runs, args.workload, better)
     return 0
 
