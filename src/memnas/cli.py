@@ -384,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="memnas",
         description="memory-constant channel planning, peak-RAM profiling, and "
         "constrained subnet search",
+        epilog="Join a value that starts with a dash to its flag with '=', as in "
+        "--seed=-inf: given apart (--seed -inf), it reads as an option.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     seeded = argparse.ArgumentParser(add_help=False)

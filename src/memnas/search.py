@@ -4,8 +4,9 @@ Infeasible candidates are repaired rather than penalized: the memory cap
 models a device limit, so every individual ever admitted to the population
 satisfies it.  The initial population is drawn exactly and uniformly from
 the configurations under the cap (``space.FeasibleSet``), so a cap at or
-above the space's smallest peak always yields one, and a child over the cap
-has only the genes that break it redrawn from that set.  Runs are
+above the space's smallest peak always yields one.  A child's one check is
+that set's ``repair``: a child under the cap comes back as itself, and one
+over it has only the genes that break it redrawn from that set.  Runs are
 deterministic in the seed: one ``random.Random(seed)`` makes every draw of a
 search (initial population, parent picks, mutation, crossover and repair),
 and candidates are processed in a fixed order.
@@ -141,20 +142,24 @@ def search(
     Each generation keeps the top ``parent_fraction`` by score, in rank
     order, and refills the rest with mutation (``mutation_fraction`` of the
     children) and gene-wise crossover, both drawing from the search's one
-    generator in child order.  Each child is proposed once; one over the cap
-    is repaired (``FeasibleSet.repair``): the genes that break the cap are
-    redrawn from the configurations under it and the rest are kept.  A
-    child equal to a config already in its generation, a parent or an
-    earlier child after repair, is known to fit and is not checked again,
-    and is replaced by that config's object: each distinct config of a
-    generation is one object, so a crossover of two equal parents is one of
-    a parent with itself, which makes its draws and returns that parent.
-    At a cap of ``max_peak_items(space)`` or more every config fits, and no
-    child's peak is walked.  The initial population is exactly uniform over
-    the configurations under the cap.  ``evaluations`` counts the initial
-    draws plus the proposed children, so at every cap it is ``population +
-    generations * (population - n_parents)``, where ``n_parents`` is the
-    number of parents kept.
+    generator in child order.  Each child is proposed once and, unless it
+    is known, checked once, by ``FeasibleSet.repair``: a child under the cap
+    comes back as itself, with no draw, and one over it has the genes that
+    break the cap redrawn from the configurations under it and the rest
+    kept; mutation and crossover pass the slot tuples a child inherits
+    unchanged through as the parents' own objects.  A child equal to a
+    config already in its generation, a parent or an earlier child after
+    repair, is known to fit and is not checked again, and is replaced by
+    that config's object: each distinct config of a generation is one
+    object, so a crossover of two equal parents is one of a parent with
+    itself, which makes its draws and returns that parent.  At a cap of
+    ``max_peak_items(space)`` or more every config fits, and no child is
+    checked.  No child's peak is walked: ``config_peak_items`` checks each
+    initial draw and gives the answer's peak.  The initial population is
+    exactly uniform over the configurations under the cap.  ``evaluations``
+    counts the initial draws plus the proposed children, so at every cap it
+    is ``population + generations * (population - n_parents)``, where
+    ``n_parents`` is the number of parents kept.
 
     A cap below the space's smallest achievable peak (``min_peak_items``)
     raises InfeasibleError before anything is drawn or scored, with that
@@ -181,7 +186,7 @@ def search(
     # leaves it out
     feasible_set = FeasibleSet(space, cap)
     # no configuration of the space peaks above max_peak_items, so at such a
-    # cap no child needs its peak walked
+    # cap no child needs its fit checked
     check_children = cap < max_peak_items(space)
     rng = random.Random(params.seed)
     # parent picks are drawn as ``rng.randrange`` draws them (``_below``)
@@ -230,9 +235,11 @@ def search(
                 child = crossover(a, b, rng)
             entry = known.get(child)
             if entry is None:
-                if check_children and config_peak_items(child, space) > cap:
-                    child = feasible_set.repair(child, rng)
-                    entry = known.get(child)
+                if check_children:
+                    fit = feasible_set.repair(child, rng)
+                    if fit is not child:
+                        child = fit
+                        entry = known.get(child)
                 if entry is None:
                     entry = known[child] = (child, scorer(child))
             child, score = entry

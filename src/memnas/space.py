@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import accumulate, product
 from math import prod
-from operator import getitem, mul
+from operator import getitem, is_, mul
 
 from .errors import (
     FieldError,
@@ -289,35 +289,42 @@ class SubnetConfig:
         FieldError naming its path, and so does a gene given as ``true`` or
         ``false``: it would pass an option check as 1 or 0, and equal the
         config holding that number, yet serialize, and so score under the
-        noisy oracle, differently.
+        noisy oracle, differently.  A resolution, depth or kernel given as
+        a float (``2.0``) is refused the same way: it would pass the option
+        check too, yet a float depth cannot count blocks.  Expands may be
+        rational, so they take floats.
 
-        A path is built only for an error: each list of genes is checked for
-        a bool in one pass, and only a list that holds one is searched for
-        its position."""
+        A path is built only for an error: each list of genes is checked
+        for a refused type in one pass, and only a list that holds one is
+        searched for its position."""
 
-        def gene(value, path: str, *args):
-            """``value``, unless it is a bool; ``path.format(*args)`` names it"""
+        def gene(value, integer: bool, path: str, *args):
+            """``value``, unless it is a bool, or a float where ``integer``;
+            ``path.format(*args)`` names it"""
             if type(value) is bool:
                 raise FieldError(f"{path.format(*args)}: expected a number, got {value!r}")
+            if integer and type(value) is float:
+                raise FieldError(f"{path.format(*args)}: expected an integer, got {value!r}")
             return value
 
-        def genes(s: dict, i: int, key: str) -> tuple:
+        def genes(s: dict, i: int, key: str, integer: bool) -> tuple:
             values = json_field(s, key, list, "stages", i)
-            if bool in map(type, values):
-                j = [type(v) for v in values].index(bool)
-                gene(values[j], "stages[{}].{}[{}]", i, key, j)
+            types = set(map(type, values))
+            if bool in types or (integer and float in types):
+                for j, v in enumerate(values):
+                    gene(v, integer, "stages[{}].{}[{}]", i, key, j)
             return tuple(values)
 
         stages = [
             (
-                gene(json_field(s, "depth", path="stages", index=i), "stages[{}].depth", i),
-                genes(s, i, "kernels"),
-                genes(s, i, "expands"),
+                gene(json_field(s, "depth", path="stages", index=i), True, "stages[{}].depth", i),
+                genes(s, i, "kernels", True),
+                genes(s, i, "expands", False),
             )
             for i, s in enumerate(json_field(d, "stages", list))
         ]
         return cls(
-            resolution=gene(json_field(d, "resolution"), "resolution"),
+            resolution=gene(json_field(d, "resolution"), True, "resolution"),
             stage_depths=tuple(depth for depth, _, _ in stages),
             kernels=tuple(ks for _, ks, _ in stages),
             expands=tuple(es for _, _, es in stages),
@@ -551,7 +558,8 @@ def mutate(
     then per stage its depth, its kernel slots and its expand slots; each
     gene takes one ``rng.random()`` and, when it is resampled, its option
     drawn as ``rng.choice`` draws it, from ``rng.getrandbits`` words
-    (``_below``)."""
+    (``_below``).  A slot tuple with no resampled gene is passed through:
+    the child holds the parent's own tuple object."""
     if not 0 <= prob <= 1:
         raise ValidationError(f"prob must be in [0, 1], got {prob}")
     n = space.num_stages
@@ -563,16 +571,29 @@ def mutate(
     rnd, bits = rng.random, rng.getrandbits
     r_opts, d_opts = space.resolution_options, space.depth_options
     k_opts, e_opts = space.kernel_options, space.expand_options
-    n_d, n_k, n_e = len(d_opts), len(k_opts), len(e_opts)
     resolution = config.resolution
     if rnd() < prob:
         resolution = r_opts[_below(bits, len(r_opts))]
     depths, kernels, expands = [], [], []
     for d, ks, es in zip(config.stage_depths, config.kernels, config.expands):
-        depths.append(d_opts[_below(bits, n_d)] if rnd() < prob else d)
-        kernels.append(tuple([k_opts[_below(bits, n_k)] if rnd() < prob else k for k in ks]))
-        expands.append(tuple([e_opts[_below(bits, n_e)] if rnd() < prob else e for e in es]))
+        depths.append(d_opts[_below(bits, len(d_opts))] if rnd() < prob else d)
+        kernels.append(_resample(ks, k_opts, prob, rnd, bits))
+        expands.append(_resample(es, e_opts, prob, rnd, bits))
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def _resample(slots: tuple, options: tuple, prob: float, rnd, bits) -> tuple:
+    """``slots`` with each gene resampled from ``options`` with probability
+    ``prob``, as ``mutate`` draws them; ``slots`` itself when no gene is,
+    and a copy made at the first gene that is."""
+    new, j = slots, 0
+    for _ in slots:
+        if rnd() < prob:
+            if new is slots:
+                new = list(slots)
+            new[j] = options[_below(bits, len(options))]
+        j += 1
+    return slots if new is slots else tuple(new)
 
 
 def _genome_shape(config: SubnetConfig) -> tuple:
@@ -591,9 +612,12 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
 
     A parent crossed with itself (``a is b``) returns ``a``, the child every
     draw would give, and takes the same generator words: the two 32-bit
-    words of each gene's ``random()``, all in one ``rng.getrandbits``.  The
-    test is identity, not equality: equal parents may hold genes that
-    serialize differently (``2`` and ``2.0``)."""
+    words of each gene's ``random()``, all in one ``rng.getrandbits``.  A
+    kernel or expand slot tuple is passed through the same way, as ``a``'s
+    tuple object, when both parents hold it as one object or hold the same
+    gene objects in it.  The tests are identity, not equality: equal
+    parents or tuples may hold genes that serialize differently (``2`` and
+    ``2.0``)."""
     shape_a, shape_b = _genome_shape(a), _genome_shape(b)
     if shape_a != shape_b:
         raise ValidationError(
@@ -605,8 +629,9 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
             f"parents have {n_depths} depths, {len(kernel_slots)} kernel "
             f"and {len(expand_slots)} expand stages"
         )
+    bits = rng.getrandbits
     if a is b:
-        rng.getrandbits(64 * (1 + n_depths + sum(kernel_slots) + sum(expand_slots)))
+        bits(64 * (1 + n_depths + sum(kernel_slots) + sum(expand_slots)))
         return a
     rnd = rng.random
     resolution = a.resolution if rnd() < 0.5 else b.resolution
@@ -615,9 +640,20 @@ def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetCon
         a.stage_depths, b.stage_depths, a.kernels, b.kernels, a.expands, b.expands
     ):
         depths.append(da if rnd() < 0.5 else db)
-        kernels.append(tuple([x if rnd() < 0.5 else y for x, y in zip(ka, kb)]))
-        expands.append(tuple([x if rnd() < 0.5 else y for x, y in zip(ea, eb)]))
+        kernels.append(_cross(ka, kb, rnd, bits))
+        expands.append(_cross(ea, eb, rnd, bits))
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def _cross(x: tuple, y: tuple, rnd, bits) -> tuple:
+    """One slot tuple of a crossover child, each gene from ``x`` or ``y`` as
+    ``crossover`` draws it; ``x`` itself, after the same generator words,
+    when each of its genes is the same object as ``y``'s, so that every
+    draw gives a tuple equal to ``x`` that holds ``x``'s genes."""
+    if x is y or all(map(is_, x, y)):
+        bits(64 * len(x))
+        return x
+    return tuple([p if rnd() < 0.5 else q for p, q in zip(x, y)])
 
 
 def resolve(
@@ -819,6 +855,8 @@ class FeasibleSet:
     gene assignments that fit, a resolution the product over its stages of
     their sums over depths, and ``count`` is the sum over the resolutions:
     the exact number of whole genomes, inert genes included, under the cap.
+    Each stage's plan keeps its ``first`` and ``inner`` terms from
+    ``SupernetSpace.peak_table``, from which ``repair`` reads a pair's fit.
     """
 
     def __init__(self, space: SupernetSpace, cap: int):
@@ -838,7 +876,7 @@ class FeasibleSet:
                     for d in space.depth_options
                 ]
                 count *= sum(by_depth)
-                plan.append((list(accumulate(by_depth)), F, I, frozenset(F), frozenset(I)))
+                plan.append((list(accumulate(by_depth)), F, I, first, inner))
             if count:
                 self._strata.append((r, plan))
                 counts.append(count)
@@ -859,9 +897,11 @@ class FeasibleSet:
         every gene.  A resolution that holds no member, a depth that needs
         an inner pair when ``I`` is empty, and an active slot's pair outside
         ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
-        slots are kept, and so are the kernel and expand tuples of a stage
-        that keeps its depth and every active pair.  A member comes back
-        equal, with ``rng`` unused.  Each pick is drawn as
+        slots are kept.  A stage fits when its transition term and the inner
+        terms of its later active slots are at most the cap; a gene the
+        table does not hold does not fit.  A stage that fits is kept with
+        its own kernel and expand tuple objects, and a member comes back as
+        itself, with ``rng`` unused.  Each pick is drawn as
         ``rng.randrange`` or ``rng.choice`` draws it, from
         ``rng.getrandbits`` words (``_below``)."""
         if not self.count:
@@ -869,33 +909,66 @@ class FeasibleSet:
         bits = rng.getrandbits
         kept = None if config is None else self._by_resolution.get(config.resolution)
         r, plan = kept or self._strata[bisect_right(self._cumulative, _below(bits, self.count))]
-        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
+        depth_options, md, pairs, cap = (
+            self.space.depth_options, self.space.max_depth, self._pairs, self.cap
+        )
+        redrawn = kept is None
         depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, first_fits, inner_fits) in enumerate(plan):
+        for s, (cumulative, F, I, first, inner) in enumerate(plan):
             if config is None:
-                d, old = None, [None] * md
+                d, ks, es = None, [None] * md, [None] * md
             else:
                 d, ks, es = config.stage_depths[s], config.kernels[s], config.expands[s]
-                # a depth that needs an inner pair when none fits fails the
-                # second test, since it makes a later slot active
-                if (ks[0], es[0]) in first_fits and inner_fits.issuperset(zip(ks[1:d], es[1:d])):
+                if _stage_fits(first, inner, d, ks, es, cap):
                     depths.append(d)
                     kernels.append(ks)
                     expands.append(es)
                     continue
-                old = list(zip(ks, es))
+                redrawn = True
+                ks, es = list(ks), list(es)
+            # a depth that needs an inner pair when none fits cannot fit,
+            # since it makes a later slot active
             if d is None or (d > 1 and not I):
                 d = depth_options[bisect_right(cumulative, _below(bits, cumulative[-1]))]
-            genes = (
-                [old[0] if old[0] in first_fits else F[_below(bits, len(F))]]
-                + [g if g in inner_fits else I[_below(bits, len(I))] for g in old[1:d]]
-                + [pairs[_below(bits, len(pairs))] if g is None else g for g in old[d:]]
-            )
-            ks, es = zip(*genes)
+            if config is None or not _fits(first, ks[0], es[0], cap):
+                ks[0], es[0] = F[_below(bits, len(F))]
+            for j in range(1, d):
+                if config is None or not _fits(inner, ks[j], es[j], cap):
+                    ks[j], es[j] = I[_below(bits, len(I))]
+            if config is None:
+                for j in range(d, md):
+                    ks[j], es[j] = pairs[_below(bits, len(pairs))]
             depths.append(d)
-            kernels.append(ks)
-            expands.append(es)
+            kernels.append(tuple(ks))
+            expands.append(tuple(es))
+        if not redrawn:
+            return config
         return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def _stage_fits(first: dict, inner: dict, depth: int, ks: tuple, es: tuple, cap: int) -> bool:
+    """Whether a stage of ``depth`` with slot tuples ``ks`` and ``es`` has
+    every active block term at most ``cap``: ``first[k][e]`` for its first
+    slot and ``inner[k][e]`` for each later active slot; a gene, or a depth,
+    that the terms do not hold does not fit."""
+    try:
+        if first[ks[0]][es[0]] > cap:
+            return False
+        for j in range(1, depth):
+            if inner[ks[j]][es[j]] > cap:
+                return False
+    except (KeyError, IndexError, TypeError):
+        return False
+    return True
+
+
+def _fits(terms: dict, k, e, cap: int) -> bool:
+    """Whether ``terms[k][e]`` is at most ``cap``; a pair that ``terms``
+    does not hold does not fit."""
+    try:
+        return terms[k][e] <= cap
+    except (KeyError, TypeError):
+        return False
 
 
 def _first_reaching(below: list[int], above: list[int]) -> list[int]:
@@ -961,18 +1034,19 @@ class PeakBand:
         j = -1 if plan_b is None else pick(firsts)
         depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
         depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, _, _) in enumerate(plan_a):
+        for s, (cumulative, F, I, first, inner) in enumerate(plan_a):
             if s < j:
                 cumulative, F, I, _, _ = plan_b[s]
             if s != j:
                 d = depth_options[pick(cumulative)]
                 slots = [F] + [I] * (d - 1)
             else:
-                cum_b, F_b, I_b, first_b, inner_b = plan_b[s]
+                cum_b, F_b, I_b, _, _ = plan_b[s]
                 d = depth_options[pick([a - b for a, b in zip(cumulative, cum_b)])]
                 slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
                 t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
-                reach = [p for p in slots_a[t] if p not in (inner_b if t else first_b)]
+                terms = inner if t else first
+                reach = [(k, e) for k, e in slots_a[t] if terms[k][e] >= self.lo]
                 slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
             ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
             depths.append(d)

@@ -356,6 +356,17 @@ class TestSeedDefaults:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_a_dash_value_joined_to_its_flag_is_named(self, tmp_path, capsys):
+        # the --flag=-value form the help epilog gives: argparse refuses the
+        # value by name instead of reading it as an option
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--constraint", "800000", "--seed=-inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: '-inf'" in capsys.readouterr().err
+        assert not out.exists()
+        assert "--seed=-inf" in " ".join(build_parser().format_help().split())
+
 
 def mangled_space(mangle):
     """The default space's JSON, changed in place by ``mangle``."""
@@ -460,6 +471,40 @@ class TestMalformedInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert "stages[3].depth: expected a number, got True" in done.stderr
+
+    FLOAT_GENES = {
+        "depth": (lambda d: d["stages"][0].update(depth=2.0), "stages[0].depth", "2.0"),
+        "kernel": (
+            lambda d: d["stages"][2]["kernels"].__setitem__(1, 7.0), "stages[2].kernels[1]", "7.0"
+        ),
+        "resolution": (lambda d: d.update(resolution=224.0), "resolution", "224.0"),
+    }
+
+    @pytest.mark.parametrize("gene", sorted(FLOAT_GENES))
+    def test_float_gene(self, tmp_path, space, gene):
+        # 2.0 equals the option 2, yet a float depth cannot count blocks;
+        # the parse refuses a float resolution, depth or kernel by its path
+        mangle, path, value = self.FLOAT_GENES[gene]
+        config = maximal_config(space).to_json_dict()
+        mangle(config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        done = run_cli("profile", "--config", cfg)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert f"{path}: expected an integer, got {value}" in done.stderr
+
+    def test_dataset_row_with_a_float_depth(self, tmp_path, space):
+        good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
+        bad = json.loads(json.dumps(good))
+        bad["config"]["stages"][3]["depth"] = 4.0
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(row) + "\n" for row in [good, good, bad]))
+        done = run_cli("train-predictor", "--dataset", data, "--out", tmp_path / "m.json")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "line 3: config.stages[3].depth: expected an integer, got 4.0" in done.stderr
+        assert not (tmp_path / "m.json").exists()
 
     def test_dataset_row_without_config(self, tmp_path, space):
         good = {"config": maximal_config(space).to_json_dict(), "peak_items": 1, "score": 1.0}
@@ -801,6 +846,9 @@ class TestFuzzedInput:
 
     @settings(max_examples=40)
     @given(text=fuzzed(compact(maximal_config(default_space()).to_json_dict())))
+    # a float gene equal to its option, which once ended in a TypeError
+    @example(text=compact(maximal_config(default_space()).to_json_dict()).replace(
+        '"depth":4', '"depth":4.0', 1))
     def test_config(self, text):
         self.run(text, "--config", ["profile"])
 

@@ -414,7 +414,9 @@ class ReferenceFeasibleSet:
 def test_repair_equals_the_reference(space, seed, share, prob):
     """Same config and same generator state afterwards as the reference, on
     uniform draws (mostly far over the cap) and on mutated members (mostly a
-    few genes over it), and for whole draws."""
+    few genes over it), and for whole draws.  A member comes back as itself
+    with the generator unused, and each stage that fits keeps the input's
+    own slot tuple objects."""
     floor = min_peak_items(space)
     cap = floor + int(share * max(0, max_peak_items(space) - floor))
     feasible = FeasibleSet(space, cap)
@@ -430,3 +432,12 @@ def test_repair_equals_the_reference(space, seed, share, prob):
             rng.setstate(state)
             assert repaired == reference.repair(config, rng)
             assert rng.getstate() == after
+            if config is None:
+                continue
+            if config_peak_items(config, space) <= cap:
+                assert repaired is config and after == state
+            stratum = reference._by_resolution.get(config.resolution)
+            for s, (_, F, I) in enumerate(stratum[1] if stratum else []):
+                d, ks, es = config.stage_depths[s], config.kernels[s], config.expands[s]
+                if (ks[0], es[0]) in F and all(g in I for g in zip(ks[1:d], es[1:d])):
+                    assert repaired.kernels[s] is ks and repaired.expands[s] is es

@@ -408,8 +408,8 @@ class TestScoreReuse:
 
 class TestKnownWork:
     """Work whose answer is known is skipped: equal configs of a generation
-    are one object, so equal parents cross as one, and no child's peak is
-    walked at a cap that every configuration meets."""
+    are one object, so equal parents cross as one, and no child's fit is
+    checked at a cap that every configuration meets."""
 
     @staticmethod
     def parent_calls(monkeypatch) -> list:
@@ -456,23 +456,29 @@ class TestKnownWork:
     def test_child_peaks_are_walked_only_below_the_largest_peak(
         self, space, monkeypatch, cap, walks_children
     ):
+        # a child's fit is checked by one gate, ``FeasibleSet.repair``, and
+        # only at a cap that some configuration breaks
         assert max_peak_items(space) == 606_816
-        walked = []
-        peak = searching.config_peak_items
+        walked, checked = [], []
+        peak, repair = searching.config_peak_items, FeasibleSet.repair
 
         def counting(config, *args, **kwargs):
             walked.append(config)
             return peak(config, *args, **kwargs)
 
+        def gate(self, config, rng):
+            if config is not None:
+                checked.append(config)
+            return repair(self, config, rng)
+
         monkeypatch.setattr(searching, "config_peak_items", counting)
+        monkeypatch.setattr(FeasibleSet, "repair", gate)
         params = SearchParams(seed=0)
         search(space, SearchConstraint(cap), noiseless(space), params)
-        # one walk per initial draw and one for the answer's peak, plus one
-        # per new child when a child may break the cap
-        if walks_children:
-            assert len(walked) > params.population + 1
-        else:
-            assert len(walked) == params.population + 1
+        # one walk per initial draw and one for the answer's peak, at every cap
+        assert len(walked) == params.population + 1
+        # one gate per new child when a child may break the cap
+        assert bool(checked) == walks_children
 
 
 def reference_search(space, constraint, scorer, params):

@@ -497,6 +497,105 @@ def test_uniform_draw_equals_the_reference_loop(space, seed):
     assert fast.getstate() == slow.getstate()
 
 
+def reference_mutate(config, space, prob, rng):
+    """``mutate`` with every slot tuple built anew by a list comprehension,
+    a resampled gene drawn with ``rng.choice``; also the set of ``(stage,
+    "kernels" or "expands")`` whose slot tuple had no gene resampled."""
+
+    def redraw(value, options):
+        return (rng.choice(options), True) if rng.random() < prob else (value, False)
+
+    resolution, _ = redraw(config.resolution, space.resolution_options)
+    depths, kernels, expands, untouched = [], [], [], set()
+    for s, (d, ks, es) in enumerate(zip(config.stage_depths, config.kernels, config.expands)):
+        depths.append(redraw(d, space.depth_options)[0])
+        for kind, slots, options, out in (
+            ("kernels", ks, space.kernel_options, kernels),
+            ("expands", es, space.expand_options, expands),
+        ):
+            drawn = [redraw(g, options) for g in slots]
+            out.append(tuple([g for g, _ in drawn]))
+            if not any(hit for _, hit in drawn):
+                untouched.add((s, kind))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands)), untouched
+
+
+def reference_crossover(a, b, rng):
+    """``crossover`` gene by gene, one ``rng.random()`` each and every slot
+    tuple built anew, with no shortcut for shared parents or tuples."""
+
+    def pick(x, y):
+        return x if rng.random() < 0.5 else y
+
+    resolution = pick(a.resolution, b.resolution)
+    depths, kernels, expands = [], [], []
+    for da, db, ka, kb, ea, eb in zip(
+        a.stage_depths, b.stage_depths, a.kernels, b.kernels, a.expands, b.expands
+    ):
+        depths.append(pick(da, db))
+        kernels.append(tuple([pick(x, y) for x, y in zip(ka, kb)]))
+        expands.append(tuple([pick(x, y) for x, y in zip(ea, eb)]))
+    return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
+
+
+def same_draws(fast, reference, rng, *args):
+    """``fast(*args, rng)`` after asserting that it returns what
+    ``reference(*args, rng)`` does and leaves ``rng`` in the same state."""
+    state = rng.getstate()
+    child = fast(*args, rng)
+    after = rng.getstate()
+    rng.setstate(state)
+    expected = reference(*args, rng)
+    assert rng.getstate() == after
+    return child, expected
+
+
+@settings(max_examples=60)
+@given(space=spaces(), seed=SEEDS, prob=st.floats(0, 1))
+def test_mutate_and_crossover_pass_untouched_slot_tuples_through(space, seed, prob):
+    rng = random.Random(seed)
+    a, b = _sample_with(space, rng), _sample_with(space, rng)
+    for _ in range(10):
+        child, (expected, untouched) = same_draws(
+            lambda c, r: mutate(c, space, prob, r), lambda c, r: reference_mutate(c, space, prob, r),
+            rng, a,
+        )
+        assert child == expected
+        for s, kind in untouched:
+            assert getattr(child, kind)[s] is getattr(a, kind)[s]
+        # a parent and its mutant share the mutant's untouched slot tuples
+        for x, y in ((b, b), (a, child), (child, b)):
+            crossed, expected = same_draws(crossover, reference_crossover, rng, x, y)
+            assert crossed.canonical_json() == expected.canonical_json()
+            for kind in ("kernels", "expands"):
+                for p, q, c in zip(getattr(x, kind), getattr(y, kind), getattr(crossed, kind)):
+                    # one tuple object, or distinct tuples of the same gene objects
+                    if p is q or all(g is h for g, h in zip(p, q)):
+                        assert c is p
+        a, b = child, crossed
+
+
+def test_crossover_of_equal_but_distinct_slot_tuples_follows_the_draws(space):
+    # stage 0's expand tuples are equal but distinct objects, one holding the
+    # float 2.0 where the other holds the int 2, so they serialize
+    # differently; the kernel tuples are one object, passed through
+    a = sample_uniform(space, 3)
+    ints = (2, 3, 4, 2)
+    a = replace(a, expands=(ints,) + a.expands[1:])
+    b = replace(a, expands=((2.0, 3, 4, 2.0),) + a.expands[1:])
+    assert a == b and a.canonical_json() != b.canonical_json()
+    kinds = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        child, expected = same_draws(crossover, reference_crossover, rng, a, b)
+        assert child.canonical_json() == expected.canonical_json()
+        assert [type(g) for g in child.expands[0]] == [type(g) for g in expected.expands[0]]
+        assert all(c is k for c, k in zip(child.kernels, a.kernels))
+        kinds.add(tuple(type(g) for g in child.expands[0][::3]))
+    # every mix of int and float in the two differing slots was drawn
+    assert len(kinds) == 4
+
+
 def corrupt(config, space, how, where):
     """``config`` with one field moved out of the space, shortened, or held
     in an unhashable list; ``where`` picks the stage and slot."""

@@ -24,8 +24,11 @@ change with less time per pair.
 The summary gives, per end-to-end metric, each side's median and quartiles
 (``statistics.quantiles(values, n=4)``) and the number of pairs the change
 won, ties counting for neither, in the direction ``BENCHMARK.json`` gives.
-For ``pipeline`` it prints each side's attempted passes beside
-``peak_rss_mb``, since that figure grows with the passes a run fits in.
+Beside ``peak_rss_mb`` it prints each side's attempted operations, for
+every workload of a whole run, since that figure grows with the operations
+a run fits in: ``pipeline`` keeps each pass's artifacts and the search
+workloads keep each search's result fingerprint, about 19 KB a
+search, so a faster side reads a higher peak.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def summarize(runs: list[dict], workload: str, better: dict) -> None:
         for side in SIDES:
             q1, median, q3 = quartiles(values[side])
             extra = ""
-            if workload == "pipeline" and name == "peak_rss_mb":
+            if name == "peak_rss_mb" and "attempted" in complete[0][1][side]:
                 attempted = [sides[side]["attempted"] for _, sides in complete]
                 extra = f"  attempted {attempted}"
             print(f"  {name:12s} {side:6s} {median:12.6g} {q1:12.6g} {q3:12.6g} {unit}{extra}")
