@@ -29,16 +29,14 @@ from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
 from .memory import MBBlockShape, block_memory, flops_estimate, profile_network
+from .feasible import PeakBand, max_peak_items, min_peak_items
 from .space import (
-    PeakBand,
     SubnetConfig,
     SupernetSpace,
     _block_terms,
     _sample_with,
     config_peak_items,
-    max_peak_items,
     maximal_config,
-    min_peak_items,
     require_valid,
     resolve,
 )

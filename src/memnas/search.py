@@ -20,16 +20,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InfeasibleError, ValidationError, json_field
+from .feasible import FeasibleSet, max_peak_items, min_peak_items
 from .space import (
-    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
     _below,
     _sample_with,
     config_peak_items,
     crossover,
-    max_peak_items,
-    min_peak_items,
     mutate,
 )
 

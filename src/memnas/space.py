@@ -15,16 +15,13 @@ with.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import accumulate, product
-from math import prod
-from operator import getitem, is_, mul
+from itertools import product
+from operator import getitem, is_
 
 from .errors import (
     FieldError,
-    InfeasibleError,
     ResolutionError,
     ValidationError,
     json_field,
@@ -799,257 +796,3 @@ def config_peak_items(
 def _classifier_items(space: SupernetSpace) -> int:
     """Items of the classifier, the term ``include_classifier`` adds."""
     return classifier_memory(space.schedule.head_width, NUM_CLASSES).total_items
-
-
-def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> int:
-    """The smallest peak of any configuration of the space, exactly.
-
-    The peak is the maximum of block terms that a configuration chooses
-    independently (see ``config_peak_items``), so at one resolution it is
-    least when every block takes its cheapest (kernel, expand): the larger
-    of the stem and head term, each stage's cheapest transition term and,
-    when the smallest depth keeps a later block active, each stage's
-    cheapest inner term.  The result is the least of these over the
-    resolutions, raised to the classifier term if that counts.
-    """
-
-    def cheapest(terms: dict) -> int:
-        return min(min(by_expand.values()) for by_expand in terms.values())
-
-    peaks = []
-    for peak, _, stages in space.peak_table.values():
-        for first, inner in stages:
-            peak = max(peak, cheapest(first))
-            if space.depth_options[0] > 1:
-                peak = max(peak, cheapest(inner))
-        peaks.append(peak)
-    peak = min(peaks)
-    if include_classifier:
-        peak = max(peak, _classifier_items(space))
-    return peak
-
-
-def max_peak_items(space: SupernetSpace) -> int:
-    """The largest peak of any configuration of the space, exactly: the
-    block terms are chosen independently (see ``min_peak_items``), so one
-    configuration reaches the largest term of the table at once."""
-    return max(
-        max([base] + [t for kinds in stages for by_kernel in kinds
-                      for by_expand in by_kernel.values() for t in by_expand.values()])
-        for base, _, stages in space.peak_table.values()
-    )
-
-
-class FeasibleSet:
-    """The configurations of a space whose ``config_peak_items`` is at most
-    ``cap``, counted, drawn and repaired exactly.
-
-    The peak is the maximum of a base term set by the resolution and one
-    term per active block, each chosen independently (see
-    ``config_peak_items``).  So a configuration fits exactly when its
-    resolution's base term fits and each active block's (kernel, expand)
-    pair fits on its own.  Per resolution whose base term fits and per
-    stage, ``F`` holds the pairs whose transition term fits and ``I`` those
-    whose inner term fits; inert slots take any pair of ``P``, all pairs.
-    A stage of depth ``d`` then has ``|F| * |I|**(d-1) * |P|**(max_depth-d)``
-    gene assignments that fit, a resolution the product over its stages of
-    their sums over depths, and ``count`` is the sum over the resolutions:
-    the exact number of whole genomes, inert genes included, under the cap.
-    Each stage's plan keeps its ``first`` and ``inner`` terms from
-    ``SupernetSpace.peak_table``, from which ``repair`` reads a pair's fit.
-    """
-
-    def __init__(self, space: SupernetSpace, cap: int):
-        self.space, self.cap = space, cap
-        md = space.max_depth
-        pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
-        self._strata, counts = [], []
-        for r, (base, _, stages) in space.peak_table.items():
-            if base > cap:
-                continue
-            count, plan = 1, []
-            for first, inner in stages:
-                F = [(k, e) for k, e in pairs if first[k][e] <= cap]
-                I = [(k, e) for k, e in pairs if md > 1 and inner[k][e] <= cap]
-                by_depth = [
-                    len(F) * len(I) ** (d - 1) * len(pairs) ** (md - d)
-                    for d in space.depth_options
-                ]
-                count *= sum(by_depth)
-                plan.append((list(accumulate(by_depth)), F, I, first, inner))
-            if count:
-                self._strata.append((r, plan))
-                counts.append(count)
-        self._by_resolution = {stratum[0]: stratum for stratum in self._strata}
-        self._cumulative = list(accumulate(counts))
-        self.count = sum(counts)
-
-    def sample(self, rng: random.Random) -> SubnetConfig:
-        """One member, each with the same probability: ``repair`` with every
-        gene redrawn, the resolution and then each stage's depth in
-        proportion to the members they hold, then each slot's pair uniformly
-        from ``F``, ``I`` or ``P``."""
-        return self.repair(None, rng)
-
-    def repair(self, config: SubnetConfig | None, rng: random.Random) -> SubnetConfig:
-        """``config`` with only the genes that break the cap redrawn, in
-        ``sample``'s order and as ``sample`` draws them; ``None`` redraws
-        every gene.  A resolution that holds no member, a depth that needs
-        an inner pair when ``I`` is empty, and an active slot's pair outside
-        ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
-        slots are kept.  A stage fits when its transition term and the inner
-        terms of its later active slots are at most the cap; a gene the
-        table does not hold does not fit.  A stage that fits is kept with
-        its own kernel and expand tuple objects, and a member comes back as
-        itself, with ``rng`` unused.  Each pick is drawn as
-        ``rng.randrange`` or ``rng.choice`` draws it, from
-        ``rng.getrandbits`` words (``_below``)."""
-        if not self.count:
-            raise InfeasibleError(f"no configuration fits under {self.cap} items")
-        bits = rng.getrandbits
-        kept = None if config is None else self._by_resolution.get(config.resolution)
-        r, plan = kept or self._strata[bisect_right(self._cumulative, _below(bits, self.count))]
-        depth_options, md, pairs, cap = (
-            self.space.depth_options, self.space.max_depth, self._pairs, self.cap
-        )
-        redrawn = kept is None
-        depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, first, inner) in enumerate(plan):
-            if config is None:
-                d, ks, es = None, [None] * md, [None] * md
-            else:
-                d, ks, es = config.stage_depths[s], config.kernels[s], config.expands[s]
-                if _stage_fits(first, inner, d, ks, es, cap):
-                    depths.append(d)
-                    kernels.append(ks)
-                    expands.append(es)
-                    continue
-                redrawn = True
-                ks, es = list(ks), list(es)
-            # a depth that needs an inner pair when none fits cannot fit,
-            # since it makes a later slot active
-            if d is None or (d > 1 and not I):
-                d = depth_options[bisect_right(cumulative, _below(bits, cumulative[-1]))]
-            if config is None or not _fits(first, ks[0], es[0], cap):
-                ks[0], es[0] = F[_below(bits, len(F))]
-            for j in range(1, d):
-                if config is None or not _fits(inner, ks[j], es[j], cap):
-                    ks[j], es[j] = I[_below(bits, len(I))]
-            if config is None:
-                for j in range(d, md):
-                    ks[j], es[j] = pairs[_below(bits, len(pairs))]
-            depths.append(d)
-            kernels.append(tuple(ks))
-            expands.append(tuple(es))
-        if not redrawn:
-            return config
-        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
-
-
-def _stage_fits(first: dict, inner: dict, depth: int, ks: tuple, es: tuple, cap: int) -> bool:
-    """Whether a stage of ``depth`` with slot tuples ``ks`` and ``es`` has
-    every active block term at most ``cap``: ``first[k][e]`` for its first
-    slot and ``inner[k][e]`` for each later active slot; a gene, or a depth,
-    that the terms do not hold does not fit."""
-    try:
-        if first[ks[0]][es[0]] > cap:
-            return False
-        for j in range(1, depth):
-            if inner[ks[j]][es[j]] > cap:
-                return False
-    except (KeyError, IndexError, TypeError):
-        return False
-    return True
-
-
-def _fits(terms: dict, k, e, cap: int) -> bool:
-    """Whether ``terms[k][e]`` is at most ``cap``; a pair that ``terms``
-    does not hold does not fit."""
-    try:
-        return terms[k][e] <= cap
-    except (KeyError, TypeError):
-        return False
-
-
-def _first_reaching(below: list[int], above: list[int]) -> list[int]:
-    """Cumulative weights over ``j`` of the members of ``above`` that leave
-    ``below`` first at term ``j``: ``prod(below[:j]) * (above[j] -
-    below[j]) * prod(above[j + 1:])``, where each term chooses independently
-    among ``above[j]`` options, ``below[j]`` of them in ``below``.  The sum
-    telescopes, so the ``j``-th cumulative weight is ``prod(above) -
-    prod(below[:j + 1]) * prod(above[j + 1:])``, built from prefix and suffix
-    products; the last is ``prod(above) - prod(below)``."""
-    suffix = list(accumulate(reversed(above), mul, initial=1))[::-1]
-    return [suffix[0] - head * tail for head, tail in zip(accumulate(below, mul), suffix[1:])]
-
-
-class PeakBand:
-    """The configurations of a space whose ``config_peak_items`` lies in
-    ``lo <= peak <= hi``, counted and drawn exactly.
-
-    The band is ``A \\ B`` with ``A = FeasibleSet(space, hi)`` and ``B =
-    FeasibleSet(space, lo - 1)``, so ``count`` is ``A.count - B.count`` (0
-    when ``lo > hi``).  A draw reads their stage plans directly.  It picks
-    the resolution in proportion to the members it holds.  Where ``B`` holds
-    none there (the base term reaches ``lo``, or some stage always does), it
-    draws every stage from ``A`` as ``FeasibleSet.sample`` does, consuming
-    ``rng`` alike.  Otherwise it picks the first stage ``j`` whose term
-    reaches ``lo`` (see ``_first_reaching``), draws the stages before it
-    from ``B`` and those after it from ``A``, and within stage ``j`` picks
-    the depth in proportion to ``A``'s members less ``B``'s, then the first
-    slot that reaches ``lo`` in the same way: that slot takes a pair of
-    ``A`` that is not in ``B``, the slots before it pairs of ``B`` and the
-    later active ones pairs of ``A``.  Inert slots take any pair."""
-
-    def __init__(self, space: SupernetSpace, lo: int, hi: int):
-        self.space, self.lo, self.hi = space, lo, hi
-        above, below = FeasibleSet(space, hi), FeasibleSet(space, lo - 1)
-        self._pairs = above._pairs
-        self._strata, counts = [], []
-        for r, plan_a in above._strata:
-            counts_a = [stage[0][-1] for stage in plan_a]
-            plan_b, firsts, count = None, None, prod(counts_a)
-            if r in below._by_resolution:
-                plan_b = below._by_resolution[r][1]
-                firsts = _first_reaching([stage[0][-1] for stage in plan_b], counts_a)
-                count = firsts[-1]
-            if count > 0:
-                self._strata.append((r, plan_a, plan_b, firsts))
-                counts.append(count)
-        self._cumulative = list(accumulate(counts))
-        self.count = sum(counts)
-
-    def sample(self, rng: random.Random) -> SubnetConfig:
-        """One member, each with the same probability; each pick is drawn
-        as ``rng.randrange`` or ``rng.choice`` draws it, from
-        ``rng.getrandbits`` words (``_below``)."""
-        if not self.count:
-            raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
-        bits = rng.getrandbits
-
-        def pick(cumulative: list) -> int:
-            return bisect_right(cumulative, _below(bits, cumulative[-1]))
-
-        r, plan_a, plan_b, firsts = self._strata[pick(self._cumulative)]
-        j = -1 if plan_b is None else pick(firsts)
-        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
-        depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, first, inner) in enumerate(plan_a):
-            if s < j:
-                cumulative, F, I, _, _ = plan_b[s]
-            if s != j:
-                d = depth_options[pick(cumulative)]
-                slots = [F] + [I] * (d - 1)
-            else:
-                cum_b, F_b, I_b, _, _ = plan_b[s]
-                d = depth_options[pick([a - b for a, b in zip(cumulative, cum_b)])]
-                slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
-                t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
-                terms = inner if t else first
-                reach = [(k, e) for k, e in slots_a[t] if terms[k][e] >= self.lo]
-                slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
-            ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
-            depths.append(d)
-            kernels.append(ks)
-            expands.append(es)
-        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))

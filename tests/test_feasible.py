@@ -1,5 +1,5 @@
-"""The exact feasible set of a cap (``space.FeasibleSet``) and the exact
-peak band (``space.PeakBand``) against brute force on small spaces, the
+"""The exact feasible set of a cap (``feasible.FeasibleSet``) and the exact
+peak band (``feasible.PeakBand``) against brute force on small spaces, the
 repair of configs over the cap, and the dataset sampler that draws from the
 bands."""
 
@@ -18,19 +18,21 @@ from scipy.stats import chisquare
 from test_space import SEEDS, spaces
 
 from memnas.errors import InfeasibleError
+from memnas.feasible import (
+    FeasibleSet,
+    PeakBand,
+    _first_reaching,
+    max_peak_items,
+    min_peak_items,
+)
 from memnas.planner import ChannelSchedule
 from memnas.predictor import balanced_sample, bucket_edges_from_pilot, bucket_index
 from memnas.space import (
-    FeasibleSet,
-    PeakBand,
     SubnetConfig,
     SupernetSpace,
-    _first_reaching,
     _sample_with,
     config_peak_items,
     enumerate_subnets,
-    max_peak_items,
-    min_peak_items,
     mutate,
     validate,
 )

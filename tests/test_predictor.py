@@ -35,14 +35,13 @@ from memnas.predictor import (
     synthetic_score,
     train,
 )
+from memnas.feasible import FeasibleSet, max_peak_items
 from memnas.planner import ChannelSchedule
 from memnas.space import (
-    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
     config_peak_items,
     default_space,
-    max_peak_items,
     maximal_config,
     require_valid,
     sample_uniform,

@@ -17,6 +17,7 @@ from test_feasible import ReferenceFeasibleSet
 from test_space import SEEDS, spaces, tiny_space
 
 from memnas.errors import InfeasibleError, ResolutionError, ValidationError
+from memnas.feasible import FeasibleSet, max_peak_items, min_peak_items
 from memnas.memory import profile_network
 from memnas.predictor import balanced_sample, synthetic_score
 from memnas.search import (
@@ -29,14 +30,11 @@ from memnas.search import (
     write_sweep_csv,
 )
 from memnas.space import (
-    FeasibleSet,
     SubnetConfig,
     config_peak_items,
     crossover,
     default_space,
-    max_peak_items,
     maximal_config,
-    min_peak_items,
     mutate,
     require_valid,
     resolve,

@@ -31,8 +31,8 @@ from memnas.planner import (
     stage_shapes,
 )
 from memnas.predictor import ALPHA, BETA, PredictorModel, feature_length, synthetic_score
+from memnas.feasible import FeasibleSet, max_peak_items, min_peak_items
 from memnas.space import (
-    FeasibleSet,
     SubnetConfig,
     SupernetSpace,
     _below,
@@ -44,9 +44,7 @@ from memnas.space import (
     crossover,
     default_space,
     enumerate_subnets,
-    max_peak_items,
     maximal_config,
-    min_peak_items,
     mutate,
     require_valid,
     resolve,
