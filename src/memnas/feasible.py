@@ -1,11 +1,6 @@
-"""The exact feasible layer: the configurations of a space under a peak
-cap (``FeasibleSet``) and within a band of peaks (``PeakBand``), counted,
-drawn and repaired exactly, and the exact peak range of a space
-(``min_peak_items`` to ``max_peak_items``).
-
-Everything here reads the space's table of per-block peak terms
-(``SupernetSpace.peak_table``), the table ``space.config_peak_items`` reads.
-"""
+"""The exact feasible layer, read from ``SupernetSpace.peak_table``: the
+peak range of a space, and its configurations under a cap (``FeasibleSet``)
+or in a band of peaks (``PeakBand``), counted, drawn and repaired exactly."""
 
 from __future__ import annotations
 
@@ -16,7 +11,7 @@ from math import prod
 from operator import mul
 
 from .errors import InfeasibleError
-from .space import SubnetConfig, SupernetSpace, _below, _classifier_items
+from .space import SubnetConfig, SupernetSpace, _below, _classifier_items, require_valid
 
 
 def min_peak_items(space: SupernetSpace, include_classifier: bool = False) -> int:
@@ -103,90 +98,98 @@ class FeasibleSet:
         self.count = sum(counts)
 
     def sample(self, rng: random.Random) -> SubnetConfig:
-        """One member, each with the same probability: ``repair`` with every
-        gene redrawn, the resolution and then each stage's depth in
-        proportion to the members they hold, then each slot's pair uniformly
-        from ``F``, ``I`` or ``P``."""
-        return self.repair(None, rng)
-
-    def repair(self, config: SubnetConfig | None, rng: random.Random) -> SubnetConfig:
-        """``config`` with only the genes that break the cap redrawn, in
-        ``sample``'s order and as ``sample`` draws them; ``None`` redraws
-        every gene.  A resolution that holds no member, a depth that needs
-        an inner pair when ``I`` is empty, and an active slot's pair outside
-        ``F`` (transition slot) or ``I`` (later slots) are redrawn; inert
-        slots are kept.  A stage fits when its transition term and the inner
-        terms of its later active slots are at most the cap; a gene the
-        table does not hold does not fit.  A stage that fits is kept with
-        its own kernel and expand tuple objects, and a member comes back as
-        itself, with ``rng`` unused.  Each pick is drawn as
-        ``rng.randrange`` or ``rng.choice`` draws it, from
-        ``rng.getrandbits`` words (``_below``)."""
+        """One member, each with the same probability: the resolution and
+        then each stage's depth in proportion to the members they hold, then
+        each slot's pair uniformly from ``F``, ``I`` or ``P`` (``_draw``)."""
         if not self.count:
             raise InfeasibleError(f"no configuration fits under {self.cap} items")
         bits = rng.getrandbits
-        kept = None if config is None else self._by_resolution.get(config.resolution)
-        r, plan = kept or self._strata[bisect_right(self._cumulative, _below(bits, self.count))]
-        depth_options, md, pairs, cap = (
-            self.space.depth_options, self.space.max_depth, self._pairs, self.cap
-        )
-        redrawn = kept is None
-        depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, first, inner) in enumerate(plan):
-            if config is None:
-                d, ks, es = None, [None] * md, [None] * md
-            else:
-                d, ks, es = config.stage_depths[s], config.kernels[s], config.expands[s]
-                if _stage_fits(first, inner, d, ks, es, cap):
-                    depths.append(d)
-                    kernels.append(ks)
-                    expands.append(es)
-                    continue
-                redrawn = True
-                ks, es = list(ks), list(es)
-            # a depth that needs an inner pair when none fits cannot fit,
-            # since it makes a later slot active
-            if d is None or (d > 1 and not I):
-                d = depth_options[bisect_right(cumulative, _below(bits, cumulative[-1]))]
-            if config is None or not _fits(first, ks[0], es[0], cap):
-                ks[0], es[0] = F[_below(bits, len(F))]
-            for j in range(1, d):
-                if config is None or not _fits(inner, ks[j], es[j], cap):
-                    ks[j], es[j] = I[_below(bits, len(I))]
-            if config is None:
-                for j in range(d, md):
-                    ks[j], es[j] = pairs[_below(bits, len(pairs))]
-            depths.append(d)
-            kernels.append(tuple(ks))
-            expands.append(tuple(es))
-        if not redrawn:
-            return config
-        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
+        r, plan = self._strata[_pick(bits, self._cumulative)]
+        return _draw(self.space, self._pairs, bits, r, plan)
+
+    def repair(self, config: SubnetConfig, rng: random.Random) -> SubnetConfig:
+        """``config`` with only the genes that break the cap redrawn, as and
+        in the order ``sample`` draws them: a resolution that holds no
+        member, then per stage a depth that makes a later slot active when
+        ``I`` is empty, then each active slot whose term is over the cap.
+        One pass per stage reads the active slots and their terms from the
+        peak table, as ``config_peak_items`` does, so an out-of-space
+        resolution, depth or active gene raises ``require_valid``'s
+        ``ValidationError`` and inert genes are kept unread.  A stage that
+        fits keeps its own slot tuple objects, and a member comes back as
+        itself, with ``rng`` unused."""
+        if not self.count:
+            raise InfeasibleError(f"no configuration fits under {self.cap} items")
+        space, cap, bits = self.space, self.cap, rng.getrandbits
+        try:
+            tails = space.peak_table[config.resolution][1]
+            kept = self._by_resolution.get(config.resolution)
+            r, plan = kept or self._strata[_pick(bits, self._cumulative)]
+            redrawn, stages = kept is None, []
+            for (cumulative, F, I, first, inner), d, ks, es in zip(
+                plan, config.stage_depths, config.kernels, config.expands, strict=True
+            ):
+                active = tails[d]
+                # a depth that makes a later slot active cannot fit when no
+                # inner pair does
+                if active and not I:
+                    d = space.depth_options[_pick(bits, cumulative)]
+                    active = tails[d]
+                    redrawn = True
+                # the slot tuples are copied at the first redrawn slot
+                new_ks = new_es = None
+                if first[ks[0]][es[0]] > cap:
+                    new_ks, new_es = list(ks), list(es)
+                    new_ks[0], new_es[0] = F[_below(bits, len(F))]
+                for j in active:
+                    if inner[ks[j]][es[j]] > cap:
+                        if new_ks is None:
+                            new_ks, new_es = list(ks), list(es)
+                        new_ks[j], new_es[j] = I[_below(bits, len(I))]
+                if new_ks is not None:
+                    redrawn, ks, es = True, tuple(new_ks), tuple(new_es)
+                stages.append((d, ks, es))
+        except (KeyError, IndexError, TypeError, ValueError):
+            # a table miss: require_valid names the field outside the space
+            require_valid(config, space)
+            raise
+        # zip(*stages) gives the depth, kernel and expand tuples
+        return SubnetConfig(r, *zip(*stages)) if redrawn else config
 
 
-def _stage_fits(first: dict, inner: dict, depth: int, ks: tuple, es: tuple, cap: int) -> bool:
-    """Whether a stage of ``depth`` with slot tuples ``ks`` and ``es`` has
-    every active block term at most ``cap``: ``first[k][e]`` for its first
-    slot and ``inner[k][e]`` for each later active slot; a gene, or a depth,
-    that the terms do not hold does not fit."""
-    try:
-        if first[ks[0]][es[0]] > cap:
-            return False
-        for j in range(1, depth):
-            if inner[ks[j]][es[j]] > cap:
-                return False
-    except (KeyError, IndexError, TypeError):
-        return False
-    return True
+def _pick(bits, cumulative: list) -> int:
+    """An index drawn in proportion to the weights whose running sums are
+    ``cumulative``, as ``rng.randrange`` draws it (``_below``)."""
+    return bisect_right(cumulative, _below(bits, cumulative[-1]))
 
 
-def _fits(terms: dict, k, e, cap: int) -> bool:
-    """Whether ``terms[k][e]`` is at most ``cap``; a pair that ``terms``
-    does not hold does not fit."""
-    try:
-        return terms[k][e] <= cap
-    except (KeyError, TypeError):
-        return False
+def _draw(
+    space: SupernetSpace, pairs: tuple, bits, r: int, plan_a: list, plan_b=None, j=-1, lo=0
+) -> SubnetConfig:
+    """A member of resolution ``r`` drawn from ``FeasibleSet`` stage plans:
+    per stage its depth in proportion to its members, then one pair per
+    slot.  With ``j = -1`` every stage is drawn from ``plan_a``, as
+    ``FeasibleSet.sample`` draws; ``PeakBand.sample`` passes its first stage
+    ``j`` to reach ``lo``, and draws stage ``j`` and those before it as its
+    docstring says."""
+    depth_options, md, stages = space.depth_options, space.max_depth, []
+    for s, (cumulative, F, I, first, inner) in enumerate(plan_a):
+        if s < j:
+            cumulative, F, I, _, _ = plan_b[s]
+        if s != j:
+            d = depth_options[_pick(bits, cumulative)]
+            slots = [F] + [I] * (d - 1)
+        else:
+            cum_b, F_b, I_b, _, _ = plan_b[s]
+            d = depth_options[_pick(bits, [a - b for a, b in zip(cumulative, cum_b)])]
+            slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
+            t = _pick(bits, _first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
+            terms = inner if t else first
+            reach = [(k, e) for k, e in slots_a[t] if terms[k][e] >= lo]
+            slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
+        ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
+        stages.append((d, ks, es))
+    return SubnetConfig(r, *zip(*stages))
 
 
 def _first_reaching(below: list[int], above: list[int]) -> list[int]:
@@ -210,14 +213,15 @@ class PeakBand:
     when ``lo > hi``).  A draw reads their stage plans directly.  It picks
     the resolution in proportion to the members it holds.  Where ``B`` holds
     none there (the base term reaches ``lo``, or some stage always does), it
-    draws every stage from ``A`` as ``FeasibleSet.sample`` does, consuming
-    ``rng`` alike.  Otherwise it picks the first stage ``j`` whose term
-    reaches ``lo`` (see ``_first_reaching``), draws the stages before it
-    from ``B`` and those after it from ``A``, and within stage ``j`` picks
-    the depth in proportion to ``A``'s members less ``B``'s, then the first
-    slot that reaches ``lo`` in the same way: that slot takes a pair of
-    ``A`` that is not in ``B``, the slots before it pairs of ``B`` and the
-    later active ones pairs of ``A``.  Inert slots take any pair."""
+    draws every stage from ``A`` with ``FeasibleSet.sample``'s stage draw
+    (``_draw``), consuming ``rng`` alike.  Otherwise it picks the first
+    stage ``j`` whose term reaches ``lo`` (see ``_first_reaching``), draws
+    the stages before it from ``B`` and those after it from ``A``, and
+    within stage ``j`` picks the depth in proportion to ``A``'s members
+    less ``B``'s, then the first slot that reaches ``lo`` in the same way:
+    that slot takes a pair of ``A`` that is not in ``B``, the slots before
+    it pairs of ``B`` and the later active ones pairs of ``A``.  Inert
+    slots take any pair."""
 
     def __init__(self, space: SupernetSpace, lo: int, hi: int):
         self.space, self.lo, self.hi = space, lo, hi
@@ -244,30 +248,6 @@ class PeakBand:
         if not self.count:
             raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
         bits = rng.getrandbits
-
-        def pick(cumulative: list) -> int:
-            return bisect_right(cumulative, _below(bits, cumulative[-1]))
-
-        r, plan_a, plan_b, firsts = self._strata[pick(self._cumulative)]
-        j = -1 if plan_b is None else pick(firsts)
-        depth_options, md, pairs = self.space.depth_options, self.space.max_depth, self._pairs
-        depths, kernels, expands = [], [], []
-        for s, (cumulative, F, I, first, inner) in enumerate(plan_a):
-            if s < j:
-                cumulative, F, I, _, _ = plan_b[s]
-            if s != j:
-                d = depth_options[pick(cumulative)]
-                slots = [F] + [I] * (d - 1)
-            else:
-                cum_b, F_b, I_b, _, _ = plan_b[s]
-                d = depth_options[pick([a - b for a, b in zip(cumulative, cum_b)])]
-                slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
-                t = pick(_first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
-                terms = inner if t else first
-                reach = [(k, e) for k, e in slots_a[t] if terms[k][e] >= self.lo]
-                slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
-            ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
-            depths.append(d)
-            kernels.append(ks)
-            expands.append(es)
-        return SubnetConfig(r, tuple(depths), tuple(kernels), tuple(expands))
+        r, plan_a, plan_b, firsts = self._strata[_pick(bits, self._cumulative)]
+        j = -1 if plan_b is None else _pick(bits, firsts)
+        return _draw(self.space, self._pairs, bits, r, plan_a, plan_b, j, self.lo)

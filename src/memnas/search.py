@@ -3,7 +3,7 @@
 Infeasible candidates are repaired rather than penalized: the memory cap
 models a device limit, so every individual ever admitted to the population
 satisfies it.  The initial population is drawn exactly and uniformly from
-the configurations under the cap (``space.FeasibleSet``), so a cap at or
+the configurations under the cap (``feasible.FeasibleSet``), so a cap at or
 above the space's smallest peak always yields one.  A child's one check is
 that set's ``repair``: a child under the cap comes back as itself, and one
 over it has only the genes that break it redrawn from that set.  Runs are

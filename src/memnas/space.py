@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import product
 from operator import getitem, is_
+from typing import TYPE_CHECKING
 
 from .errors import (
     FieldError,
@@ -44,6 +45,9 @@ from .planner import (
     plan_schedule,
     stage_shapes,
 )
+
+if TYPE_CHECKING:
+    from .feasible import FeasibleSet, PeakBand
 
 DEPTH_OPTIONS = (2, 3, 4)
 KERNEL_OPTIONS = (3, 5, 7)
@@ -503,7 +507,7 @@ def enumerate_subnets(space: SupernetSpace, limit: int = 100_000):
 
 
 def _sample_with(
-    space: SupernetSpace, rng: random.Random, feasible: "FeasibleSet | PeakBand | None" = None
+    space: SupernetSpace, rng: random.Random, feasible: FeasibleSet | PeakBand | None = None
 ) -> SubnetConfig:
     # uniform over the space, or over ``feasible``'s members when given one;
     # fixed draw order: resolution, then per stage depth and per-slot genes,

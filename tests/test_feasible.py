@@ -238,6 +238,21 @@ def test_band_against_brute_force(name):
         empty.sample(rng)
 
 
+@given(space=spaces(), seed=SEEDS, share=st.floats(0, 1))
+def test_band_from_the_floor_draws_as_the_feasible_set(space, seed, share):
+    """A band from the smallest peak up to ``hi`` holds the members under
+    ``hi``, and its lower set holds none, so it draws every stage as
+    ``FeasibleSet.sample`` does: the same configs and generator state."""
+    floor = min_peak_items(space)
+    hi = floor + int(share * max(0, max_peak_items(space) - floor))
+    band, feasible = PeakBand(space, floor, hi), FeasibleSet(space, hi)
+    assert band.count == feasible.count
+    by_band, by_set = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert band.sample(by_band) == feasible.sample(by_set)
+    assert by_band.getstate() == by_set.getstate()
+
+
 def reference_first_reaching(below, above):
     """``_first_reaching`` term by term, one product of slices per weight."""
     return list(
@@ -416,9 +431,10 @@ class ReferenceFeasibleSet:
 def test_repair_equals_the_reference(space, seed, share, prob):
     """Same config and same generator state afterwards as the reference, on
     uniform draws (mostly far over the cap) and on mutated members (mostly a
-    few genes over it), and for whole draws.  A member comes back as itself
-    with the generator unused, and each stage that fits keeps the input's
-    own slot tuple objects."""
+    few genes over it), and for whole draws: ``sample`` against the
+    reference's ``repair`` of ``None``.  A member comes back as itself with
+    the generator unused, and each stage that fits keeps the input's own
+    slot tuple objects."""
     floor = min_peak_items(space)
     cap = floor + int(share * max(0, max_peak_items(space) - floor))
     feasible = FeasibleSet(space, cap)
@@ -429,7 +445,7 @@ def test_repair_equals_the_reference(space, seed, share, prob):
         member = feasible.sample(rng)
         for config in (None, _sample_with(space, rng), member, mutate(member, space, prob, rng)):
             state = rng.getstate()
-            repaired = feasible.repair(config, rng)
+            repaired = feasible.sample(rng) if config is None else feasible.repair(config, rng)
             after = rng.getstate()
             rng.setstate(state)
             assert repaired == reference.repair(config, rng)

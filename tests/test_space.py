@@ -906,6 +906,9 @@ class TestPeakTable:
         assert (type(by_score.value), str(by_score.value)) == (
             type(by_resolve.value), str(by_resolve.value)
         )
+        with pytest.raises(ValidationError) as by_repair:
+            FeasibleSet(space, max_peak_items(space)).repair(bad, random.Random(seed))
+        assert str(by_repair.value) == str(by_resolve.value)
 
 
 class TestScoreTable:
