@@ -69,13 +69,15 @@ class FeasibleSet:
     their sums over depths, and ``count`` is the sum over the resolutions:
     the exact number of whole genomes, inert genes included, under the cap.
     Each stage's plan keeps its ``first`` and ``inner`` terms from
-    ``SupernetSpace.peak_table``, from which ``repair`` reads a pair's fit.
+    ``SupernetSpace.peak_table``, from which ``repair`` reads a pair's fit,
+    and per depth option the lists a draw picks each slot's pair from:
+    ``[F] + [I] * (d - 1) + [P] * (max_depth - d)``.
     """
 
     def __init__(self, space: SupernetSpace, cap: int):
         self.space, self.cap = space, cap
         md = space.max_depth
-        pairs = self._pairs = tuple(product(space.kernel_options, space.expand_options))
+        pairs = tuple(product(space.kernel_options, space.expand_options))
         self._strata, counts = [], []
         for r, (base, _, stages) in space.peak_table.items():
             if base > cap:
@@ -89,7 +91,8 @@ class FeasibleSet:
                     for d in space.depth_options
                 ]
                 count *= sum(by_depth)
-                plan.append((list(accumulate(by_depth)), F, I, first, inner))
+                slots = [[F] + [I] * (d - 1) + [pairs] * (md - d) for d in space.depth_options]
+                plan.append((list(accumulate(by_depth)), F, I, first, inner, slots))
             if count:
                 self._strata.append((r, plan))
                 counts.append(count)
@@ -105,7 +108,7 @@ class FeasibleSet:
             raise InfeasibleError(f"no configuration fits under {self.cap} items")
         bits = rng.getrandbits
         r, plan = self._strata[_pick(bits, self._cumulative)]
-        return _draw(self.space, self._pairs, bits, r, plan)
+        return _draw(self.space, bits, r, plan)
 
     def repair(self, config: SubnetConfig, rng: random.Random) -> SubnetConfig:
         """``config`` with only the genes that break the cap redrawn, as and
@@ -126,7 +129,7 @@ class FeasibleSet:
             kept = self._by_resolution.get(config.resolution)
             r, plan = kept or self._strata[_pick(bits, self._cumulative)]
             redrawn, stages = kept is None, []
-            for (cumulative, F, I, first, inner), d, ks, es in zip(
+            for (cumulative, F, I, first, inner, _), d, ks, es in zip(
                 plan, config.stage_depths, config.kernels, config.expands, strict=True
             ):
                 active = tails[d]
@@ -164,32 +167,51 @@ def _pick(bits, cumulative: list) -> int:
 
 
 def _draw(
-    space: SupernetSpace, pairs: tuple, bits, r: int, plan_a: list, plan_b=None, j=-1, lo=0
+    space: SupernetSpace, bits, r: int, plan_a: list, plan_b=None, j=-1, band=None
 ) -> SubnetConfig:
     """A member of resolution ``r`` drawn from ``FeasibleSet`` stage plans:
     per stage its depth in proportion to its members, then one pair per
-    slot.  With ``j = -1`` every stage is drawn from ``plan_a``, as
-    ``FeasibleSet.sample`` draws; ``PeakBand.sample`` passes its first stage
-    ``j`` to reach ``lo``, and draws stage ``j`` and those before it as its
-    docstring says."""
-    depth_options, md, stages = space.depth_options, space.max_depth, []
-    for s, (cumulative, F, I, first, inner) in enumerate(plan_a):
+    slot from the slot lists its plan keeps for that depth.  With ``j = -1``
+    every stage is drawn from ``plan_a``, as ``FeasibleSet.sample`` draws;
+    ``PeakBand.sample`` passes its first stage ``j`` to reach its ``lo``,
+    draws the stages before it from ``plan_b``, and stage ``j`` from
+    ``band``, that stage's ``_band_stage``."""
+    depth_options, stages = space.depth_options, []
+    for s, stage in enumerate(plan_a):
         if s < j:
-            cumulative, F, I, _, _ = plan_b[s]
+            stage = plan_b[s]
         if s != j:
-            d = depth_options[_pick(bits, cumulative)]
-            slots = [F] + [I] * (d - 1)
+            i = _pick(bits, stage[0])
+            slots = stage[5][i]
         else:
-            cum_b, F_b, I_b, _, _ = plan_b[s]
-            d = depth_options[_pick(bits, [a - b for a, b in zip(cumulative, cum_b)])]
-            slots_a, slots_b = [F] + [I] * (d - 1), [F_b] + [I_b] * (d - 1)
-            t = _pick(bits, _first_reaching(list(map(len, slots_b)), list(map(len, slots_a))))
-            terms = inner if t else first
-            reach = [(k, e) for k, e in slots_a[t] if terms[k][e] >= lo]
-            slots = slots_b[:t] + [reach] + slots_a[t + 1 :]
-        ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots + [pairs] * (md - d)])
-        stages.append((d, ks, es))
+            cumulative, by_depth = band
+            i = _pick(bits, cumulative)
+            firsts, by_first = by_depth[i]
+            slots = by_first[_pick(bits, firsts)]
+        ks, es = zip(*[slot[_below(bits, len(slot))] for slot in slots])
+        stages.append((depth_options[i], ks, es))
     return SubnetConfig(r, *zip(*stages))
+
+
+def _band_stage(depth_options: tuple, stage_a: tuple, stage_b: tuple, lo: int) -> tuple:
+    """``(cumulative, by_depth)`` for the stage ``j`` of a ``PeakBand`` draw,
+    whose terms first reach ``lo`` there, from that stage's plans in ``A``
+    and ``B``: the depth weights of ``A``'s members less ``B``'s, and per
+    depth the ``_first_reaching`` weights of its active slots with, per
+    slot ``t`` that first reaches ``lo``, the slot lists of the draw:
+    ``B``'s before ``t``, the pairs of ``A`` whose term reaches ``lo`` at
+    ``t``, and ``A``'s after it, inert slots included."""
+    cum_a, F, I, first, inner, slots_a = stage_a
+    cum_b, slots_b = stage_b[0], stage_b[5]
+    reach = (
+        [(k, e) for k, e in F if first[k][e] >= lo],
+        [(k, e) for k, e in I if inner[k][e] >= lo],
+    )
+    by_depth = []
+    for d, a, b in zip(depth_options, slots_a, slots_b):
+        firsts = _first_reaching(list(map(len, b[:d])), list(map(len, a[:d])))
+        by_depth.append((firsts, [b[:t] + [reach[t > 0]] + a[t + 1 :] for t in range(d)]))
+    return [x - y for x, y in zip(cum_a, cum_b)], by_depth
 
 
 def _first_reaching(below: list[int], above: list[int]) -> list[int]:
@@ -221,22 +243,26 @@ class PeakBand:
     less ``B``'s, then the first slot that reaches ``lo`` in the same way:
     that slot takes a pair of ``A`` that is not in ``B``, the slots before
     it pairs of ``B`` and the later active ones pairs of ``A``.  Inert
-    slots take any pair."""
+    slots take any pair.  The weights and slot lists of each stage ``j``'s
+    draw are built here, once per band (``_band_stage``), so a draw only
+    picks."""
 
     def __init__(self, space: SupernetSpace, lo: int, hi: int):
         self.space, self.lo, self.hi = space, lo, hi
         above, below = FeasibleSet(space, hi), FeasibleSet(space, lo - 1)
-        self._pairs = above._pairs
         self._strata, counts = [], []
         for r, plan_a in above._strata:
             counts_a = [stage[0][-1] for stage in plan_a]
-            plan_b, firsts, count = None, None, prod(counts_a)
+            plan_b, firsts, bands, count = None, None, None, prod(counts_a)
             if r in below._by_resolution:
                 plan_b = below._by_resolution[r][1]
                 firsts = _first_reaching([stage[0][-1] for stage in plan_b], counts_a)
                 count = firsts[-1]
+                bands = [
+                    _band_stage(space.depth_options, a, b, lo) for a, b in zip(plan_a, plan_b)
+                ]
             if count > 0:
-                self._strata.append((r, plan_a, plan_b, firsts))
+                self._strata.append((r, plan_a, plan_b, firsts, bands))
                 counts.append(count)
         self._cumulative = list(accumulate(counts))
         self.count = sum(counts)
@@ -248,6 +274,8 @@ class PeakBand:
         if not self.count:
             raise InfeasibleError(f"no configuration has its peak in [{self.lo}, {self.hi}]")
         bits = rng.getrandbits
-        r, plan_a, plan_b, firsts = self._strata[_pick(bits, self._cumulative)]
-        j = -1 if plan_b is None else _pick(bits, firsts)
-        return _draw(self.space, self._pairs, bits, r, plan_a, plan_b, j, self.lo)
+        r, plan_a, plan_b, firsts, bands = self._strata[_pick(bits, self._cumulative)]
+        if plan_b is None:
+            return _draw(self.space, bits, r, plan_a)
+        j = _pick(bits, firsts)
+        return _draw(self.space, bits, r, plan_a, plan_b, j, bands[j])

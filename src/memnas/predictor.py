@@ -218,18 +218,20 @@ class Dataset:
 
     def write_jsonl(self, fh) -> None:
         """One line per row, ``json.dumps(row.to_json_dict(), sort_keys=True)``,
-        built directly (property-tested): the config by
-        ``SubnetConfig.json_text`` and each number as ``json.dumps`` writes
-        it."""
-        fh.write(
-            "".join(
-                [
-                    f'{{"config": {row.config.json_text(", ", ": ")}, "peak_items": '
-                    f'{_json_number(row.peak_items)}, "score": {_json_number(row.score)}}}\n'
-                    for row in self.rows
-                ]
-            )
+        built directly (property-tested): each config as its
+        ``canonical_json`` and each number as ``json.dumps`` writes it, with
+        the compact separators then widened to the default ``", "`` and
+        ``": "``.  That is exact because no key, and no text of an int or a
+        float, holds a comma or a colon.  A config the noisy oracle scored
+        has built its text already."""
+        text = "".join(
+            [
+                f'{{"config":{row.config.canonical_json()},"peak_items":'
+                f'{_json_number(row.peak_items)},"score":{_json_number(row.score)}}}\n'
+                for row in self.rows
+            ]
         )
+        fh.write(text.replace(",", ", ").replace(":", ": "))
 
     @classmethod
     def read_jsonl(cls, fh) -> "Dataset":

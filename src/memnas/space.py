@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from operator import getitem, is_
 from typing import TYPE_CHECKING
 
@@ -295,9 +295,35 @@ class SubnetConfig:
         check too, yet a float depth cannot count blocks.  Expands may be
         rational, so they take floats.
 
-        A path is built only for an error: each list of genes is checked
-        for a refused type in one pass, and only a list that holds one is
-        searched for its position."""
+        A well-formed config is read in one pass: the set of types of its
+        objects, of its gene lists and of its genes is checked against the
+        JSON types each may hold.  Only a config that fails this pass is
+        walked field by field (``_from_json_walk``), which returns it or
+        names the field at fault; the two agree on every input
+        (property-tested)."""
+        try:
+            stages = d["stages"]
+            if type(d) is dict and type(stages) is list and set(map(type, stages)) <= _DICT:
+                depths = tuple([s["depth"] for s in stages])
+                kernels = tuple([s["kernels"] for s in stages])
+                expands = tuple([s["expands"] for s in stages])
+                resolution = d["resolution"]
+                if (
+                    set(map(type, kernels + expands)) <= _LIST
+                    and set(map(type, chain((resolution,), depths, *kernels))) <= _INTEGER
+                    and set(map(type, chain(*expands))) <= _NUMBER
+                ):
+                    return cls(
+                        resolution, depths, tuple(map(tuple, kernels)), tuple(map(tuple, expands))
+                    )
+        except (KeyError, TypeError):
+            pass
+        return cls._from_json_walk(d)
+
+    @classmethod
+    def _from_json_walk(cls, d) -> "SubnetConfig":
+        """``from_json_dict`` field by field, with ``json_field`` and one
+        check per gene; a path is built only for an error."""
 
         def gene(value, integer: bool, path: str, *args):
             """``value``, unless it is a bool, or a float where ``integer``;
@@ -310,11 +336,8 @@ class SubnetConfig:
 
         def genes(s: dict, i: int, key: str, integer: bool) -> tuple:
             values = json_field(s, key, list, "stages", i)
-            types = set(map(type, values))
-            if bool in types or (integer and float in types):
-                for j, v in enumerate(values):
-                    gene(v, integer, "stages[{}].{}[{}]", i, key, j)
-            return tuple(values)
+            path = "stages[{}].{}[{}]"
+            return tuple([gene(v, integer, path, i, key, j) for j, v in enumerate(values)])
 
         stages = [
             (
@@ -333,25 +356,29 @@ class SubnetConfig:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, separators=(",",
-        ":"))``; see ``json_text``."""
-        return self.json_text(",", ":")
+        ":"))``, built directly: keys in sorted order and each gene as
+        ``repr`` writes it, which for an int or a finite float is what
+        ``json.dumps`` writes (property-tested).  The text is built once per
+        instance, on the first call, and kept in the instance's ``__dict__``;
+        the config is frozen, so it cannot go stale, and equality, hashing
+        and ``dataclasses.replace`` read the fields alone."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            stages = ",".join(
+                [
+                    f'{{"depth":{d!r},"expands":[{",".join(map(repr, es))}],'
+                    f'"kernels":[{",".join(map(repr, ks))}]}}'
+                    for d, ks, es in zip(self.stage_depths, self.kernels, self.expands)
+                ]
+            )
+            text = f'{{"resolution":{self.resolution!r},"stages":[{stages}]}}'
+            self.__dict__["_json"] = text
+        return text
 
-    def json_text(self, item_sep: str, key_sep: str) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True,
-        separators=(item_sep, key_sep))``, built directly: keys in sorted
-        order and each gene as ``repr`` writes it, which for an int or a
-        finite float is what ``json.dumps`` writes (property-tested)."""
-        stages = item_sep.join(
-            [
-                f'{{"depth"{key_sep}{d!r}{item_sep}'
-                f'"expands"{key_sep}[{item_sep.join(map(repr, es))}]{item_sep}'
-                f'"kernels"{key_sep}[{item_sep.join(map(repr, ks))}]}}'
-                for d, ks, es in zip(self.stage_depths, self.kernels, self.expands)
-            ]
-        )
-        return (
-            f'{{"resolution"{key_sep}{self.resolution!r}{item_sep}"stages"{key_sep}[{stages}]}}'
-        )
+
+# the JSON types ``SubnetConfig.from_json_dict`` reads in its one pass
+_DICT, _LIST = frozenset([dict]), frozenset([list])
+_INTEGER, _NUMBER = frozenset([int]), frozenset([int, float])
 
 
 def maximal_config(space: SupernetSpace) -> SubnetConfig:

@@ -398,10 +398,16 @@ class TestDatasetJsonl:
 
     @given(rows=st.lists(dataset_rows(), max_size=4))
     def test_lines_are_json_dumps(self, rows):
-        buf = io.StringIO()
-        Dataset(tuple(rows), ()).write_jsonl(buf)
-        expected = [json.dumps(row.to_json_dict(), sort_keys=True) for row in rows]
-        assert buf.getvalue().split("\n") == expected + [""]
+        # each row is written fresh, and again with its config's canonical
+        # text built first, as the noisy oracle builds it
+        expected = [json.dumps(row.to_json_dict(), sort_keys=True) for row in rows] + [""]
+        fresh = tuple(replace(row, config=replace(row.config)) for row in rows)
+        for row in rows:
+            row.config.canonical_json()
+        for written in (fresh, tuple(rows)):
+            buf = io.StringIO()
+            Dataset(written, ()).write_jsonl(buf)
+            assert buf.getvalue().split("\n") == expected
 
     def test_training_on_the_round_trip_gives_the_same_model(self, space):
         ds = balanced_sample(

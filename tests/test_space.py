@@ -1,6 +1,7 @@
 """Configuration space: validation, counting, sampling, genome operators,
 and resolution into skeletons."""
 
+import copy
 import hashlib
 import json
 import math
@@ -9,6 +10,8 @@ import random
 import re
 import sys
 from dataclasses import replace
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -573,14 +576,19 @@ def test_mutate_and_crossover_pass_untouched_slot_tuples_through(space, seed, pr
         a, b = child, crossed
 
 
-def test_crossover_of_equal_but_distinct_slot_tuples_follows_the_draws(space):
-    # stage 0's expand tuples are equal but distinct objects, one holding the
-    # float 2.0 where the other holds the int 2, so they serialize
-    # differently; the kernel tuples are one object, passed through
+def int_and_float_configs(space):
+    """Two equal configs whose stage-0 expand tuples are distinct objects,
+    one holding the float 2.0 where the other holds the int 2, so that they
+    serialize differently; their kernel tuples are one object."""
     a = sample_uniform(space, 3)
-    ints = (2, 3, 4, 2)
-    a = replace(a, expands=(ints,) + a.expands[1:])
-    b = replace(a, expands=((2.0, 3, 4, 2.0),) + a.expands[1:])
+    a = replace(a, expands=((2, 3, 4, 2),) + a.expands[1:])
+    return a, replace(a, expands=((2.0, 3, 4, 2.0),) + a.expands[1:])
+
+
+def test_crossover_of_equal_but_distinct_slot_tuples_follows_the_draws(space):
+    # the equal parents serialize differently; the kernel tuples they share
+    # as one object are passed through
+    a, b = int_and_float_configs(space)
     assert a == b and a.canonical_json() != b.canonical_json()
     kinds = set()
     for seed in range(40):
@@ -592,6 +600,26 @@ def test_crossover_of_equal_but_distinct_slot_tuples_follows_the_draws(space):
         kinds.add(tuple(type(g) for g in child.expands[0][::3]))
     # every mix of int and float in the two differing slots was drawn
     assert len(kinds) == 4
+
+
+def test_canonical_text_is_built_once_and_never_stale(space):
+    # each config keeps the text it built first; a replaced config, a copy
+    # and a pickle round trip, made before or after that text was built,
+    # and an equal config of the other gene types each give their own
+    def dumps(config):
+        return json.dumps(config.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    a, b = int_and_float_configs(space)
+    derived = [replace(a, expands=b.expands), copy.copy(a), pickle.loads(pickle.dumps(b))]
+    assert a.canonical_json() is a.canonical_json()
+    assert b.canonical_json() is b.canonical_json()
+    derived += [
+        replace(a, expands=b.expands), replace(b, expands=a.expands), replace(a),
+        copy.copy(a), copy.copy(b), pickle.loads(pickle.dumps(a)), pickle.loads(pickle.dumps(b)),
+    ]
+    for config in [a, b] + derived:
+        assert config == a and config.canonical_json() == dumps(config)
+    assert a.canonical_json() != b.canonical_json()
 
 
 def corrupt(config, space, how, where):
@@ -1020,7 +1048,59 @@ class TestMinPeak:
             tiny_space(resolutions=(6, 10))
 
 
+# what a mangled config's JSON may hold in place of a field or a gene
+JSON_STAND_INS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(1, 9), max_size=4),
+    st.dictionaries(st.sampled_from(["depth", "kernels", "expands", "x"]), st.integers(1, 9)),
+)
+
+
+def json_paths(value, path=()):
+    """The path of ``value`` and of every field and list element in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(inner, path + (key,))
+
+
+@st.composite
+def mangled_config_json(draw):
+    """A drawn config's parsed JSON with one to three fields or genes deleted
+    or replaced by a stand-in of another JSON type, or left as it is."""
+    d = json.loads(json.dumps(sample_uniform(draw(spaces()), draw(SEEDS)).to_json_dict()))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(json_paths(d))))
+        value = draw(JSON_STAND_INS)
+        if not path:
+            d = value
+            continue
+        holder = reduce(getitem, path[:-1], d)
+        if draw(st.booleans()):
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return d
+
+
 class TestJsonRoundTrip:
+    @settings(max_examples=300)
+    @given(d=mangled_config_json())
+    def test_one_pass_read_is_the_field_walk(self, d):
+        # the one-pass reader returns the walk's config, or raises its error
+        try:
+            expected = SubnetConfig._from_json_walk(d)
+        except FieldError as exc:
+            with pytest.raises(FieldError) as raised:
+                SubnetConfig.from_json_dict(d)
+            assert str(raised.value) == str(exc)
+            return
+        config = SubnetConfig.from_json_dict(d)
+        assert config == expected and repr(config) == repr(expected)
+
     def test_config_schema(self, space):
         c = sample_uniform(space, 42)
         d = c.to_json_dict()

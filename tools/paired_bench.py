@@ -4,6 +4,7 @@ Usage, from the repository root::
 
     python3 tools/paired_bench.py PARENT_REF --workload search-loose --pairs 10 --seconds 10
     python3 tools/paired_bench.py PARENT_REF --workload search-tight --pairs 20 --setup-only
+    python3 tools/paired_bench.py PARENT_REF --workload pipeline --pairs 10 --seconds 25 --trace
 
 Exports ``PARENT_REF`` and the working tree (tracked and untracked files
 that ``.gitignore`` does not list, through a temporary index) with
@@ -21,12 +22,18 @@ scales it; ``setup_wall_s`` is its wall time.  A full run takes the median
 of five such set-ups instead, so pairs of single set-ups show a set-up
 change with less time per pair.
 
+With ``--trace`` each pair also runs ``perfbench/run.py ... --trace 1``
+once on each side, after its untraced runs and in the same order.  One
+traced run against another cannot show a layer's change, since per-layer
+figures are wall time, not scaled to the core speed; pairs of them can.
+
 The summary gives, per end-to-end metric, each side's median and quartiles
 (``statistics.quantiles(values, n=4)``) and the number of pairs the change
-won, ties counting for neither, in the direction ``BENCHMARK.json`` gives.
-Beside ``peak_rss_mb`` it prints each side's attempted operations, for
-every workload of a whole run, since that figure grows with the operations
-a run fits in: ``pipeline`` keeps each pass's artifacts and the search
+won, ties counting for neither, in the direction ``BENCHMARK.json`` gives;
+with ``--trace``, the same for the traced runs' ``LAYERS``.  Beside
+``peak_rss_mb`` it prints each side's attempted operations, for every
+workload of a whole run, since that figure grows with the operations a run
+fits in: ``pipeline`` keeps each pass's artifacts and the search
 workloads keep each search's result fingerprint, about 19 KB a
 search, so a faster side reads a higher peak.
 """
@@ -45,6 +52,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the per-layer figures a traced pair reports: the three CLI steps of a
+# ``pipeline`` pass and the sampler under them
+LAYERS = ("cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us")
 
 
 def export(tree: str, dest: Path) -> None:
@@ -68,11 +78,11 @@ def working_tree() -> str:
         ).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The last JSON line of one benchmark run, or ``{"error": ...}``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -100,7 +110,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], workload: str, better: dict) -> None:
+def summarize(runs: list[dict], workload: str, better: dict, names=None) -> None:
+    """Print the pairs of ``runs`` and, per metric, each side's median and
+    quartiles and the pairs the change won; ``names`` picks the metrics, all
+    of a run's by default."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -111,11 +124,12 @@ def summarize(runs: list[dict], workload: str, better: dict) -> None:
     print(f"{workload}: {len(complete)} complete pairs, {len(pairs) - len(complete)} with a failed run")
     if not complete:
         return
+    names = names or list(complete[0][1]["parent"]["metrics"])
     for p, sides in complete:
         cells = [
             f"{name} {sides['parent']['metrics'][name]['value']:.6g}/"
             f"{sides['change']['metrics'][name]['value']:.6g}"
-            for name in sides["parent"]["metrics"]
+            for name in names
         ]
         counts = ""
         if "attempted" in sides["parent"]:
@@ -123,8 +137,9 @@ def summarize(runs: list[dict], workload: str, better: dict) -> None:
             failures = "/".join(str(sides[side]["failed"]) for side in SIDES)
             counts = f"; attempted {attempted}, failed {failures}"
         print(f"  pair {p}: {', '.join(cells)}{counts}")
-    print(f"  {'metric':12s} {'side':6s} {'median':>12s} {'q1':>12s} {'q3':>12s}")
-    for name, unit in ((n, m["unit"]) for n, m in complete[0][1]["parent"]["metrics"].items()):
+    print(f"  {'metric':16s} {'side':6s} {'median':>12s} {'q1':>12s} {'q3':>12s}")
+    for name in names:
+        unit = complete[0][1]["parent"]["metrics"][name]["unit"]
         values = {
             side: [sides[side]["metrics"][name]["value"] for _, sides in complete] for side in SIDES
         }
@@ -134,11 +149,11 @@ def summarize(runs: list[dict], workload: str, better: dict) -> None:
             if name == "peak_rss_mb" and "attempted" in complete[0][1][side]:
                 attempted = [sides[side]["attempted"] for _, sides in complete]
                 extra = f"  attempted {attempted}"
-            print(f"  {name:12s} {side:6s} {median:12.6g} {q1:12.6g} {q3:12.6g} {unit}{extra}")
+            print(f"  {name:16s} {side:6s} {median:12.6g} {q1:12.6g} {q3:12.6g} {unit}{extra}")
         sign = -1 if better[name] == "lower" else 1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
-        print(f"  {name:12s} change better in {wins} of {len(complete)} pairs ({ties} ties)")
+        print(f"  {name:16s} change better in {wins} of {len(complete)} pairs ({ties} ties)")
 
 
 def main(argv=None) -> int:
@@ -149,16 +164,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, help="length of each run; not with --setup-only")
     ap.add_argument("--setup-only", action="store_true",
                     help="time one set-up-only worker per run instead of a whole run")
+    ap.add_argument("--trace", action="store_true",
+                    help=f"pair traced runs too and summarize {', '.join(LAYERS)}")
     ap.add_argument("--workdir", type=Path, help="a new directory for the exports and runs.jsonl")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     if (args.seconds is None) != args.setup_only:
         ap.error("give --seconds for whole runs, and not with --setup-only")
+    if args.trace and args.setup_only:
+        ap.error("--trace pairs whole runs; not with --setup-only")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="paired_bench-"))
     out = workdir / "runs.jsonl"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     better["setup_wall_s"] = "lower"
     parent = subprocess.run(
         ["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"], cwd=ROOT, check=True,
@@ -174,21 +193,24 @@ def main(argv=None) -> int:
     with open(out, "w") as fh:
         for pair in range(1, args.pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
-            for side in order:
+            for trace, side in [(t, side) for t in range(1 + args.trace) for side in order]:
                 if args.setup_only:
                     result = setup_once(runners[side], args.workload, pair)
                 else:
-                    result = run_once(checkouts[side], args.workload, pair, args.seconds)
+                    result = run_once(checkouts[side], args.workload, pair, args.seconds, trace)
                 run = {"workload": args.workload, "pair": pair, "seed": pair, "side": side,
-                       "first": order[0], "seconds": args.seconds,
+                       "first": order[0], "seconds": args.seconds, "trace": trace,
                        "setup_only": args.setup_only, "result": result}
                 runs.append(run)
                 fh.write(json.dumps(run) + "\n")
                 fh.flush()
-                shown = "setup_s" if args.setup_only else "op_cal"
+                shown = "setup_s" if args.setup_only else LAYERS[0] if trace else "op_cal"
                 value = result.get("metrics", {}).get(shown, {}).get("value")
                 print(f"pair {pair} {side}: {shown} {value or result.get('error')}", flush=True)
-    summarize(runs, args.workload, better)
+    summarize([run for run in runs if not run["trace"]], args.workload, better)
+    if args.trace:
+        traced = [run for run in runs if run["trace"]]
+        summarize(traced, f"{args.workload}, traced", better, LAYERS)
     return 0
 
 
