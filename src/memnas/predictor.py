@@ -10,10 +10,10 @@ with ``noise ~ N(0, SIGMA^2)`` derived deterministically from the noise seed
 and the configuration (pass ``noise_seed=None`` for the noiseless oracle).
 Growing any active gene strictly increases the noiseless score.
 
-numpy is imported only by the surrogate (``encode``, ``train`` and
-``PredictorModel.weight_array``) and ``hashlib`` only by the noisy oracle,
-each on first use, so a run that scores with the noiseless oracle loads
-neither.
+numpy is imported only by ``encode`` and ``train``, and ``hashlib`` only by
+the noisy oracle, each on first use: ``predict`` adds weights read from
+tables and needs no numpy, so a run that scores with the noiseless oracle or
+with a trained model loads neither.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain
+from operator import getitem
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
@@ -35,6 +34,7 @@ from .space import (
     SupernetSpace,
     _block_terms,
     _sample_with,
+    _SlotTable,
     config_peak_items,
     maximal_config,
     require_valid,
@@ -84,20 +84,6 @@ def _hot_positions(config: SubnetConfig, space: SupernetSpace) -> list[int]:
         hot += kernel_table[ks]
         hot += expand_table[es]
     return hot
-
-
-def _hot_indices(configs, space: SupernetSpace) -> tuple:
-    """``(rows, columns)``: the positions of the ones in
-    ``np.stack([encode(c, space) for c in configs])``, as two index arrays,
-    so that one assignment sets them all."""
-    import numpy as np
-
-    hot = [_hot_positions(config, space) for config in configs]
-    counts = [len(h) for h in hot]
-    return (
-        np.repeat(np.arange(len(hot)), counts),
-        np.fromiter(chain.from_iterable(hot), np.intp, sum(counts)),
-    )
 
 
 def _score_table(space: SupernetSpace) -> dict:
@@ -357,18 +343,6 @@ class PredictorModel:
             "rows": self.rows,
         }
 
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        """``weights`` as the read-only array that ``np.dot`` would build
-        from the tuple, made once per model, on the first ``predict``; not a
-        field, so equality, hash, repr and JSON are those of the fields, and
-        a model read from JSON imports no numpy until it is used."""
-        import numpy as np
-
-        array = np.array(self.weights)
-        array.flags.writeable = False
-        return array
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictorModel":
         weights = json_field(d, "weights", list)
@@ -391,7 +365,8 @@ def train(
     Solved as an augmented least-squares system (the one-hot blocks are
     collinear with the intercept, so plain normal equations would be
     singular); the minimum-norm solution is deterministic.  The system is
-    built in one array, with every row's ones set in one assignment.
+    built in one array, each row's features written in place from
+    ``encode``.
     """
     import numpy as np
 
@@ -401,7 +376,8 @@ def train(
     n, n_feat = len(dataset.rows), feature_length(space)
     # the augmented system [phi, 1; sqrt(l2) * I, 0], each block set in place
     design = np.zeros((n + n_feat if l2 > 0 else n, n_feat + 1))
-    design[_hot_indices([row.config for row in dataset.rows], space)] = 1.0
+    for i, row in enumerate(dataset.rows):
+        design[i, :n_feat] = encode(row.config, space)
     design[:n, n_feat] = 1.0
     if l2 == 0 and n > 1 and np.ptp(design[:n, :n_feat], axis=0).max() == 0:
         raise ValidationError(
@@ -422,16 +398,83 @@ def train(
     )
 
 
-def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
-    """``weights . encode(config) + intercept``: the dot product over the
-    whole one-hot vector with the model's cached ``weight_array``, so the
-    sum is the one ``np.dot`` of the weight tuple gives, bit for bit
-    (``ndarray.dot`` and ``np.dot`` make the same call)."""
-    vec = encode(config, space)
-    if len(model.weights) != len(vec):
-        raise ValidationError(
-            f"model has {len(model.weights)} weights but the space encodes "
-            f"{len(vec)} features"
-        )
-    return float(model.weight_array.dot(vec) + model.intercept)
+class _SlotSums(_SlotTable):
+    """Maps a whole slot tuple to the sum of the weights at the positions
+    that the ``_SlotTable`` it mirrors maps it to, added left to right
+    from ``0.0``; the same keys, kept under the same rule."""
 
+    def __init__(self, positions: _SlotTable, weights: tuple[float, ...]):
+        super().__init__(positions.slot_at, positions.store)
+        self.weights = weights
+
+    def __missing__(self, slots: tuple) -> float:
+        total = 0.0
+        for position in map(getitem, self.slot_at, slots):
+            total += self.weights[position]
+        if self.store:
+            self[slots] = total
+        return total
+
+
+def _weight_table(model: PredictorModel, space: SupernetSpace) -> tuple:
+    """``(resolution_weight, stages)``: ``model.weights`` laid out as
+    ``space.one_hot_positions``.  ``resolution_weight`` maps a resolution to
+    its weight, and ``stages`` holds per stage a map from a depth to its
+    weight and, per depth, a pair of ``_SlotSums`` for the kernel and the
+    expand slots.
+
+    Built on the first call for a space and kept on the model, beside the
+    ``one_hot_positions`` object it was laid out from, so that it is never
+    served for another space and holds no reference to the space; not a
+    field, so the model's equality, hash, repr and JSON are unchanged.  A
+    model whose weight count is not the space's feature length raises
+    ValidationError."""
+    positions = space.one_hot_positions
+    kept = model.__dict__.get("_weight_table")
+    if kept is not None and kept[0] is positions:
+        return kept[1]
+    resolution_at, stages, length = positions
+    if len(model.weights) != length:
+        raise ValidationError(
+            f"model has {len(model.weights)} weights but the space encodes {length} features"
+        )
+    weights = tuple(map(float, model.weights))
+    table = (
+        {r: weights[p] for r, p in resolution_at.items()},
+        tuple(
+            (
+                {d: weights[p] for d, p in depth_at.items()},
+                {
+                    d: (_SlotSums(kernel_table, weights), _SlotSums(expand_table, weights))
+                    for d, (kernel_table, expand_table) in slot_tables.items()
+                },
+            )
+            for depth_at, _, _, slot_tables in stages
+        ),
+    )
+    model.__dict__["_weight_table"] = (positions, table)
+    return table
+
+
+def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -> float:
+    """``weights . encode(config) + intercept``, added as plain floats in
+    one fixed order: the resolution's weight; then per stage, in order,
+    ``(depth weight + kernel sum) + expand sum``, where each slot sum adds
+    the weights of the stage's active slots left to right from ``0.0``;
+    then the intercept.  So a prediction has the same bits on every
+    machine, which ``np.dot``, adding in its BLAS kernel's order, does not
+    promise; the two differ by at most 1e-12 of the sum of the absolute
+    terms (property-tested).
+
+    The weights are read from the model's table for the space
+    (``_weight_table``), each slot sum by the whole slot tuple.  An invalid
+    config raises ValidationError before any table is read."""
+    require_valid(config, space)
+    resolution_weight, stages = _weight_table(model, space)
+    total = resolution_weight[config.resolution]
+    for (depth_weight, slot_sums), depth, ks, es in zip(
+        stages, config.stage_depths, config.kernels, config.expands
+    ):
+        kernel_sums, expand_sums = slot_sums[depth]
+        total += depth_weight[depth] + kernel_sums[ks] + expand_sums[es]
+    return total + model.intercept

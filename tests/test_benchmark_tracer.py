@@ -53,10 +53,11 @@ def test_traced_oracle_search_records_the_reference_layers():
 
 def test_traced_model_search_records_the_child_layers():
     """A traced search with a ridge model, as the benchmark's loose-cap
-    workload runs it, must record ``encode`` through ``predict`` and both
-    genome operators: ``predict`` calls ``encode`` by its module name.  The
-    dataset, built as the pipeline's ``sample`` step builds it, must record
-    its draws and peaks through ``memnas.predictor``."""
+    workload runs it, must record ``predict`` and both genome operators.
+    The set-up, a dataset built as the pipeline's ``sample`` step builds it
+    and the model trained on it, must record its draws and peaks through
+    ``memnas.predictor`` and ``encode`` through ``train``: ``train`` calls
+    ``encode`` by its module name, and ``predict`` no longer calls it."""
     from memnas import predictor
     from memnas.space import default_space
 
@@ -67,12 +68,14 @@ def test_traced_model_search_records_the_child_layers():
         dataset = predictor.balanced_sample(
             space, 40, 2, rng_seed=0, scorer=lambda c: predictor.synthetic_score(c, space)
         )
-    for layer in ("space.sample", "space.peak"):
-        assert tracer.stats(layer).calls, f"{layer} recorded no call in balanced_sample"
-    model = predictor.train(dataset, space, l2=1.0)
+        model = predictor.train(dataset, space, l2=1.0)
+    for layer in ("space.sample", "space.peak", "predictor.train", "predictor.encode"):
+        assert tracer.stats(layer).calls, f"{layer} recorded no call in the set-up"
+    encodes = tracer.stats("predictor.encode").calls
     scorer = lambda c: predictor.predict(model, c, space)
     params = searching.SearchParams(population=8, generations=2)
     with tracer:
         searching.search(space, searching.SearchConstraint(800_000), scorer, params)
-    for layer in ("predictor.encode", "predictor.predict", "space.mutate", "space.crossover"):
+    for layer in ("predictor.predict", "space.mutate", "space.crossover"):
         assert tracer.stats(layer).calls, f"{layer} recorded no call"
+    assert tracer.stats("predictor.encode").calls == encodes

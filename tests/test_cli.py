@@ -984,10 +984,16 @@ IMPORT_CASES = {
         ],
         ["numpy"],
     ),
+    # ``predict`` adds weights read from tables: no numpy
     "search-model": (
         [["search", "--model", "{model}", "--constraint", "400000", *SMALL_SEARCH,
           "--out", "{dir}/r.json"]],
-        ["numpy"],
+        [],
+    ),
+    "sweep-model": (
+        [["sweep", "--model", "{model}", "--constraints", "350000,400000", *SMALL_SEARCH,
+          "--out", "{dir}/c.csv"]],
+        [],
     ),
 }
 

@@ -1,12 +1,14 @@
 """Feature encoding, balanced datasets, the ridge surrogate, and the
 synthetic scoring oracle."""
 
+import gc
 import hashlib
 import io
 import json
 import math
 import random
 import re
+import weakref
 from dataclasses import replace
 from operator import getitem
 
@@ -25,7 +27,6 @@ from memnas.predictor import (
     Dataset,
     DatasetRow,
     PredictorModel,
-    _hot_indices,
     _hot_positions,
     balanced_sample,
     bucket_index,
@@ -151,10 +152,10 @@ class TestEncode:
 
 
 def reference_train(dataset, space, l2):
-    """Ridge least squares on the stacked ``encode`` vectors, with the
-    intercept column and the ridge block joined by ``np.hstack`` and
+    """Ridge least squares on the stacked ``reference_encode`` vectors, with
+    the intercept column and the ridge block joined by ``np.hstack`` and
     ``np.vstack``: the reference for ``train``'s system built in place."""
-    phi = np.stack([encode(row.config, space) for row in dataset.rows])
+    phi = np.stack([reference_encode(row.config, space) for row in dataset.rows])
     y = np.array([row.score for row in dataset.rows])
     n_feat = phi.shape[1]
     design = np.hstack([phi, np.ones((phi.shape[0], 1))])
@@ -168,24 +169,14 @@ def reference_train(dataset, space, l2):
 
 
 class TestHotIndices:
-    """``train``'s one-hot block, set in one assignment, against the stack
-    of per-row ``encode`` vectors it replaces."""
+    """``train``'s system, each row's features written in place from
+    ``encode``, against the one stacked from the reference encoding."""
 
     SPACES = {
         "default": {},
         "rational expands": dict(expand_options=(1.5, 2, 2.5)),
         "depth 1": dict(depth_options=(1,), kernel_options=(3, 5)),
     }
-
-    @pytest.mark.parametrize("name", sorted(SPACES))
-    def test_equals_the_stacked_encodings(self, space, name):
-        small = replace(space, **self.SPACES[name])
-        rng = random.Random(3)
-        configs = [_sample_with(small, rng) for _ in range(300)] + [maximal_config(small)]
-        stacked = np.stack([encode(c, small) for c in configs])
-        phi = np.zeros(stacked.shape)
-        phi[_hot_indices(configs, small)] = 1.0
-        assert phi.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     @pytest.mark.parametrize("l2", [0.0, 0.3, 1.0])
@@ -202,8 +193,6 @@ class TestHotIndices:
         bad = replace_gene(good, resolution=200)
         with pytest.raises(ValidationError) as expected:
             encode(bad, space)
-        with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
-            _hot_indices([good, bad], space)
         with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
             train(Dataset((DatasetRow(good, 0, 1.0), DatasetRow(bad, 0, 2.0)), ()), space, 1.0)
 
@@ -497,6 +486,65 @@ class TestTrain:
         assert rho >= 0.8
 
 
+def random_model(space, rng, integral):
+    """A model of ``space`` with weights drawn from ``rng``: integers in
+    [-9, 9] if ``integral``, else floats in [-1e3, 1e3]."""
+    draw = (lambda: rng.randint(-9, 9)) if integral else (lambda: rng.uniform(-1e3, 1e3))
+    weights = tuple(draw() for _ in range(feature_length(space)))
+    return PredictorModel(weights, rng.uniform(-5, 5), 1.0, 0, 1)
+
+
+def reference_predict(model, config, space):
+    """``predict``'s documented sum, from ``model.weights`` at the positions
+    of ``reference_hot_positions``: the resolution's weight; per stage
+    ``(depth weight + kernel sum) + expand sum``, each slot sum added left
+    to right from 0.0; then the intercept."""
+    hot = reference_hot_positions(config, space)
+    assert sorted(hot) == np.flatnonzero(encode(config, space)).tolist()
+    weights = [float(w) for w in model.weights]
+    total, at = weights[hot[0]], 1
+    for depth in config.stage_depths:
+        kernel_sum = expand_sum = 0.0
+        for p in hot[at + 1 : at + 1 + depth]:
+            kernel_sum += weights[p]
+        for p in hot[at + 1 + depth : at + 1 + 2 * depth]:
+            expand_sum += weights[p]
+        total += weights[hot[at]] + kernel_sum + expand_sum
+        at += 1 + 2 * depth
+    return total + model.intercept
+
+
+def assert_predicts_the_documented_sum(model, config, space):
+    """``predict`` equals ``reference_predict`` bit for bit, and ``np.dot``
+    over the one-hot vector within 1e-12 of the sum of the absolute terms."""
+    got = predict(model, config, space)
+    assert got.hex() == reference_predict(model, config, space).hex()
+    vec = encode(config, space)
+    dot = float(np.dot(np.array(model.weights), vec) + model.intercept)
+    scale = abs(model.intercept) + float(np.dot(np.abs(np.array(model.weights)), vec))
+    assert abs(got - dot) <= 1e-12 * scale
+
+
+def slot_sums(model, space):
+    """Each slot-sum table of the model's table for ``space``."""
+    for _, by_depth in predictor_module._weight_table(model, space)[1]:
+        for kernel_sums, expand_sums in by_depth.values():
+            yield kernel_sums
+            yield expand_sums
+
+
+#: spaces built on call: rational expands, and so many kernel and expand
+#: slot tuples (17 options each at max depth 4: 83,521) that
+#: ``_valid_genes`` holds none and no slot sum is stored
+ODD_SPACES = {
+    "rational expands": lambda: replace(default_space(), expand_options=(1.5, 2, 2.5)),
+    "no slot tuple stored": lambda: tiny_space(
+        depths=(1, 2, 3, 4), kernels=tuple(range(11, 45, 2)), expands=tuple(range(1, 18)),
+        stages=2,
+    ),
+}
+
+
 class TestPredict:
     def test_affine_superposition(self, space):
         ds = linear_rows(space, 200, seed=5)
@@ -535,19 +583,53 @@ class TestPredict:
             predict(clipped, maximal_config(space), space)
 
     @given(space=spaces(), seed=SEEDS, integral=st.booleans())
-    def test_equals_the_dot_of_the_weight_tuple(self, space, seed, integral):
-        # bit for bit: the cached array is the one np.dot builds from the tuple
+    def test_equals_the_documented_sum(self, space, seed, integral):
         rng = random.Random(seed)
-        draw = (lambda: rng.randint(-9, 9)) if integral else (lambda: rng.uniform(-1e3, 1e3))
-        model = PredictorModel(
-            tuple(draw() for _ in range(feature_length(space))), rng.uniform(-5, 5), 1.0, 0, 1
-        )
+        model = random_model(space, rng, integral)
         config = sample_uniform(space, seed)
-        expected = float(
-            np.dot(np.array(model.weights), reference_encode(config, space)) + model.intercept
-        )
-        for _ in range(2):  # the first call builds the cached array, the second reads it
-            assert predict(model, config, space).hex() == expected.hex()
+        for _ in range(2):  # the first call builds the model's table, the second reads it
+            assert_predicts_the_documented_sum(model, config, space)
+
+    @pytest.mark.parametrize("name", sorted(ODD_SPACES))
+    def test_equals_the_documented_sum_on_odd_spaces(self, name):
+        odd = ODD_SPACES[name]()
+        model = random_model(odd, random.Random(1), integral=False)
+        rng = random.Random(2)
+        for _ in range(300):
+            assert_predicts_the_documented_sum(model, _sample_with(odd, rng), odd)
+        stored = [len(t) for t in slot_sums(model, odd)]
+        assert all(stored) if name == "rational expands" else not any(stored)
+
+    def test_one_model_on_two_spaces_in_turn(self, space):
+        # the same feature length, laid out differently: a table kept for
+        # one space and served for the other gives other sums
+        a = replace(space, kernel_options=(3, 5), expand_options=(2, 3, 4))
+        b = replace(space, kernel_options=(3, 5, 7), expand_options=(2, 3))
+        both = replace(space, kernel_options=(3, 5), expand_options=(2, 3))
+        assert feature_length(a) == feature_length(b)
+        model = random_model(a, random.Random(3), integral=False)
+        rng = random.Random(4)
+        configs = [_sample_with(both, rng) for _ in range(50)]
+        for turn in (a, b, a, b):
+            for config in configs:
+                assert_predicts_the_documented_sum(model, config, turn)
+
+    def test_the_table_holds_no_reference_to_the_space(self, space):
+        fresh = replace(space)
+        model = random_model(fresh, random.Random(5), integral=False)
+        predict(model, maximal_config(fresh), fresh)
+        gone = weakref.ref(fresh)
+        del fresh
+        gc.collect()
+        assert gone() is None
+
+    def test_an_invalid_config_raises_before_the_table_is_built(self, space):
+        fresh = replace(space)
+        model = random_model(fresh, random.Random(6), integral=False)
+        bad = replace_gene(maximal_config(fresh), resolution=200)
+        with pytest.raises(ValidationError, match=re.escape("resolution: 200 not in")):
+            predict(model, bad, fresh)
+        assert "_weight_table" not in vars(model)
 
     def test_batch_predict_throughput(self, space):
         import time
@@ -634,9 +716,16 @@ class TestSyntheticScore:
         assert again == scores
 
 
+MODEL_SPACE = tiny_space(depths=(1, 2), kernels=(3, 5), expands=(2, 3))
+
+
 class TestModelJson:
     @given(
-        weights=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+        weights=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=feature_length(MODEL_SPACE),
+            max_size=feature_length(MODEL_SPACE),
+        ),
         intercept=st.floats(allow_nan=False, allow_infinity=False),
         l2=st.floats(0, 1e6),
         seed=st.integers(0, 2 ** 63 - 1),
@@ -645,10 +734,10 @@ class TestModelJson:
     def test_round_trip(self, weights, intercept, l2, seed, rows):
         model = PredictorModel(tuple(weights), intercept, l2, seed, rows)
         fresh = PredictorModel(tuple(weights), intercept, l2, seed, rows)
-        # the cached weight array is not a field: it leaves equality, hash,
-        # repr and JSON as they are
-        assert np.array_equal(model.weight_array, np.array(weights))
-        assert not model.weight_array.flags.writeable
+        # the table a prediction keeps on the model is not a field: it
+        # leaves equality, hash, repr and JSON as they are
+        predict(model, maximal_config(MODEL_SPACE), MODEL_SPACE)
+        assert "_weight_table" in vars(model)
         assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
         assert model.to_json_dict() == fresh.to_json_dict()
         text = json.dumps(model.to_json_dict())

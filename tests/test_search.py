@@ -19,7 +19,13 @@ from test_space import SEEDS, spaces, tiny_space
 from memnas.errors import InfeasibleError, ResolutionError, ValidationError
 from memnas.feasible import FeasibleSet, max_peak_items, min_peak_items
 from memnas.memory import profile_network
-from memnas.predictor import balanced_sample, synthetic_score
+from memnas.predictor import (
+    PredictorModel,
+    balanced_sample,
+    feature_length,
+    predict,
+    synthetic_score,
+)
 from memnas.search import (
     GenerationStats,
     SearchConstraint,
@@ -373,6 +379,20 @@ class TestScoreReuse:
         assert a == b
         assert result_digest(a) == (
             "5a7a11165aa9594f4e9b8c69b5a2479cd98e979a93c9c004f4da79c49b830267"
+        )
+
+    def test_default_model_search_at_800k_is_pinned(self, space):
+        # weights drawn, not trained: the bits ``lstsq`` gives depend on the
+        # BLAS, while ``predict``'s fixed-order sum gives the same on every
+        # machine
+        rng = random.Random(0)
+        weights = tuple(rng.uniform(-1, 1) for _ in range(feature_length(space)))
+        model = PredictorModel(weights, rng.uniform(-1, 1), 1.0, 0, 1)
+        scorer = lambda cfg: predict(model, cfg, space)
+        result = search(space, SearchConstraint(800_000), scorer, SearchParams(seed=0))
+        assert result.best_score == 22.76481547597961
+        assert result_digest(result) == (
+            "c86f70a7449098dedf8bc406fe3466415c67388e6a13b3e50968bc949c1527ea"
         )
 
     def test_reuse_keys_on_the_whole_config_inert_genes_included(self, monkeypatch):

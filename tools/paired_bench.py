@@ -53,8 +53,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # the per-layer figures a traced pair reports: the three CLI steps of a
-# ``pipeline`` pass and the sampler under them
-LAYERS = ("cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us")
+# ``pipeline`` pass, the sampler under them and the ridge surrogate's two
+# calls (a workload that does not reach a layer reads 0 for it)
+LAYERS = (
+    "cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us",
+    "predictor.predict.us", "predictor.encode.us",
+)
 
 
 def export(tree: str, dest: Path) -> None:
