@@ -140,7 +140,8 @@ def search(
     Each generation keeps the top ``parent_fraction`` by score, in rank
     order, and refills the rest with mutation (``mutation_fraction`` of the
     children) and gene-wise crossover, both drawing from the search's one
-    generator in child order.  Each child is proposed once and, unless it
+    generator in child order; a crossover takes one ``getrandbits`` call,
+    the words of one ``random()`` per gene.  Each child is proposed once and, unless it
     is known, checked once, by ``FeasibleSet.repair``: a child under the cap
     comes back as itself, with no draw, and one over it has the genes that
     break the cap redrawn from the configurations under it and the rest
@@ -150,7 +151,7 @@ def search(
     repair, is known to fit and is not checked again, and is replaced by
     that config's object: each distinct config of a generation is one
     object, so a crossover of two equal parents is one of a parent with
-    itself, which makes its draws and returns that parent.  At a cap of
+    itself, which makes that one call and returns that parent.  At a cap of
     ``max_peak_items(space)`` or more every config fits, and no child is
     checked.  No child's peak is walked: ``config_peak_items`` checks each
     initial draw and gives the answer's peak.  The initial population is

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import chain, product
-from operator import getitem, is_
+from operator import getitem, is_, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -624,64 +624,71 @@ def _resample(slots: tuple, options: tuple, prob: float, rnd, bits) -> tuple:
     return slots if new is slots else tuple(new)
 
 
-def _genome_shape(config: SubnetConfig) -> tuple:
-    return (
-        len(config.stage_depths),
-        tuple(map(len, config.kernels)),
-        tuple(map(len, config.expands)),
-    )
+def _genome_shape(c: SubnetConfig) -> tuple:
+    return len(c.stage_depths), tuple(map(len, c.kernels)), tuple(map(len, c.expands))
+
+
+_COINS = bytes(i >> 7 for i in range(256))  # a byte's top bit
+
+
+class _Selectors(dict):
+    """Maps the coins of a slot tuple, one 0/1 byte per slot, to the getter
+    of a crossover child's tuple from ``x + y``: slot ``i`` from ``y`` when
+    its coin is 1.  Built on the first lookup; one slot takes a slice, so
+    that the getter returns a tuple, not a gene."""
+
+    def __missing__(self, coins: bytes) -> itemgetter:
+        p = [i + len(coins) * c for i, c in enumerate(coins)]
+        self[coins] = get = itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1))
+        return get
+
+
+_SELECT = _Selectors()
 
 
 def crossover(a: SubnetConfig, b: SubnetConfig, rng: random.Random) -> SubnetConfig:
-    """Gene-wise uniform crossover, each gene's parent drawn from ``rng``
-    with one ``rng.random()``, in ``mutate``'s gene order; both parents must
-    share one genome shape: stage count and per-stage kernel and expand
-    slot counts, with as many depths as kernel and expand stages.
-
-    A parent crossed with itself (``a is b``) returns ``a``, the child every
-    draw would give, and takes the same generator words: the two 32-bit
-    words of each gene's ``random()``, all in one ``rng.getrandbits``.  A
-    kernel or expand slot tuple is passed through the same way, as ``a``'s
-    tuple object, when both parents hold it as one object or hold the same
-    gene objects in it.  The tests are identity, not equality: equal
+    """Gene-wise uniform crossover in ``mutate``'s gene order; both parents
+    must share one genome shape (stage count, per-stage kernel and expand
+    slot counts, as many depths as stages), or ValidationError is raised
+    before any draw.  The draws are one ``rng.getrandbits(64 * n)`` for
+    ``n`` genes, the words of one ``rng.random()`` per gene: gene ``g`` is
+    ``b``'s when its ``random()`` would be 0.5 or more, so when the top bit
+    of word ``2g`` is set.  Then ``a is b`` returns ``a``, the child every
+    draw would give, and a kernel or expand slot tuple is passed through as
+    ``a``'s object when both parents hold it as one object or hold the
+    same gene objects in it.  The tests are identity, not equality: equal
     parents or tuples may hold genes that serialize differently (``2`` and
     ``2.0``)."""
-    shape_a, shape_b = _genome_shape(a), _genome_shape(b)
-    if shape_a != shape_b:
+    n = len(a.stage_depths)
+    shape = [n, len(a.kernels), *map(len, a.kernels), *map(len, a.expands)]
+    if shape != [len(b.stage_depths), len(b.kernels), *map(len, b.kernels), *map(len, b.expands)]:
         raise ValidationError(
-            f"parents come from different spaces: genome shapes {shape_a} and {shape_b}"
+            f"parents come from different spaces: genome shapes {_genome_shape(a)} "
+            f"and {_genome_shape(b)}"
         )
-    n_depths, kernel_slots, expand_slots = shape_a
-    if not n_depths == len(kernel_slots) == len(expand_slots):
+    if not n == len(a.kernels) == len(a.expands):
         raise ValidationError(
-            f"parents have {n_depths} depths, {len(kernel_slots)} kernel "
-            f"and {len(expand_slots)} expand stages"
+            f"parents have {n} depths, {len(a.kernels)} kernel and {len(a.expands)} expand stages"
         )
-    bits = rng.getrandbits
+    genes = 1 + sum(shape) - n  # the resolution, then per stage a depth and its slots
+    words = rng.getrandbits(64 * genes)
     if a is b:
-        bits(64 * (1 + n_depths + sum(kernel_slots) + sum(expand_slots)))
         return a
-    rnd = rng.random
-    resolution = a.resolution if rnd() < 0.5 else b.resolution
+    coins = words.to_bytes(8 * genes, "little")[3::8].translate(_COINS)
+    select, i = _SELECT, 1
     depths, kernels, expands = [], [], []
     for da, db, ka, kb, ea, eb in zip(
         a.stage_depths, b.stage_depths, a.kernels, b.kernels, a.expands, b.expands
     ):
-        depths.append(da if rnd() < 0.5 else db)
-        kernels.append(_cross(ka, kb, rnd, bits))
-        expands.append(_cross(ea, eb, rnd, bits))
+        depths.append(db if coins[i] else da)
+        j = i + 1 + len(ka)
+        pass_k = ka is kb or (ka == kb and all(map(is_, ka, kb)))
+        kernels.append(ka if pass_k else select[coins[i + 1 : j]](ka + kb))
+        i = j + len(ea)
+        pass_e = ea is eb or (ea == eb and all(map(is_, ea, eb)))
+        expands.append(ea if pass_e else select[coins[j:i]](ea + eb))
+    resolution = b.resolution if coins[0] else a.resolution
     return SubnetConfig(resolution, tuple(depths), tuple(kernels), tuple(expands))
-
-
-def _cross(x: tuple, y: tuple, rnd, bits) -> tuple:
-    """One slot tuple of a crossover child, each gene from ``x`` or ``y`` as
-    ``crossover`` draws it; ``x`` itself, after the same generator words,
-    when each of its genes is the same object as ``y``'s, so that every
-    draw gives a tuple equal to ``x`` that holds ``x``'s genes."""
-    if x is y or all(map(is_, x, y)):
-        bits(64 * len(x))
-        return x
-    return tuple([p if rnd() < 0.5 else q for p, q in zip(x, y)])
 
 
 def resolve(

@@ -602,6 +602,127 @@ def test_crossover_of_equal_but_distinct_slot_tuples_follows_the_draws(space):
     assert len(kinds) == 4
 
 
+class ScriptedWords:
+    """A generator that hands out one list of 32-bit words as CPython's
+    ``random.Random`` hands out its own: ``getrandbits(k)`` fills ``k`` bits
+    a word at a time from the least significant end, keeping the high bits
+    of a short last word, and ``random()`` builds its float from the top 27
+    and 26 bits of two words.  ``used`` counts the words read."""
+
+    def __init__(self, words):
+        self.words, self.used = list(words), 0
+
+    def _word(self):
+        self.used += 1
+        return self.words[self.used - 1]
+
+    def getrandbits(self, k):
+        return sum(self._word() >> max(0, shift + 32 - k) << shift for shift in range(0, k, 32))
+
+    def random(self):
+        high, low = self._word() >> 5, self._word() >> 6
+        return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
+# a gene's two words: ``random()`` just below 0.5 keeps the first parent's
+# gene, exactly 0.5 takes the second's
+COIN_WORDS = ((0x7FFFFFFF, 0xFFFFFFFF), (0x80000000, 0))
+
+
+def test_scripted_words_draw_as_the_interpreter():
+    assert ScriptedWords(COIN_WORDS[0]).random() == 0.5 - 2 ** -53
+    assert ScriptedWords(COIN_WORDS[1]).random() == 0.5
+    for seed in range(5):
+        source, reference = random.Random(seed), random.Random(seed)
+        scripted = ScriptedWords(source.getrandbits(32) for _ in range(2000))
+        for k in (1, 31, 32, 33, 64, 100, 64 * 46):
+            assert scripted.random() == reference.random()
+            assert scripted.getrandbits(k) == reference.getrandbits(k)
+        assert scripted.getrandbits(32) == reference.getrandbits(32)  # in step
+
+
+def crossed_by_coins(a, b, coins):
+    """``crossover(a, b)`` and ``reference_crossover(a, b)`` on words that
+    make gene ``g`` the second parent's exactly when ``coins[g]`` is 1,
+    each after asserting that it read every word."""
+    words = [w for c in coins for w in COIN_WORDS[c]]
+    children = []
+    for cross in (crossover, reference_crossover):
+        rng = ScriptedWords(words)
+        children.append(cross(a, b, rng))
+        assert rng.used == len(words)
+    return children
+
+
+def test_crossover_reads_each_gene_from_its_coin(space):
+    # every mask of a 4-slot kernel tuple and of a 4-slot expand tuple
+    a, b = sample_uniform(space, 3), sample_uniform(space, 4)
+    ka, kb, ea, eb = (3, 5, 3, 5), (7, 7, 7, 7), (3, 4, 6, 3), (1, 2, 2, 1)
+    a = replace(a, kernels=(ka,) + a.kernels[1:], expands=a.expands[:-1] + (ea,))
+    b = replace(b, kernels=(kb,) + b.kernels[1:], expands=b.expands[:-1] + (eb,))
+    n_genes = 1 + space.num_stages * (1 + 2 * space.max_depth)
+    for mask in range(16):
+        bits = [mask >> i & 1 for i in range(4)]
+        coins = [random.Random(mask).getrandbits(1) for _ in range(n_genes)]
+        coins[2:6], coins[-4:] = bits, bits[::-1]
+        child, expected = crossed_by_coins(a, b, coins)
+        assert child == expected and child.canonical_json() == expected.canonical_json()
+        assert child.kernels[0] == tuple(y if c else x for c, x, y in zip(bits, ka, kb))
+        assert child.expands[-1] == tuple(y if c else x for c, x, y in zip(bits[::-1], ea, eb))
+
+
+def test_crossover_of_slot_lengths_outside_the_spaces(space):
+    # one slot, and five or more, where every gene of the two parents differs
+    def genome(offset):
+        genes = iter(range(offset, offset + 100))
+        return SubnetConfig(
+            next(genes),
+            tuple(next(genes) for _ in range(3)),
+            tuple(tuple(next(genes) for _ in range(n)) for n in (1, 5, 8)),
+            tuple(tuple(next(genes) for _ in range(n)) for n in (6, 1, 1)),
+        )
+
+    a, b = genome(0), genome(1000)
+    rng, singles = random.Random(0), set()
+    for _ in range(200):
+        coins = [rng.getrandbits(1) for _ in range(1 + 3 + 14 + 8)]
+        child, expected = crossed_by_coins(a, b, coins)
+        assert child == expected and child.canonical_json() == expected.canonical_json()
+        assert all(type(slots) is tuple for slots in child.kernels + child.expands)
+        singles.add((child.kernels[0], child.expands[1]))
+    assert singles == {
+        (k, e) for k in (a.kernels[0], b.kernels[0]) for e in (a.expands[1], b.expands[1])
+    }
+
+
+def test_a_shape_mismatch_draws_nothing(space):
+    def shape(c):
+        return len(c.stage_depths), tuple(map(len, c.kernels)), tuple(map(len, c.expands))
+
+    a = sample_uniform(space, 3)
+    stages = replace(
+        a, stage_depths=a.stage_depths[:2], kernels=a.kernels[:2], expands=a.expands[:3]
+    )
+    split = replace(stages, kernels=a.kernels[:3], expands=a.expands[:2])
+    for x, y in (
+        (a, corrupt(a, space, "short-slots", 2)),
+        (a, replace(a, expands=a.expands[:-1])),
+        (stages, split),  # the same lengths in all, split otherwise
+    ):
+        message = f"parents come from different spaces: genome shapes {shape(x)} and {shape(y)}"
+        for rng in (random.Random(0), ScriptedWords([])):
+            state = rng.getstate() if isinstance(rng, random.Random) else None
+            with pytest.raises(ValidationError) as caught:
+                crossover(x, y, rng)
+            assert str(caught.value) == message
+            assert (rng.getstate() == state) if state else rng.used == 0
+    for x in (stages, replace(a, stage_depths=a.stage_depths[:4])):
+        rng = ScriptedWords([])
+        with pytest.raises(ValidationError, match="depths, .* kernel and .* expand stages"):
+            crossover(x, x, rng)
+        assert rng.used == 0
+
+
 def test_canonical_text_is_built_once_and_never_stale(space):
     # each config keeps the text it built first; a replaced config, a copy
     # and a pickle round trip, made before or after that text was built,

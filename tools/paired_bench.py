@@ -53,11 +53,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # the per-layer figures a traced pair reports: the three CLI steps of a
-# ``pipeline`` pass, the sampler under them and the ridge surrogate's two
-# calls (a workload that does not reach a layer reads 0 for it)
+# ``pipeline`` pass, the sampler under them, the ridge surrogate's two
+# calls and the search's two genome operations (a workload that does not
+# reach a layer reads 0 for it)
 LAYERS = (
     "cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us",
-    "predictor.predict.us", "predictor.encode.us",
+    "predictor.predict.us", "predictor.encode.us", "space.crossover.us", "space.mutate.us",
 )
 
 
@@ -210,7 +211,8 @@ def main(argv=None) -> int:
                 fh.flush()
                 shown = "setup_s" if args.setup_only else LAYERS[0] if trace else "op_cal"
                 value = result.get("metrics", {}).get(shown, {}).get("value")
-                print(f"pair {pair} {side}: {shown} {value or result.get('error')}", flush=True)
+                shown_value = result.get("error") if value is None else value
+                print(f"pair {pair} {side}: {shown} {shown_value}", flush=True)
     summarize([run for run in runs if not run["trace"]], args.workload, better)
     if args.trace:
         traced = [run for run in runs if run["trace"]]
