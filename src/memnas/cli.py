@@ -23,6 +23,7 @@ import sys
 import tempfile
 import time
 from functools import cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -60,6 +61,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+
+#: bounds on the work one run may ask for: ``sample --n``, and ``search``
+#: and ``sweep`` ``--population`` and ``--generations``
+MAX_ROWS = 1_000_000
+MAX_SEARCH_SIZE = 100_000
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -147,6 +153,18 @@ def _int_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
+
+
+def _at_most(cap: int):
+    """argparse type for an integer of at most ``cap``; see ``MAX_ROWS``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+
+    return integer
 
 
 def cmd_profile(args) -> int:
@@ -364,13 +382,9 @@ def cmd_compare(args) -> int:
     )
     buf = io.StringIO()
     buf.write("index,label_a,total_items_a,label_b,total_items_b\n")
-    for i in range(max(len(profile_a.records), len(profile_b.records))):
-        ra = profile_a.records[i] if i < len(profile_a.records) else None
-        rb = profile_b.records[i] if i < len(profile_b.records) else None
-        buf.write(
-            f"{i},{ra.label if ra else ''},{ra.total_items if ra else ''},"
-            f"{rb.label if rb else ''},{rb.total_items if rb else ''}\n"
-        )
+    for i, pair in enumerate(zip_longest(profile_a.records, profile_b.records)):
+        cells = ",".join(f"{r.label},{r.total_items}" if r else "," for r in pair)
+        buf.write(f"{i},{cells}\n")
     _write_artifact(args, args.out, buf.getvalue())
     print(
         f"A: peak {profile_a.peak_items}, B: peak {profile_b.peak_items}; "
@@ -414,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sample", parents=[common], help="build a balanced dataset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_most(MAX_ROWS), required=True, help=f"rows, at most {MAX_ROWS}")
     p.add_argument("--buckets", type=int, default=10)
     p.add_argument("--no-noise", action="store_true", help="noiseless synthetic scores")
     p.add_argument("--out", required=True, help="dataset JSONL path")
@@ -431,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     search_common.add_argument("--model", help="predictor model JSON (default: synthetic)")
     search_common.add_argument("--no-noise", action="store_true")
     search_common.add_argument("--include-classifier", action="store_true")
-    search_common.add_argument("--population", type=int, default=100)
-    search_common.add_argument("--generations", type=int, default=50)
+    size, cap = _at_most(MAX_SEARCH_SIZE), f"at most {MAX_SEARCH_SIZE}"
+    search_common.add_argument("--population", type=size, default=100, help=cap)
+    search_common.add_argument("--generations", type=size, default=50, help=cap)
     search_common.add_argument("--parent-fraction", type=float, default=0.25)
     search_common.add_argument("--mutation-prob", type=float, default=0.1)
     search_common.add_argument("--mutation-fraction", type=float, default=0.5)

@@ -17,6 +17,8 @@ chained stem and blocks.  ``profile_network`` and ``flops_estimate`` take them
 as valid, so memory and FLOPs are counted for the same networks.  A space
 builds each of its block shapes once (``SupernetSpace.block_table``), and
 ``resolve`` shares them between skeletons, so a shape counts its FLOPs once.
+This module alone holds the execution model: other modules read a peak or a
+layer sum from ``profile_network`` or a shape's cached terms.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import ChainError, ResolutionError, ValidationError
@@ -40,6 +43,9 @@ PRECISION_BYTES = {
 
 #: classes of the classifier a skeleton may end with
 NUM_CLASSES = 1000
+
+#: the columns of a layer record in a profile's JSON and CSV
+RECORD_COLUMNS = ("index", "label", "input_items", "weight_items", "output_items", "total_items")
 
 
 def expanded_channels(c_in: int, expand: float) -> int:
@@ -57,8 +63,8 @@ class MBBlockShape:
 
     ``input_size`` is the side length of the (square) input feature map.
     Frozen and checked when built, so one shape may appear in many
-    skeletons, as those of a space's ``block_table`` do; ``flops`` is
-    counted on first use and kept.
+    skeletons, as those of a space's ``block_table`` do; ``flops``,
+    ``peak_items`` and ``layer_sum`` are counted on first use and kept.
     """
 
     c_in: int
@@ -96,6 +102,16 @@ class MBBlockShape:
         """``block_flops(self)``, counted on first use and kept on the
         instance.  Not a field: equality, hash and repr are the fields'."""
         return block_flops(self)
+
+    @cached_property
+    def peak_items(self) -> int:
+        """The block's peak term, the largest ``block_memory`` total."""
+        return max(m.total_items for m in block_memory(self))
+
+    @cached_property
+    def layer_sum(self) -> int:
+        """The sum of the block's ``block_memory`` totals."""
+        return sum(m.total_items for m in block_memory(self))
 
     @property
     def output_size(self) -> int:
@@ -261,18 +277,9 @@ class MemoryProfile:
         return statistics.pstdev([r.total_items for r in self.records])
 
     def to_json_dict(self) -> dict:
+        header, *rows = self.csv_rows()
         return {
-            "records": [
-                {
-                    "index": i,
-                    "label": r.label,
-                    "input_items": r.input_items,
-                    "weight_items": r.weight_items,
-                    "output_items": r.output_items,
-                    "total_items": r.total_items,
-                }
-                for i, r in enumerate(self.records)
-            ],
+            "records": [dict(zip(header, row)) for row in rows],
             "peak_items": self.peak_items,
             "peak_index": self.peak_index,
             "avg_items": self.avg_items,
@@ -281,36 +288,33 @@ class MemoryProfile:
         }
 
     def csv_rows(self) -> list[list]:
-        rows = [["index", "label", "input_items", "weight_items", "output_items", "total_items"]]
-        for i, r in enumerate(self.records):
-            rows.append(
-                [i, r.label, r.input_items, r.weight_items, r.output_items, r.total_items]
-            )
-        return rows
+        """``RECORD_COLUMNS``, then each record's index and fields."""
+        fields = attrgetter(*RECORD_COLUMNS[1:])
+        return [list(RECORD_COLUMNS)] + [[i, *fields(r)] for i, r in enumerate(self.records)]
 
     def write_csv(self, fh) -> None:
         csv.writer(fh).writerows(self.csv_rows())
 
 
-def _stem_memory(skeleton: NetworkSkeleton) -> LayerMemory:
-    r = skeleton.resolution
-    out = r // 2
+def stem_memory(resolution: int, stem_width: int) -> LayerMemory:
+    """The 3x3 stride-2 stem from 3 channels at ``resolution``."""
+    out = resolution // 2
     return LayerMemory(
         label="stem",
-        input_items=3 * r * r,
-        weight_items=3 * skeleton.stem_width * 9,
-        output_items=skeleton.stem_width * out * out,
+        input_items=3 * resolution * resolution,
+        weight_items=3 * stem_width * 9,
+        output_items=stem_width * out * out,
     )
 
 
-def _head_memory(skeleton: NetworkSkeleton) -> LayerMemory:
-    last = skeleton.blocks[-1]
+def head_memory(last: MBBlockShape, head_width: int) -> LayerMemory:
+    """The pointwise head on the output of ``last``, the last block."""
     o = last.output_size
     return LayerMemory(
         label="head",
         input_items=last.c_out * o * o,
-        weight_items=last.c_out * skeleton.head_width,
-        output_items=skeleton.head_width * o * o,
+        weight_items=last.c_out * head_width,
+        output_items=head_width * o * o,
     )
 
 
@@ -331,13 +335,13 @@ def profile_network(skeleton: NetworkSkeleton) -> MemoryProfile:
     when the skeleton includes a classifier; by convention constrained
     comparisons leave it out.
     """
-    records = [_stem_memory(skeleton)]
+    records = [stem_memory(skeleton.resolution, skeleton.stem_width)]
     labels = skeleton.block_labels or tuple(
         f"block{i + 1}" for i in range(len(skeleton.blocks))
     )
     for shape, label in zip(skeleton.blocks, labels):
         records.extend(block_memory(shape, prefix=label))
-    records.append(_head_memory(skeleton))
+    records.append(head_memory(skeleton.blocks[-1], skeleton.head_width))
     if skeleton.include_classifier:
         records.append(classifier_memory(skeleton.head_width, skeleton.num_classes))
     return MemoryProfile.from_records(

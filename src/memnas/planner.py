@@ -25,6 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
@@ -233,7 +234,7 @@ def stage_blocks(
 
 def stage_peak(blocks: Sequence[MBBlockShape]) -> int:
     """Peak item count over every layer of the given blocks."""
-    return max(rec.total_items for b in blocks for rec in block_memory(b))
+    return max(b.peak_items for b in blocks)
 
 
 def numeric_balance(
@@ -293,10 +294,6 @@ def _seed_stage(ref: ReferenceConfig, stem_width: int) -> list[MBBlockShape]:
     return stage_shapes(stem_width, stem_width, ref.resolution // 2, False, genes)
 
 
-def _peak_block(blocks: Sequence[MBBlockShape]) -> MBBlockShape:
-    return max(blocks, key=lambda b: max(r.total_items for r in block_memory(b)))
-
-
 def plan_schedule(
     ref: ReferenceConfig,
     stem_width: int = 8,
@@ -324,7 +321,7 @@ def plan_schedule(
             if mode == "numeric":
                 raw: float = numeric_balance(current, template)
             else:
-                dom = dominant_layer(_peak_block(current))
+                dom = dominant_layer(max(current, key=attrgetter("peak_items")))
                 raw = select_cout(
                     prev_width, template.input_size, ref.kernel, ref.expand, dom
                 )

@@ -23,11 +23,11 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
-from .memory import MBBlockShape, block_memory, flops_estimate, profile_network
+from .memory import flops_estimate, profile_network
 from .feasible import PeakBand, max_peak_items, min_peak_items
 from .space import (
     SubnetConfig,
@@ -91,38 +91,21 @@ def _score_table(space: SupernetSpace) -> dict:
     ``(layer_sum, flops, peak, stages)``; cached as ``space.score_table``.
 
     ``layer_sum`` is the stem total plus the head total, ``flops`` the FLOPs
-    outside the blocks and ``peak`` the larger of the stem and head totals;
-    ``stages`` holds per stage ``(first, inner)``, where ``first[k][e]`` and
-    ``inner[k][e]`` are the layer-total sum, the FLOPs and the peak term of
-    the transition block and of a later block with kernel ``k`` and expand
-    ``e``.  The stem and head terms come from profiling and counting a
-    resolved maximal configuration, and the block terms from the shapes of
-    ``block_table`` that ``resolve`` reads, so a network's sums are those of
-    ``profile_network`` and ``flops_estimate``; the peak terms are
-    ``peak_table``'s own.
+    outside the blocks and ``peak`` is ``peak_table``'s base; ``stages`` holds
+    per stage ``(first, inner)``, where ``first[k][e]`` and ``inner[k][e]``
+    are the ``(layer_sum, flops, peak_items)`` of the ``block_table`` shapes
+    of the transition block and of a later block with kernel ``k`` and
+    expand ``e``.  The stem and head terms come from profiling and counting
+    a resolved maximal configuration, so a network's sums are those of
+    ``profile_network`` and ``flops_estimate``.
     """
-
-    def sums(shape: MBBlockShape) -> tuple[int, int]:
-        return sum(m.total_items for m in block_memory(shape)), shape.flops
-
-    def with_peaks(terms: dict, peaks: dict) -> dict:
-        return {
-            k: {e: (*sf, peaks[k][e]) for e, sf in by_expand.items()}
-            for k, by_expand in terms.items()
-        }
-
     widest = maximal_config(space)
     table = {}
-    for r, (peak, _, peak_stages) in space.peak_table.items():
+    for r, (peak, _, _) in space.peak_table.items():
         skeleton = resolve(replace(widest, resolution=r), space)
         records = profile_network(skeleton).records
         flops = flops_estimate(skeleton) - sum(b.flops for b in skeleton.blocks)
-        stages = tuple(
-            (with_peaks(first, peak_first), with_peaks(inner, peak_inner))
-            for (first, inner), (peak_first, peak_inner) in zip(
-                _block_terms(space.block_table[r], sums), peak_stages
-            )
-        )
+        stages = _block_terms(space.block_table[r], attrgetter("layer_sum", "flops", "peak_items"))
         table[r] = (records[0].total_items + records[-1].total_items, flops, peak, stages)
     return table
 

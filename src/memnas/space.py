@@ -15,10 +15,10 @@ with.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, product
-from operator import getitem, is_, itemgetter
+from operator import attrgetter, getitem, is_, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -32,10 +32,10 @@ from .memory import (
     NUM_CLASSES,
     MBBlockShape,
     NetworkSkeleton,
-    block_memory,
     classifier_memory,
     expanded_channels,
-    profile_network,
+    head_memory,
+    stem_memory,
 )
 from .planner import (
     MAX_EXTENT,
@@ -141,7 +141,7 @@ class SupernetSpace:
     @cached_property
     def peak_table(self) -> dict:
         """Per-block peak terms of every listed resolution, built on first
-        use; see ``config_peak_items``."""
+        use from shapes and records alone; see ``_build_peak_table``."""
         return _build_peak_table(self)
 
     @cached_property
@@ -774,22 +774,19 @@ def _build_peak_table(space: SupernetSpace) -> dict:
     ``base`` is the larger of the stem and head totals, which depend only on
     the resolution; ``tails[depth]`` is the range of slots after the first
     that a depth makes active; ``stages`` holds per stage ``(first, inner)``,
-    where ``first[k][e]`` and ``inner[k][e]`` are the largest layer total of
-    the transition block and of a later block with kernel ``k`` and expand
-    ``e``.  The stem and head totals come from profiling a resolved maximal
-    configuration and every block term from ``block_memory`` on a shape of
-    ``block_table``, so they are those of ``profile_network``.
+    where ``first[k][e]`` and ``inner[k][e]`` are the ``peak_items`` of the
+    shapes of the transition block and of a later block with kernel ``k``
+    and expand ``e``.  The stem and head totals are memory's stem and head
+    records, the head on the last stage's transition shape, whose width and
+    output size every last block shares: all are ``profile_network``'s.
     """
-
     tails = {d: range(1, d) for d in space.depth_options}
-    widest = maximal_config(space)
+    k, e = space.kernel_options[0], space.expand_options[0]
     table = {}
-    for r in space.resolution_options:
-        records = profile_network(resolve(replace(widest, resolution=r), space)).records
-        stages = _block_terms(
-            space.block_table[r], lambda b: max(m.total_items for m in block_memory(b))
-        )
-        table[r] = (max(records[0].total_items, records[-1].total_items), tails, stages)
+    for r, stages in space.block_table.items():
+        stem = stem_memory(r, space.schedule.stem_width).total_items
+        head = head_memory(stages[-1][0][k][e], space.schedule.head_width).total_items
+        table[r] = (max(stem, head), tails, _block_terms(stages, attrgetter("peak_items")))
     return table
 
 
@@ -798,7 +795,7 @@ def config_peak_items(
 ) -> int:
     """Peak items of a configuration, read from the space's table of
     per-block terms (``SupernetSpace.peak_table``), which is built once from
-    ``block_memory`` and the stem and head records.
+    the block shapes' peak terms and the stem and head records.
 
     The network peak is the maximum of the stem, the head and one term per
     active block, and a block term depends only on the resolution, the

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import memnas
-from memnas.cli import _spearman, build_parser, main
+from memnas.cli import MAX_ROWS, MAX_SEARCH_SIZE, _spearman, build_parser, main
 from memnas.planner import MAX_EXTENT, ChannelSchedule, REFERENCE_WIDTHS
 from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
@@ -1038,12 +1038,12 @@ FLAG_RANGES = {
     "--kernel": lambda x: 1 <= x <= MAX_EXTENT and x % 2 == 1,
     "--expand": lambda x: 0 < x <= MAX_EXTENT,
     "--resolution": lambda x: 2 ** 6 <= x <= MAX_EXTENT,
-    "--n": lambda x: x >= 1,
+    "--n": lambda x: 1 <= x <= MAX_ROWS,
     "--buckets": lambda x: 1 <= x <= 20,
     "--l2": lambda x: 0 <= x < math.inf,
     "--holdout": lambda x: 0 <= x < 1,
-    "--population": lambda x: x >= 2,
-    "--generations": lambda x: x >= 1,
+    "--population": lambda x: 2 <= x <= MAX_SEARCH_SIZE,
+    "--generations": lambda x: 1 <= x <= MAX_SEARCH_SIZE,
     "--parent-fraction": lambda x: 0 < x < 1,
     "--mutation-prob": lambda x: 0 < x < 1,
     "--mutation-fraction": lambda x: 0 < x < 1,
@@ -1120,6 +1120,8 @@ class TestFuzzedFlags:
     @example(text="nan")
     @example(text="inf")
     @example(text="-inf")
+    @example(text=str(MAX_ROWS + 1))
+    @example(text=str(MAX_SEARCH_SIZE + 1))
     @given(text=HOSTILE_NUMBERS)
     def test_value_outside_the_range_exits_2(self, flag_inputs, command, flag, text):
         if accepts(flag, numeric_flags()[command, flag], text):
@@ -1138,6 +1140,26 @@ class TestFuzzedFlags:
         assert code == 2
         assert "error: " in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("command, flag, cap", [
+        ("sample", "--n", MAX_ROWS),
+        *[(command, flag, MAX_SEARCH_SIZE)
+          for command in ("search", "sweep") for flag in ("--population", "--generations")],
+    ])
+    def test_a_size_flag_takes_its_cap_and_no_more(self, command, flag, cap, capsys):
+        # parsed only: nothing runs at this size
+        argv = [arg.format(dir="out", input="in") for arg in FLAG_RUNS[command]]
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        args = build_parser().parse_args([command, *argv, flag, str(cap)])
+        assert getattr(args, flag[2:]) == cap
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *argv, flag, str(cap + 1)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at most {cap}, got {cap + 1}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert f"at most {cap}" in capsys.readouterr().out
 
 
 def paired_lists(elements):

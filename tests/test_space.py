@@ -23,6 +23,7 @@ from memnas.memory import (
     MBBlockShape,
     NetworkSkeleton,
     block_flops,
+    block_memory,
     flops_estimate,
     profile_network,
 )
@@ -963,6 +964,26 @@ class TestBlockTable:
                 assert (hash(twin), repr(twin)) == (hash(fresh), repr(fresh))
             assert "flops" not in vars(replace(shape))
             assert copy.flops == fresh.flops
+
+    @given(space=spaces())
+    def test_tables_read_the_memory_terms_of_block_memory(self, space):
+        # memory.py alone reduces layer records: each shape keeps the peak
+        # and the sum of its block_memory totals, and the peak table reads
+        # them, and memory's stem and head records, without profiling
+        for shape in table_shapes(space):
+            totals = [m.total_items for m in block_memory(shape)]
+            assert (shape.peak_items, shape.layer_sum) == (max(totals), sum(totals))
+            assert {"peak_items", "layer_sum"} <= set(vars(shape))
+        widest = maximal_config(space)
+        for r, (base, _, stages) in space.peak_table.items():
+            records = profile_network(resolve(replace(widest, resolution=r), space)).records
+            assert base == max(records[0].total_items, records[-1].total_items)
+            for (first, inner, _), peaks in zip(space.block_table[r], stages, strict=True):
+                for shapes, terms in zip((first, inner), peaks, strict=True):
+                    assert terms == {
+                        k: {e: b.peak_items for e, b in by_expand.items()}
+                        for k, by_expand in shapes.items()
+                    }
 
     def test_equal_blocks_share_one_shape(self, space):
         # the maximal config's later blocks in a stage are all one object

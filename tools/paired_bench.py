@@ -13,7 +13,9 @@ that ``.gitignore`` does not list, through a temporary index) with
 Pair ``i`` runs the parent first when ``i`` is odd and the change first
 when it is even.  Every run's last JSON line is written, with its pair,
 seed and side, to ``runs.jsonl`` in the work directory (``--workdir``, by
-default a new temporary directory).
+default a new temporary directory).  It first prints the net line count of
+``src/`` in the working tree against ``PARENT_REF`` (lines added less lines
+deleted, from ``git diff --numstat``).
 
 With ``--setup-only`` each run is one set-up-only worker, started through
 the export's own ``perfbench/run.py`` (``_worker(..., setup_only=True)``),
@@ -81,6 +83,17 @@ def working_tree() -> str:
             ["git", "write-tree"], cwd=ROOT, env=env, check=True,
             stdout=subprocess.PIPE, text=True,
         ).stdout.strip()
+
+
+def net_lines(numstat: str) -> int:
+    """Lines added less lines deleted over the output of ``git diff
+    --numstat``; a binary file, shown with ``-`` counts, adds none."""
+    net = 0
+    for line in numstat.splitlines():
+        added, deleted, _ = line.split("\t", 2)
+        if added != "-":
+            net += int(added) - int(deleted)
+    return net
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -189,11 +202,17 @@ def main(argv=None) -> int:
         stdout=subprocess.PIPE, text=True,
     ).stdout.strip()
     checkouts = {"parent": workdir / "parent", "change": workdir / "change"}
+    tree = working_tree()
     export(parent, checkouts["parent"])
-    export(working_tree(), checkouts["change"])
+    export(tree, checkouts["change"])
+    numstat = subprocess.run(
+        ["git", "diff", "--numstat", parent, tree, "--", "src"], cwd=ROOT, check=True,
+        stdout=subprocess.PIPE, text=True,
+    ).stdout
     runners = {side: runpy.run_path(str(path / "perfbench" / "run.py"))
                for side, path in checkouts.items()}
-    print(f"parent {parent}; exports in {workdir}, raw lines in {out}", flush=True)
+    print(f"parent {parent}; exports in {workdir}, raw lines in {out}")
+    print(f"src/ net lines against the parent: {net_lines(numstat):+d}", flush=True)
     runs = []
     with open(out, "w") as fh:
         for pair in range(1, args.pairs + 1):
