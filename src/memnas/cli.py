@@ -62,9 +62,10 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-#: bounds on the work one run may ask for: ``sample --n``, and ``search``
-#: and ``sweep`` ``--population`` and ``--generations``
+#: bounds on the work one run may ask for: ``sample --n`` and ``--buckets``,
+#: and ``search`` and ``sweep`` ``--population`` and ``--generations``
 MAX_ROWS = 1_000_000
+MAX_BUCKETS = 1_000
 MAX_SEARCH_SIZE = 100_000
 
 
@@ -429,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common], help="build a balanced dataset")
     p.add_argument("--n", type=_at_most(MAX_ROWS), required=True, help=f"rows, at most {MAX_ROWS}")
-    p.add_argument("--buckets", type=int, default=10)
+    p.add_argument("--buckets", type=_at_most(MAX_BUCKETS), default=10,
+                   help=f"peak-memory buckets, at most {MAX_BUCKETS}")
     p.add_argument("--no-noise", action="store_true", help="noiseless synthetic scores")
     p.add_argument("--out", required=True, help="dataset JSONL path")
     p.set_defaults(func=cmd_sample)

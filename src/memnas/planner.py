@@ -28,7 +28,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import InfeasibleError, ValidationError, json_field, require_number
+from .errors import FieldError, InfeasibleError, ValidationError, json_field, require_number
 from .memory import MBBlockShape, block_memory
 
 #: channel widths of the original memory-constant supernet configuration,
@@ -36,6 +36,7 @@ from .memory import MBBlockShape, block_memory
 REFERENCE_WIDTHS = (8, 24, 96, 288, 360, 384, 392, 392)
 
 NUM_STAGES = 5
+MODES = ("numeric", "closed-form")
 
 #: the widest channel count the numeric planner balances to, and the bound on
 #: every width of a schedule and every kernel, expand and resolution of a
@@ -78,6 +79,8 @@ class ChannelSchedule:
     mode: str = "numeric"
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise FieldError(f"mode: expected one of {list(MODES)}, got {self.mode!r}")
         require_number("divisor", self.divisor, int, "positive")
         if not self.stage_widths:
             raise ValidationError("stage_widths is empty")
@@ -303,7 +306,7 @@ def plan_schedule(
     """Walk the five stage transitions from ``stem_width`` and one further
     head transition, choosing each width by the selected mode and flooring it
     to a multiple of ``divisor``."""
-    if mode not in ("numeric", "closed-form"):
+    if mode not in MODES:
         raise ValidationError(f"mode must be 'numeric' or 'closed-form', got {mode!r}")
     require_number("divisor", divisor, int, "positive")
     if stem_width < 1 or stem_width % divisor != 0:

@@ -23,7 +23,9 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import attrgetter, getitem
+from functools import reduce
+from itertools import count
+from operator import add, attrgetter, getitem
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError, ValidationError, json_field, require_number
@@ -34,7 +36,6 @@ from .space import (
     SupernetSpace,
     _block_terms,
     _sample_with,
-    _SlotTable,
     config_peak_items,
     maximal_config,
     require_valid,
@@ -54,9 +55,9 @@ def feature_length(space: SupernetSpace) -> int:
 
 
 def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
-    """One-hot feature vector: resolution block, then per stage a depth
-    block followed by per-slot kernel and expand blocks.  Slots beyond the
-    active depth encode as all-zero blocks, so inert genes never show.
+    """One-hot feature vector in ``_layout``'s order: resolution block, then
+    per stage a depth block followed by per-slot kernel and expand blocks.
+    Slots beyond the active depth encode as all-zero blocks.
 
     The ones are set at ``_hot_positions`` with one ``ndarray.put``.  numpy
     is imported here, not with the module (see its docstring)."""
@@ -69,7 +70,7 @@ def encode(config: SubnetConfig, space: SupernetSpace) -> np.ndarray:
 
 def _hot_positions(config: SubnetConfig, space: SupernetSpace) -> list[int]:
     """The positions of the ones in ``encode(config, space)``, read from the
-    space's tables (``SupernetSpace.one_hot_positions``): the resolution's,
+    space's ``_layout`` of positions (``one_hot_positions``): the resolution's,
     then per stage the depth's and one entry each of the stage's kernel and
     expand slot tables at that depth, keyed by the whole slot tuple.  An
     invalid config raises ValidationError before any table is read."""
@@ -366,7 +367,8 @@ def train(
         raise ValidationError(
             "all rows encode identically and l2 is zero; the problem is singular"
         )
-    y = np.array([row.score for row in dataset.rows])
+    # an integer score of 2**64 or more would make an object array
+    y = np.array([float(row.score) for row in dataset.rows])
     if l2 > 0:
         diagonal = np.arange(n_feat)
         design[n + diagonal, diagonal] = math.sqrt(l2)
@@ -381,30 +383,67 @@ def train(
     )
 
 
-class _SlotSums(_SlotTable):
-    """Maps a whole slot tuple to the sum of the weights at the positions
-    that the ``_SlotTable`` it mirrors maps it to, added left to right
-    from ``0.0``; the same keys, kept under the same rule."""
+def _layout(space: SupernetSpace, value, combine) -> tuple:
+    """``(resolution_at, stages, length)``: the one-hot feature layout of
+    ``space``, with ``value(position)`` in place of each position, for
+    ``encode``'s positions and ``predict``'s weights alike.
 
-    def __init__(self, positions: _SlotTable, weights: tuple[float, ...]):
-        super().__init__(positions.slot_at, positions.store)
-        self.weights = weights
+    ``resolution_at`` maps each resolution option to its value; ``stages``
+    holds per stage ``(depth_at, kernel_at, expand_at, slot_tables)``: a map
+    for the depth block, one map per slot for the kernel and the expand
+    blocks, and per depth ``d`` a pair of ``_SlotTable``s for the kernel and
+    the expand slots.  ``length`` is the feature vector's length."""
+    positions = count()
 
-    def __missing__(self, slots: tuple) -> float:
-        total = 0.0
-        for position in map(getitem, self.slot_at, slots):
-            total += self.weights[position]
+    def block(options) -> dict:
+        return {v: value(next(positions)) for v in options}
+
+    _, _, kernel_tuples, expand_tuples = space._valid_genes
+    kernels, expands = space.kernel_options, space.expand_options
+    resolution_at = block(space.resolution_options)
+    stages = []
+    for _ in range(space.num_stages):
+        depth_at = block(space.depth_options)
+        slots = [(block(kernels), block(expands)) for _ in range(space.max_depth)]
+        kernel_at, expand_at = zip(*slots)
+        slot_tables = {
+            d: (
+                _SlotTable(kernel_at[:d], combine, bool(kernel_tuples)),
+                _SlotTable(expand_at[:d], combine, bool(expand_tuples)),
+            )
+            for d in space.depth_options
+        }
+        stages.append((depth_at, kernel_at, expand_at, slot_tables))
+    return resolution_at, tuple(stages), next(positions)
+
+
+class _SlotTable(dict):
+    """Maps a whole slot tuple to ``combine`` of the values of its first
+    ``len(slot_at)`` slots, one map of ``slot_at`` per slot.  It fills as
+    tuples are looked up, up to ``|options|**max_depth`` entries, unless
+    ``store`` is false: ``_valid_genes`` holds no tuple of its kind."""
+
+    def __init__(self, slot_at: tuple[dict, ...], combine, store: bool):
+        super().__init__()
+        self.slot_at, self.combine, self.store = slot_at, combine, store
+
+    def __missing__(self, slots: tuple):
+        combined = self.combine(map(getitem, self.slot_at, slots))
         if self.store:
-            self[slots] = total
-        return total
+            self[slots] = combined
+        return combined
+
+
+def left_sum(values) -> float:
+    """``values`` added left to right from ``0.0``; the built-in ``sum``
+    compensates on Python 3.12 and later, which changes the bits."""
+    return reduce(add, values, 0.0)
 
 
 def _weight_table(model: PredictorModel, space: SupernetSpace) -> tuple:
-    """``(resolution_weight, stages)``: ``model.weights`` laid out as
-    ``space.one_hot_positions``.  ``resolution_weight`` maps a resolution to
-    its weight, and ``stages`` holds per stage a map from a depth to its
-    weight and, per depth, a pair of ``_SlotSums`` for the kernel and the
-    expand slots.
+    """``model.weights`` laid out as ``space.one_hot_positions``, by
+    ``_layout``: each position's weight in its place, and each slot table
+    mapping a slot tuple to the ``left_sum`` of its slots' weights.
 
     Built on the first call for a space and kept on the model, beside the
     ``one_hot_positions`` object it was laid out from, so that it is never
@@ -416,25 +455,12 @@ def _weight_table(model: PredictorModel, space: SupernetSpace) -> tuple:
     kept = model.__dict__.get("_weight_table")
     if kept is not None and kept[0] is positions:
         return kept[1]
-    resolution_at, stages, length = positions
+    length = positions[2]
     if len(model.weights) != length:
         raise ValidationError(
             f"model has {len(model.weights)} weights but the space encodes {length} features"
         )
-    weights = tuple(map(float, model.weights))
-    table = (
-        {r: weights[p] for r, p in resolution_at.items()},
-        tuple(
-            (
-                {d: weights[p] for d, p in depth_at.items()},
-                {
-                    d: (_SlotSums(kernel_table, weights), _SlotSums(expand_table, weights))
-                    for d, (kernel_table, expand_table) in slot_tables.items()
-                },
-            )
-            for depth_at, _, _, slot_tables in stages
-        ),
-    )
+    table = _layout(space, tuple(map(float, model.weights)).__getitem__, left_sum)
     model.__dict__["_weight_table"] = (positions, table)
     return table
 
@@ -449,13 +475,13 @@ def predict(model: PredictorModel, config: SubnetConfig, space: SupernetSpace) -
     promise; the two differ by at most 1e-12 of the sum of the absolute
     terms (property-tested).
 
-    The weights are read from the model's table for the space
+    The weights are read from the model's ``_layout`` of them for the space
     (``_weight_table``), each slot sum by the whole slot tuple.  An invalid
     config raises ValidationError before any table is read."""
     require_valid(config, space)
-    resolution_weight, stages = _weight_table(model, space)
+    resolution_weight, stages, _ = _weight_table(model, space)
     total = resolution_weight[config.resolution]
-    for (depth_weight, slot_sums), depth, ks, es in zip(
+    for (depth_weight, _, _, slot_sums), depth, ks, es in zip(
         stages, config.stage_depths, config.kernels, config.expands
     ):
         kernel_sums, expand_sums = slot_sums[depth]

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain, product
-from operator import attrgetter, getitem, is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -167,43 +167,10 @@ class SupernetSpace:
 
     @cached_property
     def one_hot_positions(self) -> tuple:
-        """``(resolution_at, stages, length)`` for ``predictor.encode``,
-        built on first use.
+        """``predictor._layout`` of the positions ``encode`` sets."""
+        from .predictor import _layout
 
-        ``resolution_at`` maps each resolution option to its position in the
-        feature vector; ``stages`` holds per stage ``(depth_at, kernel_at,
-        expand_at, slot_tables)``: a map for the depth block, one map per
-        slot for the kernel and the expand blocks, and per depth ``d`` a pair
-        of ``_SlotTable``s that map a whole kernel and a whole expand slot
-        tuple to the positions its first ``d`` slots set.  The slot tables
-        fill as tuples are looked up, each up to ``|options|**max_depth``
-        entries; a kind whose slot-tuple set ``_valid_genes`` leaves empty
-        (too many tuples) stores none.  ``length`` is the vector's length."""
-        end = 0
-
-        def block(options) -> dict:
-            nonlocal end
-            start, end = end, end + len(options)
-            return {v: start + i for i, v in enumerate(options)}
-
-        _, _, kernel_tuples, expand_tuples = self._valid_genes
-        resolution_at = block(self.resolution_options)
-        stages = []
-        for _ in range(self.num_stages):
-            depth_at = block(self.depth_options)
-            kernel_at, expand_at = [], []
-            for _ in range(self.max_depth):
-                kernel_at.append(block(self.kernel_options))
-                expand_at.append(block(self.expand_options))
-            slot_tables = {
-                d: (
-                    _SlotTable(kernel_at[:d], bool(kernel_tuples)),
-                    _SlotTable(expand_at[:d], bool(expand_tuples)),
-                )
-                for d in self.depth_options
-            }
-            stages.append((depth_at, tuple(kernel_at), tuple(expand_at), slot_tables))
-        return resolution_at, tuple(stages), end
+        return _layout(self, int, tuple)
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,25 +196,9 @@ class SupernetSpace:
             num_stages=d.get("num_stages", NUM_STAGES),
             depth_options=tuple(json_field(d, "depth_options", list)),
             kernel_options=tuple(json_field(d, "kernel_options", list)),
-            expand_options=tuple(json_field(d, "expand_options", list)),
+            expand_options=_one_spelling(json_field(d, "expand_options", list)),
             resolution_options=tuple(json_field(d, "resolution_options", list)),
         )
-
-
-class _SlotTable(dict):
-    """Maps a whole slot tuple to the positions its first ``len(slot_at)``
-    slots set, one map of ``slot_at`` per slot; a tuple looked up for the
-    first time is mapped slot by slot and kept if ``store``."""
-
-    def __init__(self, slot_at: list[dict], store: bool):
-        super().__init__()
-        self.slot_at, self.store = slot_at, store
-
-    def __missing__(self, slots: tuple) -> tuple:
-        positions = tuple(map(getitem, self.slot_at, slots))
-        if self.store:
-            self[slots] = positions
-        return positions
 
 
 @cache
@@ -293,7 +244,8 @@ class SubnetConfig:
         noisy oracle, differently.  A resolution, depth or kernel given as
         a float (``2.0``) is refused the same way: it would pass the option
         check too, yet a float depth cannot count blocks.  Expands may be
-        rational, so they take floats.
+        rational, so they take floats, and read ``4.0`` as ``4``
+        (``_one_spelling``): equal configs write one text.
 
         A well-formed config is read in one pass: the set of types of its
         objects, of its gene lists and of its genes is checked against the
@@ -311,10 +263,11 @@ class SubnetConfig:
                 if (
                     set(map(type, kernels + expands)) <= _LIST
                     and set(map(type, chain((resolution,), depths, *kernels))) <= _INTEGER
-                    and set(map(type, chain(*expands))) <= _NUMBER
+                    and (expand_types := set(map(type, chain(*expands)))) <= _NUMBER
                 ):
+                    slots = tuple if expand_types <= _INTEGER else _one_spelling
                     return cls(
-                        resolution, depths, tuple(map(tuple, kernels)), tuple(map(tuple, expands))
+                        resolution, depths, tuple(map(tuple, kernels)), tuple(map(slots, expands))
                     )
         except (KeyError, TypeError):
             pass
@@ -343,7 +296,7 @@ class SubnetConfig:
             (
                 gene(json_field(s, "depth", path="stages", index=i), True, "stages[{}].depth", i),
                 genes(s, i, "kernels", True),
-                genes(s, i, "expands", False),
+                _one_spelling(genes(s, i, "expands", False)),
             )
             for i, s in enumerate(json_field(d, "stages", list))
         ]
@@ -376,6 +329,15 @@ class SubnetConfig:
         return text
 
 
+def _one_spelling(expands) -> tuple:
+    """``expands`` read from JSON, a config's or a space's, each integral
+    float in an expand's range as its int: ``4.0`` as ``4``."""
+    return tuple(
+        [int(e) if type(e) is float and e.is_integer() and 0 < e <= MAX_EXTENT else e
+         for e in expands]
+    )
+
+
 # the JSON types ``SubnetConfig.from_json_dict`` reads in its one pass
 _DICT, _LIST = frozenset([dict]), frozenset([list])
 _INTEGER, _NUMBER = frozenset([int]), frozenset([int, float])
@@ -397,8 +359,9 @@ def validate(config: SubnetConfig, space: SupernetSpace) -> list[str]:
     field; an empty list means the config is valid.
 
     A valid config is recognised by set lookups of whole tuples
-    (``SupernetSpace._valid_genes``); only a config that fails them, or holds
-    an unhashable value, is walked field by field to name the violations.
+    (``SupernetSpace._valid_genes``) and the type of its depths' sum, since
+    ``2.0`` equals ``2``; only a config that fails them, or holds an
+    unhashable value, is walked field by field to name the violations.
     """
     if _is_valid(config, space):
         return []
@@ -412,6 +375,7 @@ def _is_valid(config: SubnetConfig, space: SupernetSpace) -> bool:
         return (
             config.resolution in resolutions
             and config.stage_depths in depths
+            and type(sum(config.stage_depths)) is int  # no depth 2.0, cheaply
             and isinstance(config.kernels, tuple)
             and isinstance(config.expands, tuple)
             and len(config.kernels) == n
@@ -456,7 +420,9 @@ def _violations(config: SubnetConfig, space: SupernetSpace) -> list[str]:
         )
         return violations
     for s, depth in enumerate(config.stage_depths):
-        if depth not in space.depth_options:
+        if not isinstance(depth, int):
+            violations.append(f"stages[{s}].depth: expected an integer, got {depth!r}")
+        elif depth not in space.depth_options:
             violations.append(
                 f"stages[{s}].depth: {depth!r} not in depth_options "
                 f"{list(space.depth_options)}"

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import memnas
-from memnas.cli import MAX_ROWS, MAX_SEARCH_SIZE, _spearman, build_parser, main
+from memnas.cli import MAX_BUCKETS, MAX_ROWS, MAX_SEARCH_SIZE, _spearman, build_parser, main
 from memnas.planner import MAX_EXTENT, ChannelSchedule, REFERENCE_WIDTHS
 from memnas.predictor import Dataset, bucket_edges_from_pilot, bucket_index, feature_length
 from memnas.space import SupernetSpace, default_space, maximal_config, sample_uniform
@@ -628,6 +628,30 @@ class TestMalformedInput:
         assert message in done.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "score", [2 ** 64, 10 ** 300, 10 ** 400], ids=["2**64", "10**300", "10**400"]
+    )
+    def test_dataset_row_with_a_huge_integer_score(self, tmp_path, space, score):
+        # an integer score trains as its float; one past the float range
+        # exits 2 through the overflow path, not with numpy's traceback
+        rows = [
+            {"config": sample_uniform(space, seed).to_json_dict(), "peak_items": 1, "score": 1.0}
+            for seed in range(8)
+        ]
+        rows[3]["score"] = score
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        model = tmp_path / "m.json"
+        done = run_cli("train-predictor", "--dataset", data, "--out", model)
+        assert "Traceback" not in done.stderr
+        if score < 10 ** 309:
+            assert done.returncode == 0, done.stderr
+            assert model.exists()
+        else:
+            assert done.returncode == 2
+            assert "error: a number is too large: int too large to convert to float" in done.stderr
+            assert not model.exists()
+
     @pytest.mark.parametrize("blank_line", [False, True], ids=["dense", "blank-line"])
     @pytest.mark.parametrize("holdout", ["0", "0.9"], ids=["trained", "held-out"])
     def test_dataset_row_that_does_not_fit_the_space(
@@ -738,6 +762,10 @@ class TestMalformedInput:
         ),
         "kernel": (dict(kernel_options=[3, 4, 7]), "kernel_options[1]: kernel 4 is even"),
         "expand": (dict(expand_options=[0.01, 2, 4]), "expand_options[0]: expand 0.01 "),
+        "mode": (
+            dict(schedule={**default_space().schedule.to_json_dict(), "mode": "bogus"}),
+            "schedule.mode: expected one of ['numeric', 'closed-form'], got 'bogus'",
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(space_commands()))
@@ -1039,7 +1067,7 @@ FLAG_RANGES = {
     "--expand": lambda x: 0 < x <= MAX_EXTENT,
     "--resolution": lambda x: 2 ** 6 <= x <= MAX_EXTENT,
     "--n": lambda x: 1 <= x <= MAX_ROWS,
-    "--buckets": lambda x: 1 <= x <= 20,
+    "--buckets": lambda x: 1 <= x <= min(20, MAX_BUCKETS),
     "--l2": lambda x: 0 <= x < math.inf,
     "--holdout": lambda x: 0 <= x < 1,
     "--population": lambda x: 2 <= x <= MAX_SEARCH_SIZE,
@@ -1121,6 +1149,7 @@ class TestFuzzedFlags:
     @example(text="inf")
     @example(text="-inf")
     @example(text=str(MAX_ROWS + 1))
+    @example(text=str(MAX_BUCKETS + 1))
     @example(text=str(MAX_SEARCH_SIZE + 1))
     @given(text=HOSTILE_NUMBERS)
     def test_value_outside_the_range_exits_2(self, flag_inputs, command, flag, text):
@@ -1143,6 +1172,7 @@ class TestFuzzedFlags:
 
     @pytest.mark.parametrize("command, flag, cap", [
         ("sample", "--n", MAX_ROWS),
+        ("sample", "--buckets", MAX_BUCKETS),
         *[(command, flag, MAX_SEARCH_SIZE)
           for command in ("search", "sweep") for flag in ("--population", "--generations")],
     ])

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from memnas import planner
-from memnas.errors import InfeasibleError, ValidationError
+from memnas.errors import FieldError, InfeasibleError, ValidationError
 from memnas.memory import MBBlockShape, block_memory
 from memnas.planner import (
     REFERENCE_WIDTHS,
@@ -249,6 +249,13 @@ class TestQuantize:
 
 
 class TestPlanSchedule:
+    @pytest.mark.parametrize("mode", [[1], {"a": 1}, 5, None, "bogus"])
+    def test_a_schedule_of_no_planning_mode_is_refused(self, mode):
+        d = {**plan_schedule(ReferenceConfig()).to_json_dict(), "mode": mode}
+        with pytest.raises(FieldError) as exc:
+            ChannelSchedule.from_json_dict(d)
+        assert str(exc.value) == f"mode: expected one of ['numeric', 'closed-form'], got {mode!r}"
+
     def test_numeric_reference_walk(self):
         sched = plan_schedule(ReferenceConfig())
         assert sched.all_widths() == (8, 24, 88, 272, 344, 344, 344)

@@ -527,7 +527,7 @@ def assert_predicts_the_documented_sum(model, config, space):
 
 def slot_sums(model, space):
     """Each slot-sum table of the model's table for ``space``."""
-    for _, by_depth in predictor_module._weight_table(model, space)[1]:
+    for _, _, _, by_depth in predictor_module._weight_table(model, space)[1]:
         for kernel_sums, expand_sums in by_depth.values():
             yield kernel_sums
             yield expand_sums

@@ -10,6 +10,7 @@ import random
 import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from operator import getitem
 
@@ -115,6 +116,17 @@ class TestValidate:
         )
         violations = validate(bad, space)
         assert len(violations) == 3
+
+    @pytest.mark.parametrize("depth", [4.0, Fraction(4)], ids=["float", "fraction"])
+    def test_a_depth_that_is_not_an_int_is_cited(self, space, depth):
+        # 4.0 equals the option 4, yet cannot count the blocks of a stage
+        bad = replace(maximal_config(space), stage_depths=(4, 4, depth, 4, 4))
+        message = f"stages[2].depth: expected an integer, got {depth!r}"
+        assert validate(bad, space) == [message]
+        for call in (require_valid, synthetic_score, resolve):
+            with pytest.raises(ValidationError) as exc:
+                call(bad, space)
+            assert str(exc.value) == message
 
 
 class TestCountSubnets:
@@ -760,6 +772,9 @@ def corrupt(config, space, how, where):
     if how == "depth":
         depths = tuple(9 if i == s else d for i, d in enumerate(config.stage_depths))
         return replace(config, stage_depths=depths)
+    if how == "float-depth":
+        depths = tuple(float(d) if i == s else d for i, d in enumerate(config.stage_depths))
+        return replace(config, stage_depths=depths)
     if how == "kernel":
         return replace(config, kernels=at_slot(config.kernels, 9))
     if how == "expand":
@@ -785,8 +800,8 @@ class TestFastValidate:
     """``validate`` answers a valid config by set lookups and walks every
     other one; the walk is the reference for the verdict and the messages."""
 
-    HASHABLE = ("valid", "resolution", "depth", "kernel", "expand", "short-slots",
-                "short-stages", "short-depths")
+    HASHABLE = ("valid", "resolution", "depth", "float-depth", "kernel", "expand",
+                "short-slots", "short-stages", "short-depths")
 
     @settings(max_examples=300)
     @given(space=spaces(), seed=SEEDS, how=st.sampled_from(HASHABLE), where=st.integers(0, 99))
@@ -1242,6 +1257,29 @@ class TestJsonRoundTrip:
             return
         config = SubnetConfig.from_json_dict(d)
         assert config == expected and repr(config) == repr(expected)
+
+    def test_an_integral_float_expand_reads_as_its_int(self, space):
+        # 4.0 equals the option 4: read as the int, the config writes the
+        # text of the config that holds 4, and so gets its noisy score
+        config = maximal_config(space)
+        d = config.to_json_dict()
+        d["stages"][1]["expands"][2] = 4.0
+        for read in (SubnetConfig.from_json_dict, SubnetConfig._from_json_walk):
+            got = read(d)
+            assert got == config and got.canonical_json() == config.canonical_json()
+            assert synthetic_score(got, space, 7) == synthetic_score(config, space, 7)
+        d["stages"][1]["expands"][2] = 2.5
+        assert SubnetConfig.from_json_dict(d).expands[1][2] == 2.5
+
+    def test_a_space_of_integral_float_expands_reads_them_as_ints(self, space):
+        # a config drawn from the space read back writes the same text
+        d = space.to_json_dict()
+        d["expand_options"] = [2.0, 3.0, 4.0]
+        read = SupernetSpace.from_json_dict(json.loads(json.dumps(d)))
+        assert read == space and list(map(type, read.expand_options)) == [int] * 3
+        config = sample_uniform(read, 5)
+        text = config.canonical_json()
+        assert SubnetConfig.from_json_dict(json.loads(text)).canonical_json() == text
 
     def test_config_schema(self, space):
         c = sample_uniform(space, 42)

@@ -32,7 +32,10 @@ figures are wall time, not scaled to the core speed; pairs of them can.
 The summary gives, per end-to-end metric, each side's median and quartiles
 (``statistics.quantiles(values, n=4)``) and the number of pairs the change
 won, ties counting for neither, in the direction ``BENCHMARK.json`` gives;
-with ``--trace``, the same for the traced runs' ``LAYERS``.  Beside
+with ``--trace``, the same for the traced runs' ``LAYERS``.  Per end-to-end
+metric it also prints the change's median over the parent's, and whether
+that ratio is worse than the metric's ``bound`` in ``BENCHMARK.json``, in
+the metric's direction: the rule a change must keep to.  Beside
 ``peak_rss_mb`` it prints each side's attempted operations, for every
 workload of a whole run, since that figure grows with the operations a run
 fits in: ``pipeline`` keeps each pass's artifacts and the search
@@ -55,11 +58,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # the per-layer figures a traced pair reports: the three CLI steps of a
-# ``pipeline`` pass, the sampler under them, the ridge surrogate's two
-# calls and the search's two genome operations (a workload that does not
-# reach a layer reads 0 for it)
+# ``pipeline`` pass, the sampler under them, the oracle, the ridge
+# surrogate's two calls and the search's two genome operations (a workload
+# that does not reach a layer reads 0 for it)
 LAYERS = (
-    "cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us",
+    "cli.sample_s", "cli.train_s", "cli.search_s", "space.sample.us", "predictor.score.us",
     "predictor.predict.us", "predictor.encode.us", "space.crossover.us", "space.mutate.us",
 )
 
@@ -128,10 +131,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], workload: str, better: dict, names=None) -> None:
+def summarize(runs: list[dict], workload: str, better: dict, names=None, bounds=None) -> None:
     """Print the pairs of ``runs`` and, per metric, each side's median and
     quartiles and the pairs the change won; ``names`` picks the metrics, all
-    of a run's by default."""
+    of a run's by default.  For each metric that ``bounds`` gives a bound,
+    it prints the change's median over the parent's and whether that ratio
+    is worse than the bound in the metric's ``better`` direction."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -172,6 +177,12 @@ def summarize(runs: list[dict], workload: str, better: dict, names=None) -> None
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
         print(f"  {name:16s} change better in {wins} of {len(complete)} pairs ({ties} ties)")
+        if name in (bounds or {}):
+            ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+            worse = sign * (ratio - 1) < -bounds[name]
+            verdict = "worse than" if worse else "within"
+            print(f"  {name:16s} change/parent median {ratio:.4f}, "
+                  f"{verdict} its bound {bounds[name]}")
 
 
 def main(argv=None) -> int:
@@ -232,7 +243,8 @@ def main(argv=None) -> int:
                 value = result.get("metrics", {}).get(shown, {}).get("value")
                 shown_value = result.get("error") if value is None else value
                 print(f"pair {pair} {side}: {shown} {shown_value}", flush=True)
-    summarize([run for run in runs if not run["trace"]], args.workload, better)
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    summarize([run for run in runs if not run["trace"]], args.workload, better, bounds=bounds)
     if args.trace:
         traced = [run for run in runs if run["trace"]]
         summarize(traced, f"{args.workload}, traced", better, LAYERS)
